@@ -2,18 +2,15 @@
 
 __version__ = "0.1.0"
 
-from .basis import (BasisSystem, CurveBundle, FunctionalCurve, basis_matrix,
-                    bspline_basis, eval_basis, eval_curve, fit_bundle,
-                    fit_coefficients, fourier_basis, gram_matrix)
-from .clustering import (ClusterPairAssignment, KMeansModel, assign,
-                         assign_pairs, kmeans_fit)
+from .basis import (BasisSystem, CurveBundle, basis_matrix, bspline_basis,
+                    eval_basis, fit_bundle, fit_coefficients, gram_matrix)
+from .clustering import KMeansModel, assign, kmeans_fit
 from .experiment import (ExperimentConfig, ExperimentReport, GeoPoint,
-                         evaluate_clustered, evaluate_global,
                          forecasts_to_geojson, grid_search, haversine,
                          length_study, repeated_simulation, trajectory_error)
 from .ingest import (DatasetMatrix, StormRecord, StormRecordSet,
                      TrajectoryWindow, build_matrices, extract_tail,
                      filter_min_length, parse_csv, parse_rsmc, time_grid,
                      train_test_split, write_csv)
-from .regression import (FoFModel, TrajectoryForecast, fit_fof, predict_fof,
-                         predict_trajectory)
+from .regression import (FoFModel, TrajectoryForecast, fit_fof,
+                         predict_fof_batch, predict_trajectory)

@@ -1,13 +1,12 @@
 """Basis systems and least-squares functional representation.
 
 A discrete series observed on a grid is represented as a smooth curve
-x(t) = sum_k c_k * phi_k(t) over a B-spline or Fourier basis; coefficients
-come from (optionally ridge-stabilized) least squares.
+x(t) = sum_k c_k * phi_k(t) over a B-spline basis; coefficients come from
+(optionally ridge-stabilized) least squares.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -20,20 +19,16 @@ ENDPOINT_TOL = 1e-10
 
 @dataclass(frozen=True)
 class BasisSystem:
-    """A fixed family of K basis functions over [lo, hi].
+    """A family of K B-spline basis functions over [lo, hi].
 
-    For B-splines, ``order`` is m (polynomial degree m - 1) and ``knots``
-    holds the interior knots; K = len(knots) + order. For Fourier bases,
-    ``period`` defaults to the domain width and K is forced odd-style
-    (1 constant + sin/cos pairs, truncated at K).
+    ``order`` is m (polynomial degree m - 1) and ``knots`` holds the
+    interior knots; K = len(knots) + order.
     """
 
-    kind: str
     K: int
     domain: tuple[float, float]
     order: int = 4
     knots: tuple[float, ...] = ()
-    period: float | None = None
 
     def __post_init__(self):
         lo, hi = self.domain
@@ -41,19 +36,14 @@ class BasisSystem:
             raise ShapeError(f"empty domain [{lo}, {hi}]")
         if self.K < 1:
             raise ShapeError("basis dimension must be >= 1")
-        if self.kind == "bspline":
-            if self.K != len(self.knots) + self.order:
-                raise ShapeError(
-                    f"K={self.K} must equal interior knots "
-                    f"({len(self.knots)}) + order ({self.order})")
-            if any(b < a for a, b in zip(self.knots, self.knots[1:])):
-                raise ShapeError("interior knots must be non-decreasing")
-            if self.knots and (self.knots[0] < lo or self.knots[-1] > hi):
-                raise ShapeError("interior knots must lie inside the domain")
-        elif self.kind == "fourier":
-            pass
-        else:
-            raise ShapeError(f"unknown basis kind {self.kind!r}")
+        if self.K != len(self.knots) + self.order:
+            raise ShapeError(
+                f"K={self.K} must equal interior knots "
+                f"({len(self.knots)}) + order ({self.order})")
+        if any(b < a for a, b in zip(self.knots, self.knots[1:])):
+            raise ShapeError("interior knots must be non-decreasing")
+        if self.knots and (self.knots[0] < lo or self.knots[-1] > hi):
+            raise ShapeError("interior knots must lie inside the domain")
 
     @property
     def full_knots(self) -> np.ndarray:
@@ -64,21 +54,15 @@ class BasisSystem:
         ])
 
     def to_dict(self) -> dict:
-        d = {"kind": self.kind, "K": self.K, "domain": list(self.domain)}
-        if self.kind == "bspline":
-            d.update(order=self.order, knots=list(self.knots))
-        else:
-            d["period"] = self.period
-        return d
+        return {"kind": "bspline", "K": self.K, "domain": list(self.domain),
+                "order": self.order, "knots": list(self.knots)}
 
     @staticmethod
     def from_dict(d: dict) -> "BasisSystem":
-        if d["kind"] == "bspline":
-            return BasisSystem(kind="bspline", K=d["K"],
-                               domain=tuple(d["domain"]), order=d["order"],
-                               knots=tuple(d["knots"]))
-        return BasisSystem(kind="fourier", K=d["K"], domain=tuple(d["domain"]),
-                           period=d.get("period"))
+        if d["kind"] != "bspline":
+            raise ShapeError(f"unknown basis kind {d['kind']!r}")
+        return BasisSystem(K=d["K"], domain=tuple(d["domain"]),
+                           order=d["order"], knots=tuple(d["knots"]))
 
 
 def bspline_basis(K: int, domain: tuple[float, float],
@@ -89,28 +73,7 @@ def bspline_basis(K: int, domain: tuple[float, float],
         raise ShapeError(f"K={K} too small for order {order}")
     lo, hi = domain
     knots = tuple(np.linspace(lo, hi, n_interior + 2)[1:-1])
-    return BasisSystem(kind="bspline", K=K, domain=domain, order=order,
-                       knots=knots)
-
-
-def fourier_basis(K: int, domain: tuple[float, float],
-                  period: float | None = None) -> BasisSystem:
-    if period is None:
-        period = domain[1] - domain[0]
-    return BasisSystem(kind="fourier", K=K, domain=domain, period=period)
-
-
-@dataclass(frozen=True)
-class FunctionalCurve:
-    """One curve: a coefficient vector over a basis."""
-
-    basis: BasisSystem
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        if len(self.coefficients) != self.basis.K:
-            raise ShapeError(
-                f"coefficient length {len(self.coefficients)} != K={self.basis.K}")
+    return BasisSystem(K=K, domain=domain, order=order, knots=knots)
 
 
 @dataclass(frozen=True)
@@ -128,24 +91,6 @@ class CurveBundle:
         if n != len(self.ids):
             raise ShapeError("coefficient columns do not match id count")
 
-    def curve(self, j: int) -> FunctionalCurve:
-        return FunctionalCurve(self.basis, self.coefficient_matrix[:, j])
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "basis": self.basis.to_dict(),
-            "shape": list(self.coefficient_matrix.shape),
-            "coefficients": self.coefficient_matrix.ravel().tolist(),
-            "ids": list(self.ids),
-        })
-
-    @staticmethod
-    def from_json(text: str) -> "CurveBundle":
-        d = json.loads(text)
-        coeffs = np.array(d["coefficients"]).reshape(d["shape"])
-        return CurveBundle(basis=BasisSystem.from_dict(d["basis"]),
-                           coefficient_matrix=coeffs, ids=tuple(d["ids"]))
-
 
 def _check_domain(basis: BasisSystem, t: float) -> float:
     lo, hi = basis.domain
@@ -157,12 +102,6 @@ def _check_domain(basis: BasisSystem, t: float) -> float:
 def eval_basis(basis: BasisSystem, t: float) -> np.ndarray:
     """Evaluate all K basis functions at a single point t."""
     t = _check_domain(basis, t)
-    if basis.kind == "bspline":
-        return _cox_de_boor(basis, t)
-    return _eval_fourier(basis, t)
-
-
-def _cox_de_boor(basis: BasisSystem, t: float) -> np.ndarray:
     knots = basis.full_knots
     m = basis.order
     K = basis.K
@@ -191,65 +130,44 @@ def _cox_de_boor(basis: BasisSystem, t: float) -> np.ndarray:
     return out
 
 
-def _eval_fourier(basis: BasisSystem, t: float) -> np.ndarray:
-    period = basis.period or (basis.domain[1] - basis.domain[0])
-    omega = 2.0 * np.pi / period
-    out = np.empty(basis.K)
-    out[0] = 1.0 / np.sqrt(period)
-    scale = np.sqrt(2.0 / period)
-    for k in range(1, basis.K):
-        harmonic = (k + 1) // 2
-        phase = omega * harmonic * (t - basis.domain[0])
-        out[k] = scale * (np.sin(phase) if k % 2 == 1 else np.cos(phase))
-    return out
-
-
 def basis_matrix(basis: BasisSystem, grid: Sequence[float]) -> np.ndarray:
     """p x K matrix of basis values; row j is eval_basis at grid[j]."""
     return np.vstack([eval_basis(basis, float(t)) for t in grid])
 
 
 def fit_coefficients(basis: BasisSystem, grid: Sequence[float],
-                     observations: Sequence[float],
-                     ridge: float = 0.0) -> FunctionalCurve:
-    """Least-squares curve representation: solve (Phi'Phi + ridge I) c = Phi'x."""
+                     observations, ridge: float = 0.0) -> np.ndarray:
+    """Least-squares curve representation: solve (Phi'Phi + ridge I) C = Phi'X.
+
+    ``observations`` holds p values of one series or a p x n matrix of n
+    series on the same grid; the coefficients come back as K or K x n, all
+    columns from one factorization.
+    """
     grid = np.asarray(grid, dtype=float)
-    x = np.asarray(observations, dtype=float)
-    if grid.shape != x.shape:
-        raise ShapeError("grid and observations must have equal length")
+    X = np.asarray(observations, dtype=float)
+    if grid.ndim != 1 or X.shape[:1] != grid.shape or X.ndim > 2:
+        raise ShapeError("observations must have one row per grid point")
     Phi = basis_matrix(basis, grid)
-    coeffs = _solve_normal_equations(Phi, x[:, None], ridge)[:, 0]
-    return FunctionalCurve(basis=basis, coefficients=coeffs)
-
-
-def fit_bundle(basis: BasisSystem, grid: Sequence[float],
-               matrix, ridge: float = 0.0) -> CurveBundle:
-    """Columnwise fit of a DatasetMatrix, reusing a single factorization."""
-    Phi = basis_matrix(basis, grid)
-    coeffs = _solve_normal_equations(Phi, np.asarray(matrix.values, dtype=float),
-                                     ridge)
-    return CurveBundle(basis=basis, coefficient_matrix=coeffs,
-                       ids=tuple(matrix.storm_ids))
-
-
-def _solve_normal_equations(Phi: np.ndarray, X: np.ndarray,
-                            ridge: float) -> np.ndarray:
     A = Phi.T @ Phi
     if ridge > 0:
         A = A + ridge * np.eye(A.shape[0])
-    rhs = Phi.T @ X
+    rhs = Phi.T @ X.reshape(len(grid), -1)
     try:
         L = np.linalg.cholesky(A)
     except np.linalg.LinAlgError as exc:
         raise SingularityError(
             "normal equations are rank deficient; use ridge > 0 or a "
             "smaller basis dimension") from exc
-    y = np.linalg.solve(L, rhs)
-    return np.linalg.solve(L.T, y)
+    coeffs = np.linalg.solve(L.T, np.linalg.solve(L, rhs))
+    return coeffs if X.ndim == 2 else coeffs[:, 0]
 
 
-def eval_curve(curve: FunctionalCurve, t: float) -> float:
-    return float(np.dot(curve.coefficients, eval_basis(curve.basis, t)))
+def fit_bundle(basis: BasisSystem, grid: Sequence[float],
+               matrix, ridge: float = 0.0) -> CurveBundle:
+    """Columnwise fit of a DatasetMatrix, reusing a single factorization."""
+    coeffs = fit_coefficients(basis, grid, matrix.values, ridge)
+    return CurveBundle(basis=basis, coefficient_matrix=coeffs,
+                       ids=tuple(matrix.storm_ids))
 
 
 def gram_matrix(basis: BasisSystem) -> np.ndarray:
@@ -258,12 +176,8 @@ def gram_matrix(basis: BasisSystem) -> np.ndarray:
     Gauss-Legendre quadrature per knot span; exact for the piecewise
     polynomial products a B-spline basis produces.
     """
-    if basis.kind == "bspline":
-        breakpoints = np.unique(basis.full_knots)
-        n_quad = basis.order  #  exact for degree 2(order-1) products
-    else:
-        breakpoints = np.linspace(*basis.domain, 4 * basis.K + 1)
-        n_quad = 12
+    breakpoints = np.unique(basis.full_knots)
+    n_quad = basis.order  #  exact for degree 2(order-1) products
     nodes, weights = np.polynomial.legendre.leggauss(n_quad)
     J = np.zeros((basis.K, basis.K))
     for a, b in zip(breakpoints, breakpoints[1:]):

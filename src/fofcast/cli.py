@@ -19,9 +19,9 @@ from . import __version__
 from .errors import FofcastError, SingularityError, StormLookupError
 from .experiment import (ExperimentConfig, SplitRunner, forecasts_to_geojson,
                          length_study, repeated_simulation)
-from .ingest import (DatasetMatrix, build_matrices, extract_tail,
-                     filter_min_length, parse_csv, parse_rsmc, time_grid,
-                     train_test_split)
+from .ingest import (DatasetMatrix, TrajectoryWindow, build_matrices,
+                     extract_tail, filter_min_length, parse_csv, parse_rsmc,
+                     time_grid, train_test_split)
 from .regression import FoFModel, predict_trajectory
 
 
@@ -130,7 +130,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _windows_from_dataset(lat: DatasetMatrix, lon: DatasetMatrix, meta: dict):
-    from .ingest import TrajectoryWindow
     return [
         TrajectoryWindow(storm_id=sid,
                          lat_series=lat.values[:, j].copy(),
@@ -141,31 +140,37 @@ def _windows_from_dataset(lat: DatasetMatrix, lon: DatasetMatrix, meta: dict):
     ]
 
 
-def cmd_predict(args: argparse.Namespace) -> int:
+def _write_forecasts(args: argparse.Namespace, command: str, select,
+                     include_truth: bool) -> int:
+    """Forecast the windows ``select`` picks from the dataset; write GeoJSON."""
     t0 = time.perf_counter()
     lat, lon, meta = _load_dataset(args.data)
     lat_model = FoFModel.from_json((args.models / "lat_model.json").read_text())
     lon_model = FoFModel.from_json((args.models / "lon_model.json").read_text())
-    windows = _windows_from_dataset(lat, lon, meta)
-    by_id = {w.storm_id: w for w in windows}
-    unknown = [sid for sid in args.storm_ids if sid not in by_id]
-    if unknown:
-        print(f"error: unknown storm ids: {', '.join(unknown)}\n"
-              f"available: {', '.join(sorted(by_id))}", file=sys.stderr)
-        return 4
+    selected = select(_windows_from_dataset(lat, lon, meta))
     grid = time_grid(meta["total_len"])
     P = meta["predictor_len"]
-    selected = [by_id[sid] for sid in args.storm_ids] if args.storm_ids else windows
-    forecasts = [predict_trajectory(lat_model, lon_model, w, grid[:P], grid[P:])
-                 for w in selected]
-    geojson = forecasts_to_geojson(selected, forecasts,
-                                   include_truth=not args.no_truth)
+    forecasts = predict_trajectory(lat_model, lon_model, selected, grid[:P], grid[P:])
+    geojson = forecasts_to_geojson(selected, forecasts, include_truth=include_truth)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(json.dumps(geojson, indent=2))
-    _write_manifest(args.out.parent, "predict", args,
+    _write_manifest(args.out.parent, command, args,
                     {"total": time.perf_counter() - t0})
     print(f"wrote {len(forecasts)} forecasts -> {args.out}")
     return 0
+
+
+def cmd_predict(args: argparse.Namespace) -> int:
+    def select(windows: list[TrajectoryWindow]) -> list[TrajectoryWindow]:
+        by_id = {w.storm_id: w for w in windows}
+        unknown = [sid for sid in args.storm_ids if sid not in by_id]
+        if unknown:
+            raise StormLookupError(f"unknown storm ids: {', '.join(unknown)}\n"
+                                   f"available: {', '.join(sorted(by_id))}")
+        return [by_id[sid] for sid in args.storm_ids] if args.storm_ids else windows
+
+    return _write_forecasts(args, "predict", select,
+                            include_truth=not args.no_truth)
 
 
 def cmd_grid(args: argparse.Namespace) -> int:
@@ -230,24 +235,11 @@ def cmd_length_study(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-    lat, lon, meta = _load_dataset(args.data)
-    lat_model = FoFModel.from_json((args.models / "lat_model.json").read_text())
-    lon_model = FoFModel.from_json((args.models / "lon_model.json").read_text())
-    split = json.loads((args.models / "split.json").read_text())
-    windows = _windows_from_dataset(lat, lon, meta)
-    test_windows = [windows[i] for i in split["test"]]
-    grid = time_grid(meta["total_len"])
-    P = meta["predictor_len"]
-    forecasts = [predict_trajectory(lat_model, lon_model, w, grid[:P], grid[P:])
-                 for w in test_windows]
-    geojson = forecasts_to_geojson(test_windows, forecasts)
-    args.out.parent.mkdir(parents=True, exist_ok=True)
-    args.out.write_text(json.dumps(geojson, indent=2))
-    _write_manifest(args.out.parent, "export", args,
-                    {"total": time.perf_counter() - t0})
-    print(f"exported {len(forecasts)} test-set forecasts -> {args.out}")
-    return 0
+    def select(windows: list[TrajectoryWindow]) -> list[TrajectoryWindow]:
+        split = json.loads((args.models / "split.json").read_text())
+        return [windows[i] for i in split["test"]]
+
+    return _write_forecasts(args, "export", select, include_truth=True)
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:

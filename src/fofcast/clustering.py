@@ -14,7 +14,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ShapeError
-from .ingest import TrajectoryWindow
 
 
 @dataclass(frozen=True)
@@ -53,13 +52,6 @@ class KMeansModel:
             centroids=np.array(d["centroids"]).reshape(d["k"], d["P"]),
             inertia=d["inertia"], seed=d["seed"], iterations_run=0,
         )
-
-
-@dataclass(frozen=True)
-class ClusterPairAssignment:
-    storm_id: str
-    lat_cluster: int
-    lon_cluster: int
 
 
 def _labels_and_inertia(points: np.ndarray,
@@ -140,8 +132,7 @@ def assign(model: KMeansModel, segment: Sequence[float]) -> int:
         raise ShapeError(
             f"segment length {segment.shape} does not match centroid length "
             f"{model.segment_length}")
-    d2 = ((model.centroids - segment) ** 2).sum(axis=1)
-    return int(np.argmin(d2))
+    return int(assign_batch(model, segment[None, :])[0])
 
 
 def assign_batch(model: KMeansModel, segments: np.ndarray) -> np.ndarray:
@@ -150,16 +141,3 @@ def assign_batch(model: KMeansModel, segments: np.ndarray) -> np.ndarray:
         raise ShapeError("segment length does not match centroid length")
     labels, _ = _labels_and_inertia(segments, model.centroids)
     return labels
-
-
-def assign_pairs(lat_model: KMeansModel, lon_model: KMeansModel,
-                 windows: Sequence[TrajectoryWindow]) -> list[ClusterPairAssignment]:
-    """Per-storm (lat-cluster, lon-cluster) pair from the predictor segments."""
-    return [
-        ClusterPairAssignment(
-            storm_id=w.storm_id,
-            lat_cluster=assign(lat_model, w.lat_predictor),
-            lon_cluster=assign(lon_model, w.lon_predictor),
-        )
-        for w in windows
-    ]

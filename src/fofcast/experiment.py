@@ -20,7 +20,7 @@ from .errors import ShapeError, ValidationError
 from .ingest import (DatasetMatrix, StormRecordSet, TrajectoryWindow,
                      build_matrices, extract_tail, filter_min_length,
                      train_test_split)
-from .regression import FoFModel, TrajectoryForecast, fit_fof
+from .regression import FoFModel, TrajectoryForecast, fit_fof, fof_forecast
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -37,11 +37,7 @@ class GeoPoint:
 
 def haversine(p1: GeoPoint, p2: GeoPoint) -> float:
     """Great-circle distance in km on a sphere of radius 6371 km."""
-    phi1, phi2 = np.radians(p1.lat), np.radians(p2.lat)
-    dphi = phi2 - phi1
-    dlam = np.radians(p2.lon) - np.radians(p1.lon)
-    a = np.sin(dphi / 2.0) ** 2 + np.cos(phi1) * np.cos(phi2) * np.sin(dlam / 2.0) ** 2
-    return 2.0 * EARTH_RADIUS_KM * float(np.arcsin(np.sqrt(min(max(a, 0.0), 1.0))))
+    return float(_haversine_arrays(p1.lat, p1.lon, p2.lat, p2.lon))
 
 
 def _haversine_arrays(lat1, lon1, lat2, lon2) -> np.ndarray:
@@ -52,6 +48,11 @@ def _haversine_arrays(lat1, lon1, lat2, lon2) -> np.ndarray:
     return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0)))
 
 
+def track_errors(lat_hat, lon_hat, lat_true, lon_true) -> np.ndarray:
+    """Mean haversine over the response grid per storm; inputs are q x n."""
+    return _haversine_arrays(lat_hat, lon_hat, lat_true, lon_true).mean(axis=0)
+
+
 def trajectory_error(forecast: TrajectoryForecast,
                      truth: Sequence[GeoPoint]) -> float:
     """Mean pointwise haversine distance between forecast and truth."""
@@ -59,9 +60,8 @@ def trajectory_error(forecast: TrajectoryForecast,
         raise ShapeError(
             f"forecast has {len(forecast.points)} points, truth has {len(truth)}")
     pred = np.array(forecast.points)
-    t_lat = np.array([p.lat for p in truth])
-    t_lon = np.array([p.lon for p in truth])
-    return float(_haversine_arrays(pred[:, 0], pred[:, 1], t_lat, t_lon).mean())
+    true = np.array([(p.lat, p.lon) for p in truth])
+    return float(track_errors(pred[:, :1], pred[:, 1:], true[:, :1], true[:, 1:])[0])
 
 
 @dataclass(frozen=True)
@@ -218,26 +218,25 @@ class SplitRunner:
             self._model_cache[key] = model
         return model
 
-    def _predict_test_storm(self, model: FoFModel, coord: str, j: int) -> np.ndarray:
-        return self.theta @ (model.alpha_coeffs + model.B @ self.z_test[coord][:, j])
+    def _storm_errors(self, groups) -> np.ndarray:
+        """Mean haversine per test storm.
 
-    def _storm_errors(self, models_per_storm) -> np.ndarray:
-        """Mean haversine per test storm; models_per_storm yields (lat, lon) models."""
+        ``groups`` yields (test columns, lat model, lon model); each group
+        takes one batched forecast per coordinate.
+        """
         errors = np.empty(len(self.test_idx))
-        for j, (lat_model, lon_model) in enumerate(models_per_storm):
-            lat_hat = self._predict_test_storm(lat_model, "lat", j)
-            lon_hat = self._predict_test_storm(lon_model, "lon", j)
-            d = _haversine_arrays(lat_hat, lon_hat,
-                                  self.truth["lat"][:, j], self.truth["lon"][:, j])
-            errors[j] = d.mean()
+        for idx, lat_model, lon_model in groups:
+            lat_hat = fof_forecast(lat_model, self.theta, self.z_test["lat"][:, idx])
+            lon_hat = fof_forecast(lon_model, self.theta, self.z_test["lon"][:, idx])
+            errors[idx] = track_errors(lat_hat, lon_hat, self.truth["lat"][:, idx],
+                                       self.truth["lon"][:, idx])
         return errors
 
     def global_errors(self) -> np.ndarray:
         cols = np.arange(self.n_train)
-        lat_model = self.fit_coordinate("lat", cols)
-        lon_model = self.fit_coordinate("lon", cols)
-        return self._storm_errors(
-            (lat_model, lon_model) for _ in range(len(self.test_idx)))
+        return self._storm_errors([(np.arange(len(self.test_idx)),
+                                    self.fit_coordinate("lat", cols),
+                                    self.fit_coordinate("lon", cols))])
 
     def kmeans_for(self, coord: str, k: int) -> KMeansModel:
         key = (coord, k)
@@ -253,6 +252,7 @@ class SplitRunner:
 
         Ladder: pair model (>= min_cluster_size training members) ->
         per-coordinate cluster-union model (same threshold) -> global model.
+        Test storms are scored together per distinct (lat, lon) cluster pair.
         """
         cfg = self.config
         lat_km = self.kmeans_for("lat", k_lat)
@@ -276,32 +276,16 @@ class SplitRunner:
                 "lon", lon_cols if len(lon_cols) >= cfg.min_cluster_size else all_cols)
             return lat_model, lon_model
 
+        pair_codes = lat_te * k_lon + lon_te
         return self._storm_errors(
-            models_for(lat_te[j], lon_te[j]) for j in range(len(self.test_idx)))
-
-
-def evaluate_global(lat_mat: DatasetMatrix, lon_mat: DatasetMatrix,
-                    train_idx: np.ndarray, test_idx: np.ndarray,
-                    config: ExperimentConfig) -> float:
-    runner = SplitRunner(lat_mat, lon_mat, train_idx, test_idx, config)
-    return float(runner.global_errors().mean())
-
-
-def evaluate_clustered(lat_mat: DatasetMatrix, lon_mat: DatasetMatrix,
-                       train_idx: np.ndarray, test_idx: np.ndarray,
-                       k_lat: int, k_lon: int,
-                       config: ExperimentConfig) -> float:
-    runner = SplitRunner(lat_mat, lon_mat, train_idx, test_idx, config)
-    return float(runner.clustered_errors(k_lat, k_lon).mean())
+            (np.flatnonzero(pair_codes == code), *models_for(*divmod(code, k_lon)))
+            for code in np.unique(pair_codes))
 
 
 def _best_cell(cell_means: np.ndarray) -> tuple[tuple[int, int], float]:
-    best = None
-    for i in range(cell_means.shape[0]):
-        for j in range(cell_means.shape[1]):
-            if best is None or cell_means[i, j] < best[1]:
-                best = ((i + 1, j + 1), float(cell_means[i, j]))
-    return best
+    """Smallest cell, 1-based; ties go to the first in row-major order."""
+    i, j = np.unravel_index(np.argmin(cell_means), cell_means.shape)
+    return (int(i) + 1, int(j) + 1), float(cell_means[i, j])
 
 
 def grid_search(lat_mat: DatasetMatrix, lon_mat: DatasetMatrix,
@@ -333,29 +317,30 @@ def repeated_simulation(lat_mat: DatasetMatrix, lon_mat: DatasetMatrix,
                         config: ExperimentConfig) -> ExperimentReport:
     """Average grid search and global evaluation over derived-seed repetitions."""
     n = lat_mat.n_storms
-    all_cells = []
-    globals_ = []
+    rows = []
     traces = []
     for rep in range(config.n_repetitions):
         seed_r = config.seed + rep
         train_idx, test_idx = train_test_split(n, config.ratio, seed_r)
         rep_report = grid_search(lat_mat, lon_mat, train_idx, test_idx,
                                  config, kmeans_seed=seed_r)
-        all_cells.append(rep_report.cell_means)
-        globals_.append(rep_report.global_mean)
+        # the global error rides as one more column, so that it is averaged
+        # in the same order as the cells and cell (1,1) stays equal to it
+        rows.append(np.append(rep_report.cell_means.ravel(), rep_report.global_mean))
         traces.append({
             "repetition": rep, "seed": seed_r,
             "global_error": rep_report.global_mean,
             "cells": rep_report.cell_means.tolist(),
         })
-    stack = np.stack(all_cells)
-    cell_means = stack.mean(axis=0)
-    cell_stds = stack.std(axis=0)
+    stack = np.stack(rows)
+    means, stds = stack.mean(axis=0), stack.std(axis=0)
+    shape = (config.k_lat_max, config.k_lon_max)
+    cell_means = means[:-1].reshape(shape)
     best_pair, best_error = _best_cell(cell_means)
     return ExperimentReport(
         config=config, n_storms=n,
-        cell_means=cell_means, cell_stds=cell_stds,
-        global_mean=float(np.mean(globals_)), global_std=float(np.std(globals_)),
+        cell_means=cell_means, cell_stds=stds[:-1].reshape(shape),
+        global_mean=float(means[-1]), global_std=float(stds[-1]),
         best_pair=best_pair, best_error=best_error,
         repetition_traces=traces,
     )

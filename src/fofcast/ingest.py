@@ -212,15 +212,15 @@ def _parse_rsmc_data_line(line: str, line_no: int) -> StormRecord:
         grade = int(grade_str) if grade_str else None
         lat = int(line[15:18]) / 10.0
         lon = int(line[19:23]) / 10.0
+        pressure = _optional_float(line[24:28]) if len(line) > 24 else None
+        wind = _optional_float(line[33:36]) if len(line) > 33 else None
+        r50_long = _optional_float(line[42:46]) if len(line) > 42 else None
+        r50_short = _optional_float(line[47:51]) if len(line) > 47 else None
+        r30_long = _optional_float(line[53:57]) if len(line) > 53 else None
+        r30_short = _optional_float(line[58:62]) if len(line) > 58 else None
     except (ValueError, IndexError) as exc:
         raise ParseError(f"unparsable data line {line.rstrip()!r}",
                          line_no=line_no) from exc
-    pressure = _optional_float(line[24:28]) if len(line) > 24 else None
-    wind = _optional_float(line[33:36]) if len(line) > 33 else None
-    r50_long = _optional_float(line[42:46]) if len(line) > 42 else None
-    r50_short = _optional_float(line[47:51]) if len(line) > 47 else None
-    r30_long = _optional_float(line[53:57]) if len(line) > 53 else None
-    r30_short = _optional_float(line[58:62]) if len(line) > 58 else None
     landfall = len(line) > 71 and line[71] == "#"
     try:
         return StormRecord(

@@ -19,8 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .basis import (BasisSystem, CurveBundle, FunctionalCurve, basis_matrix,
-                    fit_coefficients, gram_matrix)
+from .basis import (BasisSystem, CurveBundle, basis_matrix, fit_coefficients,
+                    gram_matrix)
 from .errors import BasisMismatchError, ShapeError, SingularityError
 from .ingest import DatasetMatrix, TrajectoryWindow
 
@@ -118,13 +118,12 @@ def fit_fof(X: CurveBundle, Y_obs: DatasetMatrix, response_basis: BasisSystem,
     )
 
 
-def predict_fof(model: FoFModel, x: FunctionalCurve,
-                response_grid: Sequence[float]) -> np.ndarray:
-    """Evaluate the fitted affine operator at the response grid."""
-    if x.basis != model.predictor_basis:
-        raise BasisMismatchError("input curve basis differs from model's predictor basis")
-    Theta = basis_matrix(model.response_basis, response_grid)
-    return Theta @ (model.alpha_coeffs + model.B @ (model.predictor_gram @ x.coefficients))
+def fof_forecast(model: FoFModel, theta: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """q x n forecasts theta (a + B z) for the columns z = J c of Z.
+
+    ``theta`` is the response basis evaluated at the response grid (q x K_s).
+    """
+    return theta @ (model.alpha_coeffs[:, None] + model.B @ Z)
 
 
 def predict_fof_batch(model: FoFModel, X: CurveBundle,
@@ -132,24 +131,27 @@ def predict_fof_batch(model: FoFModel, X: CurveBundle,
     """q x n matrix of predictions for every curve in the bundle."""
     if X.basis != model.predictor_basis:
         raise BasisMismatchError("bundle basis differs from model's predictor basis")
-    Theta = basis_matrix(model.response_basis, response_grid)
-    Z = model.predictor_gram @ X.coefficient_matrix
-    return Theta @ (model.alpha_coeffs[:, None] + model.B @ Z)
+    return fof_forecast(model, basis_matrix(model.response_basis, response_grid),
+                        model.predictor_gram @ X.coefficient_matrix)
 
 
 def predict_trajectory(lat_model: FoFModel, lon_model: FoFModel,
-                       window: TrajectoryWindow,
+                       windows: Sequence[TrajectoryWindow],
                        predictor_grid: Sequence[float],
                        response_grid: Sequence[float],
-                       fit_ridge: float = 0.0) -> TrajectoryForecast:
-    """Forecast one storm: represent its predictor segments, apply both models."""
-    lat_curve = fit_coefficients(lat_model.predictor_basis, predictor_grid,
-                                 window.lat_predictor, ridge=fit_ridge)
-    lon_curve = fit_coefficients(lon_model.predictor_basis, predictor_grid,
-                                 window.lon_predictor, ridge=fit_ridge)
-    lat_hat = predict_fof(lat_model, lat_curve, response_grid)
-    lon_hat = predict_fof(lon_model, lon_curve, response_grid)
-    return TrajectoryForecast(
-        storm_id=window.storm_id,
-        points=tuple(zip(lat_hat.tolist(), lon_hat.tolist())),
-    )
+                       fit_ridge: float = 0.0) -> list[TrajectoryForecast]:
+    """Forecast storms: represent their predictor segments, apply both models.
+
+    Each coordinate takes one curve fit and one forecast over all windows.
+    """
+    ids = tuple(w.storm_id for w in windows)
+    hats = []
+    for model, segments in ((lat_model, [w.lat_predictor for w in windows]),
+                            (lon_model, [w.lon_predictor for w in windows])):
+        coeffs = fit_coefficients(model.predictor_basis, predictor_grid,
+                                  np.column_stack(segments), ridge=fit_ridge)
+        hats.append(predict_fof_batch(
+            model, CurveBundle(model.predictor_basis, coeffs, ids), response_grid))
+    return [TrajectoryForecast(storm_id=sid,
+                               points=tuple(zip(lat.tolist(), lon.tolist())))
+            for sid, lat, lon in zip(ids, hats[0].T, hats[1].T)]

@@ -211,11 +211,11 @@ class TestCriterion7Properties:
         grid = np.linspace(0, 1, 24)
         Phi = basis_matrix(basis, grid)
         x = rng.normal(size=24) * 40
-        curve = fit_coefficients(basis, grid, x)
-        resid = Phi.T @ (x - Phi @ curve.coefficients)
+        coeffs = fit_coefficients(basis, grid, x)
+        resid = Phi.T @ (x - Phi @ coeffs)
         assert np.abs(resid).max() < 1e-8 * np.abs(x).max()
-        refit = fit_coefficients(basis, grid, Phi @ curve.coefficients)
-        assert np.abs(refit.coefficients - curve.coefficients).max() < 1e-10
+        refit = fit_coefficients(basis, grid, Phi @ coeffs)
+        assert np.abs(refit - coeffs).max() < 1e-10
         print("ACCEPTANCE 7 (projection orthogonality/idempotence): PASS")
 
     def test_lloyd_monotone_and_fixed_point(self):

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import BSpline
 
-from fofcast import (BasisSystem, CurveBundle, FunctionalCurve, basis_matrix,
-                     bspline_basis, eval_basis, eval_curve, fit_bundle,
-                     fit_coefficients, fourier_basis, gram_matrix, time_grid)
+from fofcast import (BasisSystem, CurveBundle, basis_matrix, bspline_basis,
+                     eval_basis, fit_bundle, fit_coefficients, gram_matrix,
+                     time_grid)
 from fofcast.errors import DomainError, ShapeError, SingularityError
 from fofcast.ingest import DatasetMatrix
 
@@ -39,24 +39,6 @@ class TestEvalBasis:
         expected[1] = 1.0  # 0.3 lies in the second of five uniform spans
         np.testing.assert_array_equal(values, expected)
 
-    def test_fourier_closed_form_at_lo(self):
-        basis = fourier_basis(3, (0.0, 2.0))
-        values = eval_basis(basis, 0.0)
-        np.testing.assert_allclose(
-            values, [1 / np.sqrt(2.0), 0.0, np.sqrt(2.0 / 2.0)], atol=1e-15)
-
-    def test_fourier_closed_form_interior(self):
-        period = 1.5
-        basis = fourier_basis(5, (0.0, 1.5))
-        t = 0.4
-        omega = 2 * np.pi / period
-        expected = [1 / np.sqrt(period),
-                    np.sqrt(2 / period) * np.sin(omega * t),
-                    np.sqrt(2 / period) * np.cos(omega * t),
-                    np.sqrt(2 / period) * np.sin(2 * omega * t),
-                    np.sqrt(2 / period) * np.cos(2 * omega * t)]
-        np.testing.assert_allclose(eval_basis(basis, t), expected, atol=1e-14)
-
     def test_domain_error(self):
         basis = bspline_basis(6, (0.0, 1.0))
         with pytest.raises(DomainError):
@@ -85,15 +67,15 @@ class TestFit:
     def test_constant_series(self):
         basis = bspline_basis(9, (0.0, 1.0))
         grid = np.linspace(0, 1, 24)
-        curve = fit_coefficients(basis, grid, np.full(24, 7.25))
-        np.testing.assert_allclose(curve.coefficients, 7.25, atol=1e-10)
+        coeffs = fit_coefficients(basis, grid, np.full(24, 7.25))
+        np.testing.assert_allclose(coeffs, 7.25, atol=1e-10)
 
     def test_linear_series_zero_residual(self):
         basis = bspline_basis(10, (0.0, 1.0))
         grid = np.linspace(0, 1, 24)
         obs = 3.0 - 1.7 * grid
-        curve = fit_coefficients(basis, grid, obs)
-        fitted = basis_matrix(basis, grid) @ curve.coefficients
+        coeffs = fit_coefficients(basis, grid, obs)
+        fitted = basis_matrix(basis, grid) @ coeffs
         np.testing.assert_allclose(fitted, obs, atol=1e-10)
 
     def test_matches_normal_equations_oracle(self):
@@ -101,10 +83,10 @@ class TestFit:
         basis = bspline_basis(12, (0.0, 1.0))
         grid = np.linspace(0, 1, 24)
         obs = rng.normal(size=24)
-        curve = fit_coefficients(basis, grid, obs)
+        coeffs = fit_coefficients(basis, grid, obs)
         Phi = scipy_basis_matrix(basis, grid)
         oracle = np.linalg.inv(Phi.T @ Phi) @ (Phi.T @ obs)
-        np.testing.assert_allclose(curve.coefficients, oracle, rtol=1e-8)
+        np.testing.assert_allclose(coeffs, oracle, rtol=1e-8)
 
     def test_bundle_matches_per_column(self):
         rng = np.random.default_rng(6)
@@ -118,7 +100,7 @@ class TestFit:
         for j in range(7):
             single = fit_coefficients(basis, grid, values[:, j])
             np.testing.assert_allclose(bundle.coefficient_matrix[:, j],
-                                       single.coefficients, atol=1e-12)
+                                       single, atol=1e-12)
 
     def test_singular_without_ridge(self):
         basis = bspline_basis(12, (0.0, 1.0))
@@ -133,9 +115,9 @@ class TestFit:
         grid = np.linspace(0, 1, 32)
         for _ in range(5):
             x = rng.normal(size=32) * rng.uniform(0.1, 100)
-            curve = fit_coefficients(basis, grid, x)
+            coeffs = fit_coefficients(basis, grid, x)
             Phi = basis_matrix(basis, grid)
-            resid = Phi.T @ (x - Phi @ curve.coefficients)
+            resid = Phi.T @ (x - Phi @ coeffs)
             assert np.abs(resid).max() < 1e-8 * np.abs(x).max()
 
     def test_projection_idempotence(self):
@@ -143,11 +125,10 @@ class TestFit:
         basis = bspline_basis(10, (0.0, 1.0))
         grid = np.linspace(0, 1, 32)
         x = rng.normal(size=32)
-        curve = fit_coefficients(basis, grid, x)
-        fitted = basis_matrix(basis, grid) @ curve.coefficients
+        coeffs = fit_coefficients(basis, grid, x)
+        fitted = basis_matrix(basis, grid) @ coeffs
         again = fit_coefficients(basis, grid, fitted)
-        np.testing.assert_allclose(again.coefficients, curve.coefficients,
-                                   atol=1e-10)
+        np.testing.assert_allclose(again, coeffs, atol=1e-10)
 
     def test_residual_monotone_in_refinement(self):
         # nested bases: each level inserts midpoints into the knot vector
@@ -157,30 +138,31 @@ class TestFit:
         prev_rss = np.inf
         for level in range(4):
             knots = tuple(np.linspace(0, 1, 2**level + 1)[1:-1])
-            basis = BasisSystem(kind="bspline", K=len(knots) + 4,
-                                domain=(0.0, 1.0), order=4, knots=knots)
-            curve = fit_coefficients(basis, grid, x)
-            rss = np.sum((x - basis_matrix(basis, grid) @ curve.coefficients) ** 2)
+            basis = BasisSystem(K=len(knots) + 4, domain=(0.0, 1.0), order=4,
+                                knots=knots)
+            coeffs = fit_coefficients(basis, grid, x)
+            rss = np.sum((x - basis_matrix(basis, grid) @ coeffs) ** 2)
             assert rss <= prev_rss + 1e-10
             prev_rss = rss
 
 
 class TestEvalCurve:
+    """A curve is a coefficient vector c; its value at t is eval_basis(t) . c."""
+
     def test_zero_and_constant(self):
         basis = bspline_basis(7, (0.0, 1.0))
-        zero = FunctionalCurve(basis, np.zeros(7))
-        const = FunctionalCurve(basis, np.full(7, 4.5))
+        zero, const = np.zeros(7), np.full(7, 4.5)
         for t in np.linspace(0, 1, 9):
-            assert eval_curve(zero, t) == 0.0
-            assert abs(eval_curve(const, t) - 4.5) < 1e-12
+            assert float(eval_basis(basis, t) @ zero) == 0.0
+            assert abs(float(eval_basis(basis, t) @ const) - 4.5) < 1e-12
 
     def test_fitted_curve_at_grid(self):
         rng = np.random.default_rng(10)
         basis = bspline_basis(9, (0.0, 1.0))
         grid = np.linspace(0, 1, 20)
-        curve = fit_coefficients(basis, grid, rng.normal(size=20))
-        expected = basis_matrix(basis, grid) @ curve.coefficients
-        actual = [eval_curve(curve, t) for t in grid]
+        coeffs = fit_coefficients(basis, grid, rng.normal(size=20))
+        expected = basis_matrix(basis, grid) @ coeffs
+        actual = [float(eval_basis(basis, t) @ coeffs) for t in grid]
         np.testing.assert_allclose(actual, expected, atol=1e-12)
 
 
@@ -191,10 +173,8 @@ class TestGram:
                                    atol=1e-14)
 
     def test_symmetric_psd(self):
-        for K, kind in [(6, "bspline"), (12, "bspline"), (5, "fourier")]:
-            basis = (bspline_basis(K, (0.0, 1.0)) if kind == "bspline"
-                     else fourier_basis(K, (0.0, 1.0)))
-            J = gram_matrix(basis)
+        for K in (6, 12):
+            J = gram_matrix(bspline_basis(K, (0.0, 1.0)))
             assert np.abs(J - J.T).max() < 1e-14
             assert np.linalg.eigvalsh(J).min() >= -1e-12
 
@@ -210,21 +190,21 @@ class TestGram:
 
 
 class TestSerialization:
-    def test_bundle_round_trip(self):
-        rng = np.random.default_rng(11)
+    def test_basis_dict_keeps_the_stored_format(self):
         basis = bspline_basis(8, (0.0, 0.74))
-        bundle = CurveBundle(basis=basis,
-                             coefficient_matrix=rng.normal(size=(8, 3)),
-                             ids=("A", "B", "C"))
-        back = CurveBundle.from_json(bundle.to_json())
-        assert back.basis == basis
-        assert back.ids == bundle.ids
-        np.testing.assert_array_equal(back.coefficient_matrix,
-                                      bundle.coefficient_matrix)
+        # the layout model files have always been written in
+        stored = {"kind": "bspline", "K": 8, "domain": [0.0, 0.74], "order": 4,
+                  "knots": list(basis.knots)}
+        assert basis.to_dict() == stored
+        assert BasisSystem.from_dict(stored) == basis
+        with pytest.raises(ShapeError, match="fourier"):
+            BasisSystem.from_dict({**stored, "kind": "fourier"})
 
     def test_bad_shapes_rejected(self):
         basis = bspline_basis(8, (0.0, 1.0))
         with pytest.raises(ShapeError):
-            FunctionalCurve(basis, np.zeros(5))
+            CurveBundle(basis, np.zeros((5, 1)), ids=("only",))
         with pytest.raises(ShapeError):
             CurveBundle(basis, np.zeros((8, 2)), ids=("only",))
+        with pytest.raises(ShapeError):
+            fit_coefficients(basis, np.linspace(0, 1, 24), np.zeros(23))

@@ -8,7 +8,7 @@ from fofcast import StormRecordSet, write_csv
 from fofcast.cli import main
 from fofcast.ingest import StormRecord
 
-from conftest import synthetic_tracks
+from conftest import rsmc_data_line, rsmc_header, synthetic_tracks
 
 from datetime import datetime, timedelta
 
@@ -66,6 +66,16 @@ class TestIngest:
                      str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "nope.csv" in capsys.readouterr().err
+
+    def test_bad_pressure_field(self, tmp_path, capsys):
+        line = rsmc_data_line(datetime(2005, 7, 1, 6), 15.5, 139.5)
+        path = tmp_path / "bad.txt"
+        path.write_text(rsmc_header("0501", 2) + "\n"
+                        + rsmc_data_line(datetime(2005, 7, 1), 15.0, 140.0) + "\n"
+                        + line[:24] + "ab12" + line[28:] + "\n")
+        code = main(["ingest", "--input", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "line 3" in capsys.readouterr().err
 
     def test_bad_window_config(self, csv_input, tmp_path, capsys):
         code = main(["ingest", "--format", "csv", "--input", str(csv_input),

@@ -3,10 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from fofcast import assign, assign_pairs, kmeans_fit
+from fofcast import assign, kmeans_fit
 from fofcast.clustering import KMeansModel, assign_batch
 from fofcast.errors import ShapeError
-from fofcast.ingest import TrajectoryWindow
 
 
 def brute_force_two_partition(points):
@@ -144,41 +143,6 @@ class TestAssign:
                             seed=0, iterations_run=0)
         with pytest.raises(ShapeError):
             assign(model, [1.0, 2.0])
-
-
-class TestAssignPairs:
-    def _windows(self, n, seed=9):
-        rng = np.random.default_rng(seed)
-        return [
-            TrajectoryWindow(
-                storm_id=f"S{i}",
-                lat_series=15 + rng.normal(0, 2, 32).cumsum() * 0.1,
-                lon_series=140 + rng.normal(0, 2, 32).cumsum() * 0.1,
-                total_length=32, predictor_length=24)
-            for i in range(n)
-        ]
-
-    def test_single_cluster_maps_all_to_origin_pair(self):
-        windows = self._windows(10)
-        lat_segs = np.array([w.lat_predictor for w in windows])
-        lon_segs = np.array([w.lon_predictor for w in windows])
-        lat_model = kmeans_fit(lat_segs, k=1, seed=0)
-        lon_model = kmeans_fit(lon_segs, k=1, seed=0)
-        pairs = assign_pairs(lat_model, lon_model, windows)
-        assert len(pairs) == 10
-        assert all(p.lat_cluster == 0 and p.lon_cluster == 0 for p in pairs)
-
-    def test_pairs_consistent_with_fit_labels(self):
-        windows = self._windows(24)
-        lat_segs = np.array([w.lat_predictor for w in windows])
-        lon_segs = np.array([w.lon_predictor for w in windows])
-        lat_model = kmeans_fit(lat_segs, k=3, seed=1)
-        lon_model = kmeans_fit(lon_segs, k=2, seed=1)
-        pairs = assign_pairs(lat_model, lon_model, windows)
-        np.testing.assert_array_equal(
-            [p.lat_cluster for p in pairs], assign_batch(lat_model, lat_segs))
-        np.testing.assert_array_equal(
-            [p.lon_cluster for p in pairs], assign_batch(lon_model, lon_segs))
 
 
 def test_serialization_round_trip():

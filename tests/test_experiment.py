@@ -130,6 +130,18 @@ class TestEvaluation:
         assert rep.global_mean == single.global_mean
         np.testing.assert_array_equal(rep.cell_stds, 0.0)
 
+    def test_global_mean_averaged_like_the_cells(self):
+        # from 8 repetitions on, a pairwise 1-D sum and the sequential
+        # stack sum differ in the last bit on this input
+        lat, lon = synthetic_matrices(n=60, seed=1, noise=0.2)
+        config = ExperimentConfig(n_repetitions=10, k_lat_max=1, k_lon_max=2,
+                                  seed=1)
+        report = repeated_simulation(lat, lon, config)
+        for trace in report.repetition_traces:
+            assert trace["cells"][0][0] == trace["global_error"]
+        assert report.cell_means[0, 0] == report.global_mean
+        assert report.cell_stds[0, 0] == report.global_std
+
     def test_identical_seeds_give_identical_results(self, small_dataset):
         lat, lon = small_dataset
         config = ExperimentConfig(n_repetitions=2, k_lat_max=2, k_lon_max=1,

@@ -78,6 +78,16 @@ class TestParseRsmc:
         with pytest.raises(ParseError, match="line 2"):
             parse_rsmc(text)
 
+    def test_bad_pressure_reports_line(self):
+        line = rsmc_data_line(datetime(2005, 7, 1, 6), 15.5, 139.5)
+        bad = line[:24] + "ab12" + line[28:]
+        text = (rsmc_header("0501", 2) + "\n"
+                + rsmc_data_line(datetime(2005, 7, 1), 15.0, 140.0) + "\n"
+                + bad + "\n")
+        with pytest.raises(ParseError, match="line 3") as info:
+            parse_rsmc(text)
+        assert info.value.line_no == 3
+
     def test_record_count_matches_header(self):
         text = "".join(
             make_rsmc_storm(f"05{i:02d}", [15.0 + j * 0.1 for j in range(i + 2)],

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from fofcast import (CurveBundle, FunctionalCurve, basis_matrix,
-                     bspline_basis, fit_fof, gram_matrix, predict_fof,
-                     predict_trajectory)
+from fofcast import (CurveBundle, basis_matrix, bspline_basis, fit_fof,
+                     gram_matrix, predict_trajectory)
 from fofcast.errors import BasisMismatchError, SingularityError
-from fofcast.ingest import DatasetMatrix, TrajectoryWindow
+from fofcast.ingest import DatasetMatrix, TrajectoryWindow, time_grid
 from fofcast.regression import FoFModel, predict_fof_batch
 
 
@@ -118,6 +117,13 @@ class TestFit:
                                    fitted, atol=1e-8)
 
 
+def predict_one(model, c, basis=PRED_BASIS):
+    """Prediction for one coefficient vector c, through a one-column bundle."""
+    bundle = CurveBundle(basis=basis, coefficient_matrix=np.asarray(c)[:, None],
+                         ids=("x",))
+    return predict_fof_batch(model, bundle, RESP_GRID)[:, 0]
+
+
 class TestPredict:
     def _model(self, a, B):
         return FoFModel(predictor_basis=PRED_BASIS, response_basis=RESP_BASIS,
@@ -129,12 +135,12 @@ class TestPredict:
         a = rng.normal(size=RESP_BASIS.K)
         model = self._model(a, np.zeros((RESP_BASIS.K, PRED_BASIS.K)))
         alpha_values = basis_matrix(RESP_BASIS, RESP_GRID) @ a
-        x = FunctionalCurve(PRED_BASIS, rng.normal(size=PRED_BASIS.K))
-        np.testing.assert_allclose(predict_fof(model, x, RESP_GRID),
+        x = rng.normal(size=PRED_BASIS.K)
+        np.testing.assert_allclose(predict_one(model, x),
                                    alpha_values, atol=1e-12)
-        zero_x = FunctionalCurve(PRED_BASIS, np.zeros(PRED_BASIS.K))
+        zero_x = np.zeros(PRED_BASIS.K)
         full = self._model(a, rng.normal(size=(RESP_BASIS.K, PRED_BASIS.K)))
-        np.testing.assert_allclose(predict_fof(full, zero_x, RESP_GRID),
+        np.testing.assert_allclose(predict_one(full, zero_x),
                                    alpha_values, atol=1e-12)
 
     def test_matches_quadrature_oracle(self):
@@ -143,14 +149,14 @@ class TestPredict:
         a = rng.normal(size=RESP_BASIS.K)
         B = rng.normal(size=(RESP_BASIS.K, PRED_BASIS.K))
         model = self._model(a, B)
-        x = FunctionalCurve(PRED_BASIS, rng.normal(size=PRED_BASIS.K))
+        x = rng.normal(size=PRED_BASIS.K)
         ts = np.linspace(*PRED_BASIS.domain, 10_001)
         Phi = basis_matrix(PRED_BASIS, ts)
-        x_values = Phi @ x.coefficients
+        x_values = Phi @ x
         integral = np.trapezoid(Phi * x_values[:, None], ts, axis=0)
         Theta = basis_matrix(RESP_BASIS, RESP_GRID)
         oracle = Theta @ (a + B @ integral)
-        pred = predict_fof(model, x, RESP_GRID)
+        pred = predict_one(model, x)
         np.testing.assert_allclose(pred, oracle, rtol=1e-6)
 
     def test_basis_mismatch(self):
@@ -159,7 +165,7 @@ class TestPredict:
                             rng.normal(size=(RESP_BASIS.K, PRED_BASIS.K)))
         other = bspline_basis(6, (0.0, 0.6))
         with pytest.raises(BasisMismatchError):
-            predict_fof(model, FunctionalCurve(other, np.zeros(6)), RESP_GRID)
+            predict_one(model, np.zeros(6), basis=other)
 
     def test_affine_in_input(self):
         rng = np.random.default_rng(12)
@@ -168,10 +174,8 @@ class TestPredict:
         model = self._model(a, B)
         c1, c2 = rng.normal(size=PRED_BASIS.K), rng.normal(size=PRED_BASIS.K)
         alpha_values = basis_matrix(RESP_BASIS, RESP_GRID) @ a
-        lhs = predict_fof(model, FunctionalCurve(PRED_BASIS, c1 + c2), RESP_GRID)
-        rhs = (predict_fof(model, FunctionalCurve(PRED_BASIS, c1), RESP_GRID)
-               + predict_fof(model, FunctionalCurve(PRED_BASIS, c2), RESP_GRID)
-               - alpha_values)
+        lhs = predict_one(model, c1 + c2)
+        rhs = predict_one(model, c1) + predict_one(model, c2) - alpha_values
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
 
@@ -188,6 +192,10 @@ def test_model_serialization_round_trip():
 
 
 class TestTrajectory:
+    grid = time_grid(32)
+    pred_basis = bspline_basis(12, (float(grid[0]), float(grid[23])))
+    resp_basis = bspline_basis(6, (float(grid[24]), float(grid[31])))
+
     def _windows(self, n, seed=13):
         rng = np.random.default_rng(seed)
         windows = []
@@ -199,22 +207,37 @@ class TestTrajectory:
                 total_length=32, predictor_length=24))
         return windows
 
+    def _model(self, B, seed=14):
+        rng = np.random.default_rng(seed)
+        return FoFModel(predictor_basis=self.pred_basis,
+                        response_basis=self.resp_basis,
+                        alpha_coeffs=rng.normal(size=6), B=B,
+                        predictor_gram=gram_matrix(self.pred_basis), ridge=0.0)
+
     def test_forecast_point_count(self):
-        from fofcast import time_grid
-        grid = time_grid(32)
-        pred_basis = bspline_basis(12, (float(grid[0]), float(grid[23])))
-        resp_basis = bspline_basis(6, (float(grid[24]), float(grid[31])))
-        rng = np.random.default_rng(14)
-        model = FoFModel(predictor_basis=pred_basis, response_basis=resp_basis,
-                         alpha_coeffs=rng.normal(size=6),
-                         B=np.zeros((6, 12)),
-                         predictor_gram=gram_matrix(pred_basis), ridge=0.0)
+        grid = self.grid
+        model = self._model(np.zeros((6, 12)))
         windows = self._windows(4)
-        forecasts = [predict_trajectory(model, model, w, grid[:24], grid[24:])
-                     for w in windows]
+        forecasts = predict_trajectory(model, model, windows, grid[:24], grid[24:])
+        assert [fc.storm_id for fc in forecasts] == ["W0", "W1", "W2", "W3"]
         assert all(len(fc.points) == 8 for fc in forecasts)
         # intercept-only models give every storm the same forecast
         assert all(fc.points == forecasts[0].points for fc in forecasts)
         # forecasts do not depend on position within the batch
-        again = predict_trajectory(model, model, windows[2], grid[:24], grid[24:])
-        assert again.points == forecasts[2].points
+        again = predict_trajectory(model, model, windows[::-1], grid[:24], grid[24:])
+        assert again[1].points == forecasts[2].points
+
+    def test_alone_and_in_batch_agree(self):
+        grid = self.grid
+        lat_model = self._model(np.random.default_rng(15).normal(size=(6, 12)))
+        lon_model = self._model(np.random.default_rng(16).normal(size=(6, 12)),
+                                seed=17)
+        windows = self._windows(4)
+        batch = predict_trajectory(lat_model, lon_model, windows, grid[:24], grid[24:])
+        for j, w in enumerate(windows):
+            alone = predict_trajectory(lat_model, lon_model, [w], grid[:24],
+                                       grid[24:])[0]
+            # a one-column product runs another BLAS kernel, so the last
+            # bits may differ
+            np.testing.assert_allclose(alone.points, batch[j].points,
+                                       rtol=0, atol=1e-9)
