@@ -153,7 +153,7 @@ def _write_forecasts(args: argparse.Namespace, command: str, select,
     forecasts = predict_trajectory(lat_model, lon_model, selected, grid[:P], grid[P:])
     geojson = forecasts_to_geojson(selected, forecasts, include_truth=include_truth)
     args.out.parent.mkdir(parents=True, exist_ok=True)
-    args.out.write_text(json.dumps(geojson, indent=2))
+    args.out.write_text(json.dumps(geojson))
     _write_manifest(args.out.parent, command, args,
                     {"total": time.perf_counter() - t0})
     print(f"wrote {len(forecasts)} forecasts -> {args.out}")
@@ -177,12 +177,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     lat, lon, meta = _load_dataset(args.data)
     config = _config_from_args(args, meta)
-    try:
-        report = repeated_simulation(lat, lon, config)
-    except SingularityError as exc:
-        print(f"error: numerical failure during grid search: {exc}",
-              file=sys.stderr)
-        return 3
+    report = repeated_simulation(lat, lon, config)
     args.out.mkdir(parents=True, exist_ok=True)
     (args.out / "grid.csv").write_text(report.to_csv())
     (args.out / "report.json").write_text(report.to_json())
@@ -200,19 +195,11 @@ def cmd_length_study(args: argparse.Namespace) -> int:
         print(f"error: input file not found: {args.input}", file=sys.stderr)
         return 2
     storms = _load_storms(args.input, args.format)
-    config = ExperimentConfig(
-        total_len=args.lengths[0], predictor_len=args.lengths[0] - args.response_len,
-        ratio=args.ratio, seed=args.seed, K_t=args.k_t, K_s=args.k_s,
-        ridge=args.ridge, k_lat_max=args.k_lat, k_lon_max=args.k_lon,
-        n_repetitions=args.reps, min_cluster_size=args.min_cluster_size,
-    )
-    try:
-        entries = length_study(storms, config, lengths=args.lengths,
-                               response_len=args.response_len)
-    except SingularityError as exc:
-        print(f"error: numerical failure during length study: {exc}",
-              file=sys.stderr)
-        return 3
+    config = _config_from_args(args, {
+        "total_len": args.lengths[0],
+        "predictor_len": args.lengths[0] - args.response_len})
+    entries = length_study(storms, config, lengths=args.lengths,
+                           response_len=args.response_len)
     args.out.mkdir(parents=True, exist_ok=True)
     summary = []
     for e in entries:

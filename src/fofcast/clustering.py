@@ -42,6 +42,8 @@ class KMeansModel:
             "seed": self.seed,
             "centroids": self.centroids.ravel().tolist(),
             "inertia": self.inertia,
+            "iterations_run": self.iterations_run,
+            "inertia_trace": list(self.inertia_trace),
         })
 
     @staticmethod
@@ -50,15 +52,21 @@ class KMeansModel:
         return KMeansModel(
             k=d["k"],
             centroids=np.array(d["centroids"]).reshape(d["k"], d["P"]),
-            inertia=d["inertia"], seed=d["seed"], iterations_run=0,
+            inertia=d["inertia"], seed=d["seed"],
+            iterations_run=d["iterations_run"],
+            inertia_trace=tuple(d["inertia_trace"]),
         )
 
 
-def _labels_and_inertia(points: np.ndarray,
-                        centroids: np.ndarray) -> tuple[np.ndarray, float]:
-    d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    labels = np.argmin(d2, axis=1)
-    return labels, float(d2[np.arange(len(points)), labels].sum())
+def _labels(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Nearest centroid by the GEMM form ||c||^2 - 2 x.c of the squared
+    distance less ||x||^2; ties go to the lowest index."""
+    return np.argmin((centroids ** 2).sum(axis=1) - 2.0 * points @ centroids.T, axis=1)
+
+
+def _inertia(points: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> float:
+    """Summed squared distance of each point to its assigned centroid."""
+    return float(((points - centroids[labels]) ** 2).sum(axis=1).sum())
 
 
 def _kmeanspp_init(points: np.ndarray, k: int,
@@ -78,28 +86,26 @@ def _kmeanspp_init(points: np.ndarray, k: int,
 
 
 def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator,
-           max_iter: int) -> tuple[np.ndarray, np.ndarray, float, int, list[float]]:
+           max_iter: int) -> tuple[np.ndarray, int, list[float]]:
+    """Centroids, iterations run and the inertia after each label pass."""
     centroids = _kmeanspp_init(points, k, rng)
-    labels, inertia = _labels_and_inertia(points, centroids)
-    trace = [inertia]
+    labels = _labels(points, centroids)
+    trace = [_inertia(points, centroids, labels)]
+    clusters = np.arange(k)[:, None]
     for it in range(1, max_iter + 1):
-        new_centroids = centroids.copy()
-        for j in range(k):
-            members = points[labels == j]
-            if len(members):
-                new_centroids[j] = members.mean(axis=0)
-            else:
-                # reseed an empty cluster at the point farthest from its centroid
-                d2 = ((points - centroids[labels]) ** 2).sum(axis=1)
-                new_centroids[j] = points[int(np.argmax(d2))]
-        new_labels, new_inertia = _labels_and_inertia(points, new_centroids)
-        centroids = new_centroids
-        trace.append(new_inertia)
-        if np.array_equal(new_labels, labels):
-            labels, inertia = new_labels, new_inertia
-            return centroids, labels, inertia, it, trace
-        labels, inertia = new_labels, new_inertia
-    return centroids, labels, inertia, max_iter, trace
+        counts = np.bincount(labels, minlength=k)
+        new_centroids = ((labels == clusters).astype(float) @ points
+                         / np.maximum(counts, 1)[:, None])
+        if not counts.all():
+            # reseed an empty cluster at the point farthest from its centroid
+            d2 = ((points - centroids[labels]) ** 2).sum(axis=1)
+            new_centroids[counts == 0] = points[int(np.argmax(d2))]
+        centroids, old_labels = new_centroids, labels
+        labels = _labels(points, centroids)
+        trace.append(_inertia(points, centroids, labels))
+        if np.array_equal(labels, old_labels):
+            return centroids, it, trace
+    return centroids, max_iter, trace
 
 
 def kmeans_fit(segments: np.ndarray, k: int, seed: int = 0,
@@ -116,12 +122,11 @@ def kmeans_fit(segments: np.ndarray, k: int, seed: int = 0,
 
     best = None
     for restart in range(n_restarts):
-        rng = np.random.default_rng(seed + restart)
-        centroids, labels, inertia, iters, trace = _lloyd(points, k, rng, max_iter)
-        if best is None or inertia < best[2]:
-            best = (centroids, labels, inertia, iters, trace)
-    centroids, labels, inertia, iters, trace = best
-    return KMeansModel(k=k, centroids=centroids, inertia=inertia, seed=seed,
+        result = _lloyd(points, k, np.random.default_rng(seed + restart), max_iter)
+        if best is None or result[2][-1] < best[2][-1]:
+            best = result
+    centroids, iters, trace = best
+    return KMeansModel(k=k, centroids=centroids, inertia=trace[-1], seed=seed,
                        iterations_run=iters, inertia_trace=tuple(trace))
 
 
@@ -139,5 +144,4 @@ def assign_batch(model: KMeansModel, segments: np.ndarray) -> np.ndarray:
     segments = np.asarray(segments, dtype=float)
     if segments.shape[1] != model.segment_length:
         raise ShapeError("segment length does not match centroid length")
-    labels, _ = _labels_and_inertia(segments, model.centroids)
-    return labels
+    return _labels(segments, model.centroids)

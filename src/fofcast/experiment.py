@@ -20,7 +20,8 @@ from .errors import ShapeError, ValidationError
 from .ingest import (DatasetMatrix, StormRecordSet, TrajectoryWindow,
                      build_matrices, extract_tail, filter_min_length,
                      train_test_split)
-from .regression import FoFModel, TrajectoryForecast, fit_fof, fof_forecast
+from .regression import (FoFModel, TrajectoryForecast, design, fit_fof,
+                         fof_forecast, fof_statistics, solve_fof)
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -137,12 +138,27 @@ def make_bases(config: ExperimentConfig,
             bspline_basis(config.K_s, response_domain))
 
 
+def ladder(pair_tr: np.ndarray, own_tr: np.ndarray, pair_te: np.ndarray,
+           own_te: np.ndarray, n_pairs: int, k_own: int,
+           min_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Codes of the 3 groups each training storm is in (3 x n_train) and,
+    per test storm, the first of its pair, union and global group with at
+    least ``min_size`` members. Pair p has code p, the coordinate's cluster
+    union a has n_pairs + a and the global group n_pairs + k_own."""
+    n_global = n_pairs + k_own
+    member = np.stack([pair_tr, n_pairs + own_tr, np.full_like(pair_tr, n_global)])
+    chain = np.stack([pair_te, n_pairs + own_te, np.full_like(pair_te, n_global)])
+    ok = np.bincount(member.ravel(), minlength=n_global + 1)[chain] >= min_size
+    ok[2] = True
+    return member, chain[ok.argmax(axis=0), np.arange(chain.shape[1])]
+
+
 class SplitRunner:
     """Fits and evaluates coordinate models on one train/test split.
 
-    All model fits funnel through one column-indexed code path so that the
-    clustered evaluation with k_lat = k_lon = 1 is bit-identical to the
-    global evaluation.
+    The models of a cell are group sums of the split's per-storm sufficient
+    statistics, solved in one batch. The global evaluation is the same call
+    with one cluster per coordinate, so it is bit-identical to cell (1, 1).
     """
 
     def __init__(self, lat_mat: DatasetMatrix, lon_mat: DatasetMatrix,
@@ -164,79 +180,65 @@ class SplitRunner:
         self.predictor_basis, self.response_basis = make_bases(config, grid)
         self.gram = gram_matrix(self.predictor_basis)
         self.theta = basis_matrix(self.response_basis, self.response_grid)
+        self.train_ids = tuple(lat_mat.storm_ids[i] for i in self.train_idx)
 
-        values = {"lat": lat_mat.values, "lon": lon_mat.values}
-        ids = lat_mat.storm_ids
-        self.train_ids = tuple(ids[i] for i in self.train_idx)
-        self.test_ids = tuple(ids[i] for i in self.test_idx)
-        self.x_train: dict[str, np.ndarray] = {}
-        self.y_train: dict[str, np.ndarray] = {}
-        self.z_test: dict[str, np.ndarray] = {}
-        self.train_segments: dict[str, np.ndarray] = {}
-        self.test_segments: dict[str, np.ndarray] = {}
-        self.truth: dict[str, np.ndarray] = {}
-        for coord in ("lat", "lon"):
-            v = values[coord]
-            x_tr = v[:P, :][:, self.train_idx]
-            x_te = v[:P, :][:, self.test_idx]
-            self.train_segments[coord] = x_tr.T.copy()
-            self.test_segments[coord] = x_te.T.copy()
-            tr_mat = DatasetMatrix(values=x_tr, time_grid=self.predictor_grid,
-                                   storm_ids=self.train_ids)
-            te_mat = DatasetMatrix(values=x_te, time_grid=self.predictor_grid,
-                                   storm_ids=self.test_ids)
-            self.x_train[coord] = fit_bundle(
-                self.predictor_basis, self.predictor_grid, tr_mat,
+        self.x_train, self.y_train, self.train_segments = {}, {}, {}
+        self.test_segments, self.stats, self.w_test, self.truth = {}, {}, {}, {}
+        for coord, v in (("lat", lat_mat.values), ("lon", lon_mat.values)):
+            self.train_segments[coord] = v[:P, self.train_idx].T.copy()
+            self.test_segments[coord] = v[:P, self.test_idx].T.copy()
+            coeffs = fit_bundle(
+                self.predictor_basis, self.predictor_grid,
+                DatasetMatrix(values=v[:P], time_grid=self.predictor_grid,
+                              storm_ids=lat_mat.storm_ids),
                 ridge=config.curve_ridge).coefficient_matrix
-            c_test = fit_bundle(
-                self.predictor_basis, self.predictor_grid, te_mat,
-                ridge=config.curve_ridge).coefficient_matrix
-            self.z_test[coord] = self.gram @ c_test
-            self.y_train[coord] = v[P:, :][:, self.train_idx]
-            self.truth[coord] = v[P:, :][:, self.test_idx]
-
-        self._model_cache: dict = {}
+            self.x_train[coord] = coeffs[:, self.train_idx]
+            self.y_train[coord] = v[P:, self.train_idx]
+            self.truth[coord] = v[P:, self.test_idx]
+            # the engine centres the regressors on the training mean, so its
+            # intercepts are a + B z_mean
+            z_train = self.gram @ self.x_train[coord]
+            z_mean = z_train.mean(axis=1)
+            self.stats[coord] = fof_statistics(design(z_train, z_mean),
+                                               self.theta.T @ self.y_train[coord])
+            self.w_test[coord] = design(self.gram @ coeffs[:, self.test_idx], z_mean)
         self._kmeans_cache: dict = {}
 
-    @property
-    def n_train(self) -> int:
-        return len(self.train_idx)
-
     def fit_coordinate(self, coord: str, cols: np.ndarray) -> FoFModel:
-        key = (coord, tuple(cols.tolist()))
-        model = self._model_cache.get(key)
-        if model is None:
-            bundle = CurveBundle(
-                basis=self.predictor_basis,
-                coefficient_matrix=self.x_train[coord][:, cols],
-                ids=tuple(self.train_ids[i] for i in cols))
-            y = DatasetMatrix(values=self.y_train[coord][:, cols],
-                              time_grid=self.response_grid,
-                              storm_ids=bundle.ids)
-            model = fit_fof(bundle, y, self.response_basis,
-                            ridge=self.config.ridge, predictor_gram=self.gram)
-            self._model_cache[key] = model
-        return model
+        """One model of a coordinate on the training columns ``cols``."""
+        bundle = CurveBundle(basis=self.predictor_basis,
+                             coefficient_matrix=self.x_train[coord][:, cols],
+                             ids=tuple(self.train_ids[i] for i in cols))
+        y = DatasetMatrix(values=self.y_train[coord][:, cols],
+                          time_grid=self.response_grid, storm_ids=bundle.ids)
+        return fit_fof(bundle, y, self.response_basis,
+                       ridge=self.config.ridge, predictor_gram=self.gram)
 
-    def _storm_errors(self, groups) -> np.ndarray:
-        """Mean haversine per test storm.
+    def rung_models(self, coord: str, member: np.ndarray,
+                    rungs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The distinct groups of ``rungs``, their coefficients (G x K_s x
+        (1 + K_t), from one group sum) and each test storm's group index."""
+        groups, index = np.unique(rungs, return_inverse=True)
+        onehot = (member[None, :, :] == groups[:, None, None]).any(axis=1)
+        stats = np.tensordot(onehot.astype(float), self.stats[coord], axes=1)
+        coeffs = solve_fof(stats, self.theta.T @ self.theta, self.config.ridge)
+        return groups, coeffs, index
 
-        ``groups`` yields (test columns, lat model, lon model); each group
-        takes one batched forecast per coordinate.
-        """
-        errors = np.empty(len(self.test_idx))
-        for idx, lat_model, lon_model in groups:
-            lat_hat = fof_forecast(lat_model, self.theta, self.z_test["lat"][:, idx])
-            lon_hat = fof_forecast(lon_model, self.theta, self.z_test["lon"][:, idx])
-            errors[idx] = track_errors(lat_hat, lon_hat, self.truth["lat"][:, idx],
-                                       self.truth["lon"][:, idx])
-        return errors
+    def _errors(self, labels: dict, k_lat: int, k_lon: int) -> np.ndarray:
+        """Mean haversine per test storm; ``labels`` holds each coordinate's
+        (train, test) cluster labels."""
+        pair_tr, pair_te = (a * k_lon + b for a, b in zip(labels["lat"], labels["lon"]))
+        hats = []
+        for coord, k in (("lat", k_lat), ("lon", k_lon)):
+            member, rungs = ladder(pair_tr, labels[coord][0], pair_te, labels[coord][1],
+                                   k_lat * k_lon, k, self.config.min_cluster_size)
+            _, coeffs, index = self.rung_models(coord, member, rungs)
+            hats.append(fof_forecast(coeffs[index], self.theta, self.w_test[coord]))
+        return track_errors(*hats, self.truth["lat"], self.truth["lon"])
 
     def global_errors(self) -> np.ndarray:
-        cols = np.arange(self.n_train)
-        return self._storm_errors([(np.arange(len(self.test_idx)),
-                                    self.fit_coordinate("lat", cols),
-                                    self.fit_coordinate("lon", cols))])
+        one = (np.zeros(len(self.train_idx), int), np.zeros(len(self.test_idx), int))
+        return self._errors({"lat": one, "lon": one}, 1, 1)
 
     def kmeans_for(self, coord: str, k: int) -> KMeansModel:
         key = (coord, k)
@@ -252,34 +254,13 @@ class SplitRunner:
 
         Ladder: pair model (>= min_cluster_size training members) ->
         per-coordinate cluster-union model (same threshold) -> global model.
-        Test storms are scored together per distinct (lat, lon) cluster pair.
         """
-        cfg = self.config
-        lat_km = self.kmeans_for("lat", k_lat)
-        lon_km = self.kmeans_for("lon", k_lon)
-        lat_tr = assign_batch(lat_km, self.train_segments["lat"])
-        lon_tr = assign_batch(lon_km, self.train_segments["lon"])
-        lat_te = assign_batch(lat_km, self.test_segments["lat"])
-        lon_te = assign_batch(lon_km, self.test_segments["lon"])
-        all_cols = np.arange(self.n_train)
-
-        def models_for(lat_c: int, lon_c: int) -> tuple[FoFModel, FoFModel]:
-            pair_cols = np.where((lat_tr == lat_c) & (lon_tr == lon_c))[0]
-            if len(pair_cols) >= cfg.min_cluster_size:
-                return (self.fit_coordinate("lat", pair_cols),
-                        self.fit_coordinate("lon", pair_cols))
-            lat_cols = np.where(lat_tr == lat_c)[0]
-            lon_cols = np.where(lon_tr == lon_c)[0]
-            lat_model = self.fit_coordinate(
-                "lat", lat_cols if len(lat_cols) >= cfg.min_cluster_size else all_cols)
-            lon_model = self.fit_coordinate(
-                "lon", lon_cols if len(lon_cols) >= cfg.min_cluster_size else all_cols)
-            return lat_model, lon_model
-
-        pair_codes = lat_te * k_lon + lon_te
-        return self._storm_errors(
-            (np.flatnonzero(pair_codes == code), *models_for(*divmod(code, k_lon)))
-            for code in np.unique(pair_codes))
+        labels = {}
+        for coord, k in (("lat", k_lat), ("lon", k_lon)):
+            km = self.kmeans_for(coord, k)
+            labels[coord] = (assign_batch(km, self.train_segments[coord]),
+                             assign_batch(km, self.test_segments[coord]))
+        return self._errors(labels, k_lat, k_lon)
 
 
 def _best_cell(cell_means: np.ndarray) -> tuple[tuple[int, int], float]:
@@ -384,36 +365,43 @@ def forecasts_to_geojson(windows: Sequence[TrajectoryWindow],
                          include_truth: bool = True) -> dict:
     """One LineString per trajectory segment: observed X, observed Y, predicted Y.
 
-    GeoJSON positions are [lon, lat]; the mean error property is attached to
-    the predicted segment when the observed response is available.
+    GeoJSON positions are [lon, lat] with longitudes in [-180, 180]
+    (RFC 7946). The mean error property of the predicted segment, when the
+    observed response is included, is scored before the wrap.
     """
     by_id = {w.storm_id: w for w in windows}
+    matched = [by_id.get(fc.storm_id) for fc in forecasts]
+    if None in matched:
+        missing = forecasts[matched.index(None)].storm_id
+        raise ShapeError(f"no window for forecast {missing}")
+    pred = [np.array(fc.points, dtype=float).reshape(-1, 2) for fc in forecasts]
+    errors = [{}] * len(forecasts)
+    if include_truth and forecasts:
+        if any(len(p) != len(w.lat_response) for p, w in zip(pred, matched)):
+            raise ShapeError("forecast and observed response lengths differ")
+        errors = [{"avg_dist_km": e} for e in track_errors(
+            *(np.column_stack([p[:, c] for p in pred]) for c in (0, 1)),
+            np.column_stack([w.lat_response for w in matched]),
+            np.column_stack([w.lon_response for w in matched])).tolist()]
     features = []
-    for fc in forecasts:
-        w = by_id.get(fc.storm_id)
-        if w is None:
-            raise ShapeError(f"no window for forecast {fc.storm_id}")
-        features.append(_linestring(
-            fc.storm_id, "observed_predictor",
-            list(zip(w.lon_predictor.tolist(), w.lat_predictor.tolist()))))
-        predicted_props = {}
+    for fc, w, points, error in zip(forecasts, matched, pred, errors):
+        features.append(_linestring(fc.storm_id, "observed_predictor",
+                                    w.lon_predictor, w.lat_predictor))
         if include_truth:
-            features.append(_linestring(
-                fc.storm_id, "observed_response",
-                list(zip(w.lon_response.tolist(), w.lat_response.tolist()))))
-            truth = [GeoPoint(lat, lon)
-                     for lat, lon in zip(w.lat_response, w.lon_response)]
-            predicted_props["avg_dist_km"] = trajectory_error(fc, truth)
-        features.append(_linestring(
-            fc.storm_id, "predicted_response",
-            [(lon, lat) for lat, lon in fc.points], **predicted_props))
+            features.append(_linestring(fc.storm_id, "observed_response",
+                                        w.lon_response, w.lat_response))
+        features.append(_linestring(fc.storm_id, "predicted_response",
+                                    points[:, 1], points[:, 0], **error))
     return {"type": "FeatureCollection", "features": features}
 
 
-def _linestring(storm_id: str, segment: str, coords, **extra) -> dict:
+def _linestring(storm_id: str, segment: str, lon, lat, **extra) -> dict:
+    lon = np.asarray(lon, dtype=float)
+    # whole turns only outside [-180, 180], so in-range positions stay as they are
+    turns = np.where(np.abs(lon) > 180.0, np.floor((lon + 180.0) / 360.0), 0.0)
+    coordinates = np.column_stack([lon - 360.0 * turns, lat]).tolist()
     return {
         "type": "Feature",
-        "geometry": {"type": "LineString",
-                     "coordinates": [[float(x), float(y)] for x, y in coords]},
+        "geometry": {"type": "LineString", "coordinates": coordinates},
         "properties": {"storm_id": storm_id, "segment": segment, **extra},
     }

@@ -77,53 +77,72 @@ class TrajectoryForecast:
     points: tuple[tuple[float, float], ...]
 
 
+def design(Z: np.ndarray, center: np.ndarray | float) -> np.ndarray:
+    """Regressors w = [1; z - center] for the columns z = J c of Z. Centring
+    leaves the fit the same problem (the unpenalized intercept absorbs
+    B center) and conditions it far better, as tracks share a large level."""
+    return np.vstack([np.ones((1, Z.shape[1])), Z - np.reshape(center, (-1, 1))])
+
+
+def fof_statistics(W: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """Per-storm terms w [w; u]' of the normal equations, n x m x (m + K_s),
+    for the columns w of W and u = Theta'y of U; a model sums its storms'."""
+    return np.einsum("in,jn->nij", W, np.vstack([W, U]))
+
+
+def solve_fof(stats: np.ndarray, T: np.ndarray, ridge: float) -> np.ndarray:
+    """C = [a | B] (G x K_s x m) of G models from summed ``fof_statistics``.
+
+    With S = sum w w', R = sum u w' and T = Theta'Theta = V diag(lam) V',
+    the normal equations (S (x) T + ridge * D (x) I) vec(C) = vec(R), with
+    D penalizing only B, split into K_s systems (lam_k S + ridge * D) c_k =
+    (V'R)_k for the rows c_k of V'C. Each is positive definite exactly when
+    the whole system is.
+    """
+    m = stats.shape[1]
+    lam, V = np.linalg.eigh(T)
+    D = np.diag(np.r_[0.0, np.ones(m - 1)])             # penalizes B only
+    A = lam[:, None, None] * stats[:, None, :, :m] + ridge * D
+    try:
+        L = np.linalg.cholesky(A)                    # G x K_s x m x m
+    except np.linalg.LinAlgError as exc:
+        raise SingularityError(
+            "function-on-function design is rank deficient (too few samples "
+            "or degenerate predictors); use ridge > 0") from exc
+    rhs = np.swapaxes(stats[:, :, m:] @ V, -1, -2)[..., None]      # rows of V'R
+    return V @ np.linalg.solve(np.swapaxes(L, -1, -2), np.linalg.solve(L, rhs))[..., 0]
+
+
 def fit_fof(X: CurveBundle, Y_obs: DatasetMatrix, response_basis: BasisSystem,
             ridge: float = 1e-8,
             predictor_gram: np.ndarray | None = None) -> FoFModel:
     """Fit intercept and coefficient surface by joint penalized least squares.
 
     Minimizes sum_ij (y_i(s_j) - theta(s_j)'a - theta(s_j)'B J c_i)^2
-    + ridge * ||B||_F^2 over (a, B).
+    + ridge * ||B||_F^2 over (a, B): ``solve_fof`` with one group.
     """
-    n = X.coefficient_matrix.shape[1]
-    if Y_obs.values.shape[1] != n:
+    if Y_obs.values.shape[1] != X.coefficient_matrix.shape[1]:
         raise ShapeError("predictor and response sample counts differ")
     if predictor_gram is None:
         predictor_gram = gram_matrix(X.basis)
-    K_t = X.basis.K
-    K_s = response_basis.K
     Theta = basis_matrix(response_basis, Y_obs.time_grid)      # q x K_s
-    Z = predictor_gram @ X.coefficient_matrix                  # K_t x n
-    W = np.vstack([np.ones((1, n)), Z])                        # (1+K_t) x n
-
-    # normal equations for vec(C), C = [a | B] of shape K_s x (1+K_t):
-    #   (WW' (x) Theta'Theta + ridge * D) vec(C) = vec(Theta' Y W')
-    # with D penalizing only the B block.
-    G = np.kron(W @ W.T, Theta.T @ Theta)
-    penalty = np.repeat(np.concatenate([[0.0], np.ones(K_t)]), K_s)
-    A = G + ridge * np.diag(penalty)
-    rhs = (Theta.T @ Y_obs.values @ W.T).reshape(-1, order="F")
-    try:
-        L = np.linalg.cholesky(A)
-    except np.linalg.LinAlgError as exc:
-        raise SingularityError(
-            "function-on-function design is rank deficient (too few samples "
-            "or degenerate predictors); use ridge > 0") from exc
-    vec_C = np.linalg.solve(L.T, np.linalg.solve(L, rhs))
-    C = vec_C.reshape(K_s, 1 + K_t, order="F")
+    Z = predictor_gram @ X.coefficient_matrix
+    z_mean = Z.mean(axis=1)
+    stats = fof_statistics(design(Z, z_mean), Theta.T @ Y_obs.values)
+    C = solve_fof(stats.sum(axis=0, keepdims=True), Theta.T @ Theta, ridge)[0]
     return FoFModel(
         predictor_basis=X.basis, response_basis=response_basis,
-        alpha_coeffs=C[:, 0].copy(), B=C[:, 1:].copy(),
+        alpha_coeffs=C[:, 0] - C[:, 1:] @ z_mean, B=C[:, 1:].copy(),
         predictor_gram=predictor_gram, ridge=ridge,
     )
 
 
-def fof_forecast(model: FoFModel, theta: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """q x n forecasts theta (a + B z) for the columns z = J c of Z.
-
-    ``theta`` is the response basis evaluated at the response grid (q x K_s).
-    """
-    return theta @ (model.alpha_coeffs[:, None] + model.B @ Z)
+def fof_forecast(coefficients: np.ndarray, theta: np.ndarray,
+                 W: np.ndarray) -> np.ndarray:
+    """q x n forecasts theta C w for the columns w of W (``design``), with
+    one C = [a | B] for all columns or one per column (n x K_s x m); each
+    column is its own product, independent of the others."""
+    return theta @ (coefficients @ W.T[:, :, None])[:, :, 0].T
 
 
 def predict_fof_batch(model: FoFModel, X: CurveBundle,
@@ -131,8 +150,9 @@ def predict_fof_batch(model: FoFModel, X: CurveBundle,
     """q x n matrix of predictions for every curve in the bundle."""
     if X.basis != model.predictor_basis:
         raise BasisMismatchError("bundle basis differs from model's predictor basis")
-    return fof_forecast(model, basis_matrix(model.response_basis, response_grid),
-                        model.predictor_gram @ X.coefficient_matrix)
+    return fof_forecast(np.column_stack([model.alpha_coeffs, model.B]),
+                        basis_matrix(model.response_basis, response_grid),
+                        design(model.predictor_gram @ X.coefficient_matrix, 0.0))
 
 
 def predict_trajectory(lat_model: FoFModel, lon_model: FoFModel,

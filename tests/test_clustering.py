@@ -7,6 +7,8 @@ from fofcast import assign, kmeans_fit
 from fofcast.clustering import KMeansModel, assign_batch
 from fofcast.errors import ShapeError
 
+from conftest import synthetic_matrices, two_regime_matrices
+
 
 def brute_force_two_partition(points):
     """Optimal 2-partition by enumerating every split (the oracle)."""
@@ -151,3 +153,20 @@ def test_serialization_round_trip():
     back = KMeansModel.from_json(model.to_json())
     np.testing.assert_array_equal(back.centroids, model.centroids)
     assert back.k == model.k and back.inertia == model.inertia
+    assert back.iterations_run == model.iterations_run > 0
+    assert back.inertia_trace == model.inertia_trace
+    assert len(model.inertia_trace) == model.iterations_run + 1
+
+
+def test_gemm_labels_match_broadcast_form():
+    rng = np.random.default_rng(11)
+    fixtures = [rng.normal(size=(60, 8))]
+    for lat, lon in (synthetic_matrices(n=80, seed=3, noise=0.15),
+                     two_regime_matrices(n=100)):
+        fixtures += [lat.values[:24].T, lon.values[:24].T]
+    for points in fixtures:
+        for k in (2, 5, 10):
+            model = kmeans_fit(points, k=k, seed=1)
+            broadcast = np.argmin(
+                ((points[:, None, :] - model.centroids[None]) ** 2).sum(axis=2), axis=1)
+            np.testing.assert_array_equal(assign_batch(model, points), broadcast)

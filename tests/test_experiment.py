@@ -3,14 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fofcast import (ExperimentConfig, GeoPoint, haversine, length_study,
-                     repeated_simulation, time_grid, train_test_split,
-                     trajectory_error)
-from fofcast.errors import ShapeError
+from fofcast import (ExperimentConfig, GeoPoint, forecasts_to_geojson,
+                     haversine, length_study, repeated_simulation, time_grid,
+                     train_test_split, trajectory_error)
+from fofcast.clustering import assign_batch
+from fofcast.errors import ShapeError, SingularityError
 from fofcast.experiment import (EARTH_RADIUS_KM, SplitRunner, _best_cell,
-                                grid_search)
-from fofcast.ingest import StormRecord, StormRecordSet
-from fofcast.regression import TrajectoryForecast
+                                grid_search, ladder)
+from fofcast.ingest import StormRecord, StormRecordSet, TrajectoryWindow
+from fofcast.regression import TrajectoryForecast, fof_forecast
 
 from conftest import synthetic_matrices, two_regime_matrices
 
@@ -169,6 +170,110 @@ class TestEvaluation:
             return SplitRunner(lat, lon, train, test, config).global_errors().mean()
 
         assert run(400) < run(50)
+
+
+class TestEngine:
+    def test_grouped_models_equal_fit_fof(self, small_dataset):
+        lat, lon = small_dataset
+        config = ExperimentConfig(n_repetitions=1)
+        train, test = train_test_split(lat.n_storms, 0.8, seed=5)
+        runner = SplitRunner(lat, lon, train, test, config)
+        k_lat, k_lon = 2, 3
+        labels = {coord: assign_batch(runner.kmeans_for(coord, k),
+                                      runner.train_segments[coord])
+                  for coord, k in (("lat", k_lat), ("lon", k_lon))}
+        n_pairs = k_lat * k_lon
+        pair_tr = labels["lat"] * k_lon + labels["lon"]
+        for coord, k in (("lat", k_lat), ("lon", k_lon)):
+            member, _ = ladder(pair_tr, labels[coord], pair_tr, labels[coord],
+                               n_pairs, k, config.min_cluster_size)
+            # every group large enough to fit: pairs, unions and the global one
+            codes = np.flatnonzero(np.bincount(member.ravel()) >= config.min_cluster_size)
+            assert codes.min() < n_pairs and codes.max() == n_pairs + k
+            assert np.any((codes >= n_pairs) & (codes < n_pairs + k))
+            groups, coeffs, _ = runner.rung_models(coord, member, codes)
+            np.testing.assert_array_equal(groups, codes)
+            # the engine's regressors are centred on the training mean, and
+            # a model is compared by its forecasts: its coefficients are only
+            # as well determined as the design is conditioned
+            z_mean = (runner.gram @ runner.x_train[coord]).mean(axis=1)
+            W = runner.w_test[coord]
+            for g, C in zip(groups, coeffs):
+                model = runner.fit_coordinate(
+                    coord, np.flatnonzero((member == g).any(axis=0)))
+                ref = np.column_stack([model.alpha_coeffs, model.B])
+                expected = fof_forecast(ref, runner.theta, W + np.r_[0.0, z_mean][:, None])
+                np.testing.assert_allclose(fof_forecast(C, runner.theta, W), expected,
+                                           rtol=1e-9)
+
+    def test_rank_deficient_group_raises(self, small_dataset):
+        lat, lon = small_dataset
+        config = ExperimentConfig(n_repetitions=1, ridge=0.0, min_cluster_size=2)
+        train, test = train_test_split(lat.n_storms, 0.8, seed=5)
+        runner = SplitRunner(lat, lon, train, test, config)
+        with pytest.raises(SingularityError, match="ridge"):
+            runner.clustered_errors(3, 3)
+
+    def test_ladder_follows_the_rule(self):
+        rng = np.random.default_rng(21)
+        k_lat, k_lon, min_size = 3, 4, 10
+        n_pairs = k_lat * k_lon
+
+        def draw(n):
+            return (rng.choice(k_lat, size=n, p=[0.7, 0.25, 0.05]),
+                    rng.choice(k_lon, size=n, p=[0.6, 0.3, 0.05, 0.05]))
+
+        (lat_tr, lon_tr), (lat_te, lon_te) = draw(120), draw(60)
+        pair_tr, pair_te = lat_tr * k_lon + lon_tr, lat_te * k_lon + lon_te
+        for own_tr, own_te, k in ((lat_tr, lat_te, k_lat), (lon_tr, lon_te, k_lon)):
+            member, rungs = ladder(pair_tr, own_tr, pair_te, own_te, n_pairs, k,
+                                   min_size)
+            expected = []
+            for p, a in zip(pair_te, own_te):
+                if np.sum(pair_tr == p) >= min_size:
+                    expected.append(p)
+                elif np.sum(own_tr == a) >= min_size:
+                    expected.append(n_pairs + a)
+                else:
+                    expected.append(n_pairs + k)
+            assert rungs.tolist() == expected
+            kinds = {0 if r < n_pairs else 1 if r < n_pairs + k else 2 for r in expected}
+            assert kinds == {0, 1, 2}
+            np.testing.assert_array_equal(
+                member, np.stack([pair_tr, n_pairs + own_tr,
+                                  np.full_like(pair_tr, n_pairs + k)]))
+
+
+class TestGeoJSON:
+    def test_longitudes_east_of_180(self):
+        grid = np.linspace(0.0, 1.0, 32)
+        windows, forecasts = [], []
+        for sid, lon0 in (("E", 170.0), ("W", 120.0)):
+            lat, lon = 15.0 + 15.0 * grid, lon0 + 30.0 * grid
+            windows.append(TrajectoryWindow(storm_id=sid, lat_series=lat,
+                                            lon_series=lon, total_length=32,
+                                            predictor_length=24))
+            forecasts.append(TrajectoryForecast(
+                storm_id=sid,
+                points=tuple(zip((lat[24:] + 0.3).tolist(), (lon[24:] + 0.5).tolist()))))
+        doc = forecasts_to_geojson(windows, forecasts)
+        features = doc["features"]
+        assert len(features) == 6
+        for f in features:
+            lons = np.array(f["geometry"]["coordinates"])[:, 0]
+            assert np.all((-180.0 <= lons) & (lons <= 180.0))
+        # positions up to 180 are written unchanged, the others one turn west
+        east = windows[0].lon_series
+        np.testing.assert_array_equal(
+            np.array(features[0]["geometry"]["coordinates"])[:, 0],
+            np.where(east[:24] > 180.0, east[:24] - 360.0, east[:24]))
+        assert features[0]["geometry"]["coordinates"][0][0] == 170.0
+        assert features[0]["geometry"]["coordinates"][-1][0] < 0
+        # the error is the one of the track as forecast, before wrapping
+        for fc, w, f in zip(forecasts, windows, features[2::3]):
+            truth = [GeoPoint(a, b) for a, b in zip(w.lat_response, w.lon_response)]
+            assert f["properties"]["avg_dist_km"] == pytest.approx(
+                trajectory_error(fc, truth), rel=1e-12)
 
 
 class TestLengthStudy:
