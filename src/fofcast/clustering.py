@@ -60,13 +60,17 @@ class KMeansModel:
 
 def _labels(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Nearest centroid by the GEMM form ||c||^2 - 2 x.c of the squared
-    distance less ||x||^2; ties go to the lowest index."""
-    return np.argmin((centroids ** 2).sum(axis=1) - 2.0 * points @ centroids.T, axis=1)
+    distance less ||x||^2; ties go to the lowest index. The -2 rides on the
+    centroids: scaling by a power of two is exact."""
+    d = points @ (-2.0 * centroids).T
+    d += (centroids ** 2).sum(axis=1)
+    return np.argmin(d, axis=1)
 
 
 def _inertia(points: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> float:
     """Summed squared distance of each point to its assigned centroid."""
-    return float(((points - centroids[labels]) ** 2).sum(axis=1).sum())
+    r = (points - centroids.take(labels, axis=0)).ravel()
+    return float(r @ r)
 
 
 def _kmeanspp_init(points: np.ndarray, k: int,
@@ -115,8 +119,8 @@ def kmeans_fit(segments: np.ndarray, k: int, seed: int = 0,
     if points.ndim != 2:
         raise ShapeError("segments must be an n x P array")
     n = len(points)
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    if k < 1 or n_restarts < 1:
+        raise ValueError("k and n_restarts must be >= 1")
     if k > n:
         raise ValueError(f"k={k} exceeds sample count n={n}")
 

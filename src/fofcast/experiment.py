@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .basis import CurveBundle, basis_matrix, bspline_basis, fit_bundle, gram_matrix
-from .clustering import KMeansModel, assign_batch, kmeans_fit
+from .clustering import assign_batch, kmeans_fit
 from .errors import ShapeError, ValidationError
 from .ingest import (DatasetMatrix, StormRecordSet, TrajectoryWindow,
                      build_matrices, extract_tail, filter_min_length,
@@ -85,10 +85,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if not 0 < self.predictor_len < self.total_len:
             raise ValueError("need 0 < predictor_len < total_len")
-        if self.n_repetitions < 1:
-            raise ValueError("n_repetitions must be >= 1")
-        if not (1 <= self.k_lat_max and 1 <= self.k_lon_max):
-            raise ValueError("cluster ranges must start at 1")
+        for name, low in (("k_lat_max", 1), ("k_lon_max", 1), ("n_repetitions", 1),
+                          ("min_cluster_size", 1), ("kmeans_restarts", 1), ("ridge", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}")
 
 
 @dataclass
@@ -138,17 +138,24 @@ def make_bases(config: ExperimentConfig,
             bspline_basis(config.K_s, response_domain))
 
 
+def fittable(size: np.ndarray, min_size: int, n_train: int) -> np.ndarray:
+    """Whether pair or union groups of ``size`` training storms get their own
+    model; a group with every training storm is the global one."""
+    return (size >= min_size) & (size < n_train)
+
+
 def ladder(pair_tr: np.ndarray, own_tr: np.ndarray, pair_te: np.ndarray,
            own_te: np.ndarray, n_pairs: int, k_own: int,
            min_size: int) -> tuple[np.ndarray, np.ndarray]:
     """Codes of the 3 groups each training storm is in (3 x n_train) and,
-    per test storm, the first of its pair, union and global group with at
-    least ``min_size`` members. Pair p has code p, the coordinate's cluster
-    union a has n_pairs + a and the global group n_pairs + k_own."""
+    per test storm, the first ``fittable`` of its pair, union and global
+    group. Pair p has code p, the coordinate's cluster union a has
+    n_pairs + a and the global group n_pairs + k_own."""
     n_global = n_pairs + k_own
     member = np.stack([pair_tr, n_pairs + own_tr, np.full_like(pair_tr, n_global)])
     chain = np.stack([pair_te, n_pairs + own_te, np.full_like(pair_te, n_global)])
-    ok = np.bincount(member.ravel(), minlength=n_global + 1)[chain] >= min_size
+    ok = fittable(np.bincount(member.ravel(), minlength=n_global + 1)[chain],
+                  min_size, len(pair_tr))
     ok[2] = True
     return member, chain[ok.argmax(axis=0), np.arange(chain.shape[1])]
 
@@ -156,9 +163,10 @@ def ladder(pair_tr: np.ndarray, own_tr: np.ndarray, pair_te: np.ndarray,
 class SplitRunner:
     """Fits and evaluates coordinate models on one train/test split.
 
-    The models of a cell are group sums of the split's per-storm sufficient
-    statistics, solved in one batch. The global evaluation is the same call
-    with one cluster per coordinate, so it is bit-identical to cell (1, 1).
+    Models are group sums of per-storm sufficient statistics, solved in
+    batches: the global ones once, the cluster unions once per (coordinate,
+    k) and, per cell, the pairs that serve a test storm. Cell (1, 1) is
+    served by the global models alone, as is the global evaluation.
     """
 
     def __init__(self, lat_mat: DatasetMatrix, lon_mat: DatasetMatrix,
@@ -180,6 +188,7 @@ class SplitRunner:
         self.predictor_basis, self.response_basis = make_bases(config, grid)
         self.gram = gram_matrix(self.predictor_basis)
         self.theta = basis_matrix(self.response_basis, self.response_grid)
+        self.eig = np.linalg.eigh(self.theta.T @ self.theta)
         self.train_ids = tuple(lat_mat.storm_ids[i] for i in self.train_idx)
 
         self.x_train, self.y_train, self.train_segments = {}, {}, {}
@@ -202,6 +211,8 @@ class SplitRunner:
             self.stats[coord] = fof_statistics(design(z_train, z_mean),
                                                self.theta.T @ self.y_train[coord])
             self.w_test[coord] = design(self.gram @ coeffs[:, self.test_idx], z_mean)
+        self.global_coeffs = {c: solve_fof(st.sum(axis=0, keepdims=True), self.eig,
+                                           config.ridge) for c, st in self.stats.items()}
         self._kmeans_cache: dict = {}
 
     def fit_coordinate(self, coord: str, cols: np.ndarray) -> FoFModel:
@@ -214,39 +225,32 @@ class SplitRunner:
         return fit_fof(bundle, y, self.response_basis,
                        ridge=self.config.ridge, predictor_gram=self.gram)
 
-    def rung_models(self, coord: str, member: np.ndarray,
-                    rungs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The distinct groups of ``rungs``, their coefficients (G x K_s x
-        (1 + K_t), from one group sum) and each test storm's group index."""
-        groups, index = np.unique(rungs, return_inverse=True)
-        onehot = (member[None, :, :] == groups[:, None, None]).any(axis=1)
+    def group_models(self, coord: str, onehot: np.ndarray) -> np.ndarray:
+        """Coefficients (G x K_s x (1 + K_t)) of the groups of training storms
+        marked in the G rows of ``onehot``: one group sum, one solve."""
         stats = np.tensordot(onehot.astype(float), self.stats[coord], axes=1)
-        coeffs = solve_fof(stats, self.theta.T @ self.theta, self.config.ridge)
-        return groups, coeffs, index
-
-    def _errors(self, labels: dict, k_lat: int, k_lon: int) -> np.ndarray:
-        """Mean haversine per test storm; ``labels`` holds each coordinate's
-        (train, test) cluster labels."""
-        pair_tr, pair_te = (a * k_lon + b for a, b in zip(labels["lat"], labels["lon"]))
-        hats = []
-        for coord, k in (("lat", k_lat), ("lon", k_lon)):
-            member, rungs = ladder(pair_tr, labels[coord][0], pair_te, labels[coord][1],
-                                   k_lat * k_lon, k, self.config.min_cluster_size)
-            _, coeffs, index = self.rung_models(coord, member, rungs)
-            hats.append(fof_forecast(coeffs[index], self.theta, self.w_test[coord]))
-        return track_errors(*hats, self.truth["lat"], self.truth["lon"])
+        return solve_fof(stats, self.eig, self.config.ridge)
 
     def global_errors(self) -> np.ndarray:
-        one = (np.zeros(len(self.train_idx), int), np.zeros(len(self.test_idx), int))
-        return self._errors({"lat": one, "lon": one}, 1, 1)
+        """Cell (1, 1), which the global models serve alone."""
+        return self.clustered_errors(1, 1)
 
-    def kmeans_for(self, coord: str, k: int) -> KMeansModel:
+    def kmeans_for(self, coord: str, k: int) -> tuple[np.ndarray, ...]:
+        """Cluster labels of the training and test storms of ``coord``, and the
+        coefficients of its k union models, then the global one ((k + 1) x
+        K_s x m); a union that is not ``fittable`` holds the global model."""
         key = (coord, k)
         if key not in self._kmeans_cache:
-            self._kmeans_cache[key] = kmeans_fit(
-                self.train_segments[coord], k, seed=self.kmeans_seed,
-                max_iter=self.config.kmeans_max_iter,
-                n_restarts=self.config.kmeans_restarts)
+            model = kmeans_fit(self.train_segments[coord], k, seed=self.kmeans_seed,
+                               max_iter=self.config.kmeans_max_iter,
+                               n_restarts=self.config.kmeans_restarts)
+            train = assign_batch(model, self.train_segments[coord])
+            coeffs = np.repeat(self.global_coeffs[coord], k + 1, axis=0)
+            own = np.flatnonzero(fittable(np.bincount(train, minlength=k),
+                                          self.config.min_cluster_size, len(train)))
+            coeffs[own] = self.group_models(coord, train == own[:, None])
+            self._kmeans_cache[key] = (
+                train, assign_batch(model, self.test_segments[coord]), coeffs)
         return self._kmeans_cache[key]
 
     def clustered_errors(self, k_lat: int, k_lon: int) -> np.ndarray:
@@ -255,12 +259,22 @@ class SplitRunner:
         Ladder: pair model (>= min_cluster_size training members) ->
         per-coordinate cluster-union model (same threshold) -> global model.
         """
-        labels = {}
-        for coord, k in (("lat", k_lat), ("lon", k_lon)):
-            km = self.kmeans_for(coord, k)
-            labels[coord] = (assign_batch(km, self.train_segments[coord]),
-                             assign_batch(km, self.test_segments[coord]))
-        return self._errors(labels, k_lat, k_lon)
+        lat, lon = self.kmeans_for("lat", k_lat), self.kmeans_for("lon", k_lon)
+        n_pairs = k_lat * k_lon
+        pair_tr, pair_te = lat[0] * k_lon + lon[0], lat[1] * k_lon + lon[1]
+        hats = []
+        for coord, k, (train, test, unions) in (("lat", k_lat, lat),
+                                                ("lon", k_lon, lon)):
+            member, rungs = ladder(pair_tr, train, pair_te, test, n_pairs, k,
+                                   self.config.min_cluster_size)
+            # the pair models are solved here, the others are cached rows
+            groups, index = np.unique(rungs, return_inverse=True)
+            pairs = groups[groups < n_pairs]
+            coeffs = np.concatenate([
+                self.group_models(coord, member[0] == pairs[:, None]),
+                unions[groups[len(pairs):] - n_pairs]])
+            hats.append(fof_forecast(coeffs[index], self.theta, self.w_test[coord]))
+        return track_errors(*hats, self.truth["lat"], self.truth["lon"])
 
 
 def _best_cell(cell_means: np.ndarray) -> tuple[tuple[int, int], float]:

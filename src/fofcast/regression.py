@@ -90,27 +90,37 @@ def fof_statistics(W: np.ndarray, U: np.ndarray) -> np.ndarray:
     return np.einsum("in,jn->nij", W, np.vstack([W, U]))
 
 
-def solve_fof(stats: np.ndarray, T: np.ndarray, ridge: float) -> np.ndarray:
+def solve_fof(stats: np.ndarray, eig: tuple[np.ndarray, np.ndarray],
+              ridge: float) -> np.ndarray:
     """C = [a | B] (G x K_s x m) of G models from summed ``fof_statistics``.
 
-    With S = sum w w', R = sum u w' and T = Theta'Theta = V diag(lam) V',
-    the normal equations (S (x) T + ridge * D (x) I) vec(C) = vec(R), with
-    D penalizing only B, split into K_s systems (lam_k S + ridge * D) c_k =
-    (V'R)_k for the rows c_k of V'C. Each is positive definite exactly when
-    the whole system is.
+    With S = sum w w', R = sum u w' and T = Theta'Theta = V diag(lam) V'
+    (``eig``, from ``np.linalg.eigh(T)``), the normal equations (S (x) T +
+    ridge * D (x) I) vec(C) = vec(R), with D penalizing only B, split into
+    K_s systems (lam_k S + ridge * D) c_k = (V'R)_k for the rows c_k of V'C.
+    Each is positive definite exactly when the whole system is; its
+    Cholesky factor is solved by forward and back substitution.
     """
+    lam, V = eig
     m = stats.shape[1]
-    lam, V = np.linalg.eigh(T)
-    D = np.diag(np.r_[0.0, np.ones(m - 1)])             # penalizes B only
-    A = lam[:, None, None] * stats[:, None, :, :m] + ridge * D
+    A = lam[:, None, None] * stats[:, None, :, :m]       # G x K_s x m x m
+    A[..., np.arange(1, m), np.arange(1, m)] += ridge     # penalizes B only
     try:
-        L = np.linalg.cholesky(A)                    # G x K_s x m x m
+        L = np.linalg.cholesky(A)
     except np.linalg.LinAlgError as exc:
         raise SingularityError(
             "function-on-function design is rank deficient (too few samples "
             "or degenerate predictors); use ridge > 0") from exc
-    rhs = np.swapaxes(stats[:, :, m:] @ V, -1, -2)[..., None]      # rows of V'R
-    return V @ np.linalg.solve(np.swapaxes(L, -1, -2), np.linalg.solve(L, rhs))[..., 0]
+    del A
+    L = np.moveaxis(L, (-2, -1), (0, 1)).copy()          # unknowns first
+    x = np.moveaxis(stats[:, :, m:] @ V, 1, 0).copy()    # (V'R)', m x G x K_s
+    for j in range(m):                                    # L y = V'R
+        x[j] /= L[j, j]
+        x[j + 1:] -= L[j + 1:, j] * x[j]
+    for j in range(m - 1, -1, -1):                        # L' c = y
+        x[j] /= L[j, j]
+        x[:j] -= L[j, :j] * x[j]
+    return V @ x.transpose(1, 2, 0)
 
 
 def fit_fof(X: CurveBundle, Y_obs: DatasetMatrix, response_basis: BasisSystem,
@@ -129,7 +139,8 @@ def fit_fof(X: CurveBundle, Y_obs: DatasetMatrix, response_basis: BasisSystem,
     Z = predictor_gram @ X.coefficient_matrix
     z_mean = Z.mean(axis=1)
     stats = fof_statistics(design(Z, z_mean), Theta.T @ Y_obs.values)
-    C = solve_fof(stats.sum(axis=0, keepdims=True), Theta.T @ Theta, ridge)[0]
+    C = solve_fof(stats.sum(axis=0, keepdims=True), np.linalg.eigh(Theta.T @ Theta),
+                  ridge)[0]
     return FoFModel(
         predictor_basis=X.basis, response_basis=response_basis,
         alpha_coeffs=C[:, 0] - C[:, 1:] @ z_mean, B=C[:, 1:].copy(),

@@ -140,6 +140,12 @@ class TestGrid:
             outs.append((out / "grid.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_min_cluster_size_zero(self, ingested, tmp_path, capsys):
+        code = main(["grid", "--data", str(ingested), "--out", str(tmp_path / "g"),
+                     "--min-cluster-size", "0"])
+        assert code == 2
+        assert "min_cluster_size" in capsys.readouterr().err
+
 
 class TestExportAndLengthStudy:
     def test_export_test_set(self, ingested, fitted, tmp_path):

@@ -72,6 +72,10 @@ class TestKMeansFit:
         with pytest.raises(ValueError):
             kmeans_fit(points, k=0)
 
+    def test_no_restarts(self):
+        with pytest.raises(ValueError, match="n_restarts"):
+            kmeans_fit(np.zeros((5, 3)), k=2, n_restarts=0)
+
     def test_lloyd_monotone_inertia(self):
         rng = np.random.default_rng(3)
         points = rng.normal(size=(60, 8))

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from fofcast import (ExperimentConfig, GeoPoint, forecasts_to_geojson,
                      haversine, length_study, repeated_simulation, time_grid,
                      train_test_split, trajectory_error)
-from fofcast.clustering import assign_batch
 from fofcast.errors import ShapeError, SingularityError
 from fofcast.experiment import (EARTH_RADIUS_KM, SplitRunner, _best_cell,
                                 grid_search, ladder)
@@ -91,6 +90,13 @@ class TestBestCell:
         pair, err = _best_cell(cells)
         assert err == 1.0
         assert pair == (1, 2)  # (k_lat=1, k_lon=2) beats (2, 1) lexicographically
+
+
+@pytest.mark.parametrize("field, value", [("min_cluster_size", 0),
+                                          ("kmeans_restarts", 0), ("ridge", -1e-8)])
+def test_config_rejects(field, value):
+    with pytest.raises(ValueError, match=field):
+        ExperimentConfig(**{field: value})
 
 
 @pytest.fixture(scope="module")
@@ -179,26 +185,40 @@ class TestEngine:
         train, test = train_test_split(lat.n_storms, 0.8, seed=5)
         runner = SplitRunner(lat, lon, train, test, config)
         k_lat, k_lon = 2, 3
-        labels = {coord: assign_batch(runner.kmeans_for(coord, k),
-                                      runner.train_segments[coord])
-                  for coord, k in (("lat", k_lat), ("lon", k_lon))}
+        c = {coord: runner.kmeans_for(coord, k)
+             for coord, k in (("lat", k_lat), ("lon", k_lon))}
         n_pairs = k_lat * k_lon
-        pair_tr = labels["lat"] * k_lon + labels["lon"]
+        pair_tr = c["lat"][0] * k_lon + c["lon"][0]
         for coord, k in (("lat", k_lat), ("lon", k_lon)):
-            member, _ = ladder(pair_tr, labels[coord], pair_tr, labels[coord],
-                               n_pairs, k, config.min_cluster_size)
+            train, _, unions = c[coord]
+            member, rungs = ladder(pair_tr, train, pair_tr, train, n_pairs, k,
+                                   config.min_cluster_size)
             # every group large enough to fit: pairs, unions and the global one
             codes = np.flatnonzero(np.bincount(member.ravel()) >= config.min_cluster_size)
             assert codes.min() < n_pairs and codes.max() == n_pairs + k
             assert np.any((codes >= n_pairs) & (codes < n_pairs + k))
-            groups, coeffs, _ = runner.rung_models(coord, member, codes)
-            np.testing.assert_array_equal(groups, codes)
+            # the training storms, scored as test storms, reach every such pair
+            pairs = codes[codes < n_pairs]
+            np.testing.assert_array_equal(np.unique(rungs[rungs < n_pairs]), pairs)
+            # pairs are solved per cell; unions and the global model are the
+            # cached rows, and a union too small to fit holds the global model
+            coeffs = np.concatenate([
+                runner.group_models(coord, member[0] == pairs[:, None]),
+                unions[codes[codes >= n_pairs] - n_pairs]])
+            np.testing.assert_array_equal(unions[k], runner.global_coeffs[coord][0])
+            small = np.setdiff1d(np.arange(k + 1), codes - n_pairs)
+            np.testing.assert_array_equal(
+                unions[small],
+                np.repeat(runner.global_coeffs[coord], len(small), axis=0))
+            np.testing.assert_array_equal(
+                runner.kmeans_for(coord, 1)[2],
+                np.repeat(runner.global_coeffs[coord], 2, axis=0))
             # the engine's regressors are centred on the training mean, and
             # a model is compared by its forecasts: its coefficients are only
             # as well determined as the design is conditioned
             z_mean = (runner.gram @ runner.x_train[coord]).mean(axis=1)
             W = runner.w_test[coord]
-            for g, C in zip(groups, coeffs):
+            for g, C in zip(codes, coeffs):
                 model = runner.fit_coordinate(
                     coord, np.flatnonzero((member == g).any(axis=0)))
                 ref = np.column_stack([model.alpha_coeffs, model.B])
@@ -228,20 +248,32 @@ class TestEngine:
         for own_tr, own_te, k in ((lat_tr, lat_te, k_lat), (lon_tr, lon_te, k_lon)):
             member, rungs = ladder(pair_tr, own_tr, pair_te, own_te, n_pairs, k,
                                    min_size)
-            expected = []
-            for p, a in zip(pair_te, own_te):
-                if np.sum(pair_tr == p) >= min_size:
-                    expected.append(p)
-                elif np.sum(own_tr == a) >= min_size:
-                    expected.append(n_pairs + a)
-                else:
-                    expected.append(n_pairs + k)
+            expected = self._rule(pair_tr, own_tr, pair_te, own_te, n_pairs, k,
+                                  min_size)
             assert rungs.tolist() == expected
             kinds = {0 if r < n_pairs else 1 if r < n_pairs + k else 2 for r in expected}
             assert kinds == {0, 1, 2}
             np.testing.assert_array_equal(
                 member, np.stack([pair_tr, n_pairs + own_tr,
                                   np.full_like(pair_tr, n_pairs + k)]))
+        # with one cluster per coordinate, the pair and the union hold every
+        # training storm: they are the global group
+        ones_tr, ones_te = np.zeros(120, int), np.zeros(60, int)
+        _, rungs = ladder(ones_tr, ones_tr, ones_te, ones_te, 1, 1, min_size)
+        assert rungs.tolist() == self._rule(ones_tr, ones_tr, ones_te, ones_te, 1, 1,
+                                            min_size) == [2] * 60
+
+    @staticmethod
+    def _rule(pair_tr, own_tr, pair_te, own_te, n_pairs, k, min_size):
+        expected = []
+        for p, a in zip(pair_te, own_te):
+            if min_size <= np.sum(pair_tr == p) < len(pair_tr):
+                expected.append(p)
+            elif min_size <= np.sum(own_tr == a) < len(own_tr):
+                expected.append(n_pairs + a)
+            else:
+                expected.append(n_pairs + k)
+        return expected
 
 
 class TestGeoJSON:

@@ -5,7 +5,8 @@ from fofcast import (CurveBundle, basis_matrix, bspline_basis, fit_fof,
                      gram_matrix, predict_trajectory)
 from fofcast.errors import BasisMismatchError, SingularityError
 from fofcast.ingest import DatasetMatrix, TrajectoryWindow, time_grid
-from fofcast.regression import FoFModel, predict_fof_batch
+from fofcast.regression import (FoFModel, fof_statistics, predict_fof_batch,
+                                solve_fof)
 
 
 PRED_BASIS = bspline_basis(5, (0.0, 0.6))
@@ -122,6 +123,26 @@ def predict_one(model, c, basis=PRED_BASIS):
     bundle = CurveBundle(basis=basis, coefficient_matrix=np.asarray(c)[:, None],
                          ids=("x",))
     return predict_fof_batch(model, bundle, RESP_GRID)[:, 0]
+
+
+def test_solve_fof_matches_assembled_systems():
+    # the K_s (1 + K_t) normal equations (S (x) T + ridge D (x) I) vec(C) =
+    # vec(R) of each group, assembled whole and solved by LU
+    rng = np.random.default_rng(30)
+    K_s, m, G, n = 6, 13, 5, 40
+    Theta = rng.normal(size=(8, K_s))
+    T = Theta.T @ Theta
+    W = np.vstack([np.ones((1, G * n)), rng.normal(size=(m - 1, G * n))])
+    stats = fof_statistics(W, rng.normal(size=(K_s, G * n)))
+    stats = stats.reshape(G, n, m, m + K_s).sum(axis=1)
+    D = np.diag(np.r_[0.0, np.ones(m - 1)])
+    for ridge in (0.0, 0.1):
+        C = solve_fof(stats, np.linalg.eigh(T), ridge)
+        for g in range(G):
+            S, R = stats[g, :, :m], stats[g, :, m:].T
+            A = np.kron(S, T) + ridge * np.kron(D, np.eye(K_s))
+            expected = np.linalg.solve(A, R.T.ravel()).reshape(m, K_s).T
+            assert np.abs(C[g] - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 class TestPredict:
