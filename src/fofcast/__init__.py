@@ -7,10 +7,9 @@ from .basis import (BasisSystem, CurveBundle, basis_matrix, bspline_basis,
 from .clustering import KMeansModel, assign, kmeans_fit
 from .experiment import (ExperimentConfig, ExperimentReport, GeoPoint,
                          forecasts_to_geojson, grid_search, haversine,
-                         length_study, repeated_simulation, trajectory_error)
+                         length_study, repeated_simulation)
 from .ingest import (DatasetMatrix, StormRecord, StormRecordSet,
                      TrajectoryWindow, build_matrices, extract_tail,
                      filter_min_length, parse_csv, parse_rsmc, time_grid,
                      train_test_split, write_csv)
-from .regression import (FoFModel, TrajectoryForecast, fit_fof,
-                         predict_fof_batch, predict_trajectory)
+from .regression import FoFModel, fit_fof, predict_trajectory

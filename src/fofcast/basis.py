@@ -92,47 +92,46 @@ class CurveBundle:
             raise ShapeError("coefficient columns do not match id count")
 
 
-def _check_domain(basis: BasisSystem, t: float) -> float:
-    lo, hi = basis.domain
-    if t < lo - ENDPOINT_TOL or t > hi + ENDPOINT_TOL:
-        raise DomainError(f"t={t} outside basis domain [{lo}, {hi}]")
-    return min(max(t, lo), hi)
-
-
 def eval_basis(basis: BasisSystem, t: float) -> np.ndarray:
     """Evaluate all K basis functions at a single point t."""
-    t = _check_domain(basis, t)
-    knots = basis.full_knots
-    m = basis.order
-    K = basis.K
-    lo, hi = basis.domain
-    if t >= hi:
-        mu = K - 1
-        while knots[mu + 1] <= knots[mu]:
-            mu -= 1
-    else:
-        mu = int(np.searchsorted(knots, t, side="right")) - 1
-        mu = max(mu, m - 1)
-    # N[j] holds B_{mu-r+j, r+1}(t) after round r (de Boor's triangular scheme)
-    N = np.zeros(m)
-    N[0] = 1.0
-    for r in range(1, m):
-        saved = 0.0
-        for j in range(r):
-            i = mu - r + 1 + j
-            denom = knots[i + r] - knots[i]
-            term = N[j] / denom if denom > 0 else 0.0
-            N[j] = saved + (knots[i + r] - t) * term
-            saved = (t - knots[i]) * term
-        N[r] = saved
-    out = np.zeros(K)
-    out[mu - m + 1 : mu + 1] = N
-    return out
+    return basis_matrix(basis, [t])[0]
 
 
 def basis_matrix(basis: BasisSystem, grid: Sequence[float]) -> np.ndarray:
-    """p x K matrix of basis values; row j is eval_basis at grid[j]."""
-    return np.vstack([eval_basis(basis, float(t)) for t in grid])
+    """p x K matrix of basis values; row j holds the K functions at grid[j].
+
+    De Boor's triangular scheme runs over the whole grid at once: round r
+    turns the order-r values of the m functions alive on each point's knot
+    span into their order-(r + 1) values.
+    """
+    t = np.asarray(grid, dtype=float).reshape(-1)
+    lo, hi = basis.domain
+    outside = (t < lo - ENDPOINT_TOL) | (t > hi + ENDPOINT_TOL)
+    if outside.any():
+        raise DomainError(f"t={t[outside][0]} outside basis domain [{lo}, {hi}]")
+    t = np.clip(t, lo, hi)
+    knots = basis.full_knots
+    m = basis.order
+    K = basis.K
+    # span index mu with knots[mu] <= t < knots[mu + 1]; the right end of
+    # the domain belongs to the last non-empty span
+    mu = np.maximum(np.searchsorted(knots, t, side="right") - 1, m - 1)
+    mu[t >= hi] = np.searchsorted(knots, hi, side="left") - 1
+    # N[:, j] holds B_{mu-r+j, r+1}(t) after round r
+    N = np.zeros((len(t), m))
+    N[:, 0] = 1.0
+    for r in range(1, m):
+        saved = np.zeros(len(t))
+        for j in range(r):
+            i = mu - r + 1 + j
+            denom = knots[i + r] - knots[i]
+            term = np.divide(N[:, j], denom, out=np.zeros(len(t)), where=denom > 0)
+            N[:, j] = saved + (knots[i + r] - t) * term
+            saved = (t - knots[i]) * term
+        N[:, r] = saved
+    out = np.zeros((len(t), K))
+    out[np.arange(len(t))[:, None], mu[:, None] + np.arange(1 - m, 1)] = N
+    return out
 
 
 def fit_coefficients(basis: BasisSystem, grid: Sequence[float],
@@ -179,13 +178,12 @@ def gram_matrix(basis: BasisSystem) -> np.ndarray:
     breakpoints = np.unique(basis.full_knots)
     n_quad = basis.order  #  exact for degree 2(order-1) products
     nodes, weights = np.polynomial.legendre.leggauss(n_quad)
+    half = 0.5 * (breakpoints[1:] - breakpoints[:-1])
+    mid = 0.5 * (breakpoints[:-1] + breakpoints[1:])
+    Phi = basis_matrix(basis, (mid[:, None] + half[:, None] * nodes).ravel())
+    # the node terms are added one at a time: one product Phi' diag(w) Phi
+    # sums them in another order, and its last bits differ
     J = np.zeros((basis.K, basis.K))
-    for a, b in zip(breakpoints, breakpoints[1:]):
-        if b <= a:
-            continue
-        half = 0.5 * (b - a)
-        mid = 0.5 * (a + b)
-        for node, w in zip(nodes, weights):
-            phi = eval_basis(basis, mid + half * node)
-            J += (w * half) * np.outer(phi, phi)
+    for phi, w in zip(Phi, (weights * half[:, None]).ravel()):
+        J += w * np.outer(phi, phi)
     return J

@@ -11,17 +11,19 @@ import csv
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .errors import FofcastError, SingularityError, StormLookupError
+from .errors import (FofcastError, SchemaError, ShapeError, SingularityError,
+                     StormLookupError)
 from .experiment import (ExperimentConfig, SplitRunner, forecasts_to_geojson,
                          length_study, repeated_simulation)
-from .ingest import (DatasetMatrix, TrajectoryWindow, build_matrices,
-                     extract_tail, filter_min_length, parse_csv, parse_rsmc,
-                     time_grid, train_test_split)
+from .ingest import (DatasetMatrix, build_matrices, extract_tail,
+                     filter_min_length, parse_csv, parse_rsmc, time_grid,
+                     train_test_split)
 from .regression import FoFModel, predict_trajectory
 
 
@@ -60,20 +62,50 @@ def _read_matrix_csv(path: Path, total_len: int) -> DatasetMatrix:
                          storm_ids=ids)
 
 
+def _read_json(path: Path, parse):
+    """``parse`` of the JSON object in ``path``; a missing or ill-shaped
+    field is a SchemaError that names the file."""
+    try:
+        return parse(json.loads(path.read_text()))
+    except (KeyError, TypeError, ValueError, ShapeError) as exc:
+        raise SchemaError(f"{path}: missing or ill-shaped field: {exc}") from exc
+
+
+def _window(d: dict) -> dict:
+    """The window shape a dataset was cut, or a model fitted, with."""
+    shape = {"total_len": int(d["total_len"]), "predictor_len": int(d["predictor_len"])}
+    if not 0 < shape["predictor_len"] < shape["total_len"]:
+        raise ValueError(f"need 0 < predictor_len < total_len, got {shape}")
+    return shape
+
+
+def _split(d: dict) -> tuple[dict, list]:
+    """The window shape and the test storm ids of the split a model was fitted on."""
+    ids = d["test_ids"]
+    if not isinstance(ids, list) or not all(isinstance(sid, str) for sid in ids):
+        raise ValueError("test_ids must be a list of storm ids")
+    return _window(d), ids
+
+
 def _load_dataset(data_dir: Path) -> tuple[DatasetMatrix, DatasetMatrix, dict]:
-    meta = json.loads((data_dir / "dataset.json").read_text())
+    meta = _read_json(data_dir / "dataset.json", _window)
     lat = _read_matrix_csv(data_dir / "lat.csv", meta["total_len"])
     lon = _read_matrix_csv(data_dir / "lon.csv", meta["total_len"])
     return lat, lon, meta
 
 
 def _config_from_args(args: argparse.Namespace, meta: dict) -> ExperimentConfig:
+    """The config of the model flags; the grid settings keep their defaults."""
     return ExperimentConfig(
         total_len=meta["total_len"], predictor_len=meta["predictor_len"],
         ratio=args.ratio, seed=args.seed, K_t=args.k_t, K_s=args.k_s,
-        ridge=args.ridge, k_lat_max=args.k_lat, k_lon_max=args.k_lon,
-        n_repetitions=args.reps, min_cluster_size=args.min_cluster_size,
-    )
+        ridge=args.ridge)
+
+
+def _grid_config_from_args(args: argparse.Namespace, meta: dict) -> ExperimentConfig:
+    return replace(_config_from_args(args, meta), k_lat_max=args.k_lat,
+                   k_lon_max=args.k_lon, n_repetitions=args.reps,
+                   min_cluster_size=args.min_cluster_size)
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
@@ -112,15 +144,14 @@ def cmd_fit(args: argparse.Namespace) -> int:
     train_idx, test_idx = train_test_split(lat.n_storms, config.ratio,
                                            config.seed)
     runner = SplitRunner(lat, lon, train_idx, test_idx, config)
-    cols = np.arange(len(train_idx))
-    lat_model = runner.fit_coordinate("lat", cols)
-    lon_model = runner.fit_coordinate("lon", cols)
     args.out.mkdir(parents=True, exist_ok=True)
-    (args.out / "lat_model.json").write_text(lat_model.to_json())
-    (args.out / "lon_model.json").write_text(lon_model.to_json())
+    for coord in ("lat", "lon"):
+        model = runner.fit_coordinate(coord, np.arange(len(train_idx)))
+        (args.out / f"{coord}_model.json").write_text(json.dumps(model.to_dict()))
     (args.out / "split.json").write_text(json.dumps({
         "seed": config.seed, "ratio": config.ratio,
-        "train": train_idx.tolist(), "test": test_idx.tolist(),
+        "train_ids": list(runner.train_ids),
+        "test_ids": [lat.storm_ids[i] for i in test_idx],
         "total_len": meta["total_len"], "predictor_len": meta["predictor_len"],
     }))
     _write_manifest(args.out, "fit", args, {"total": time.perf_counter() - t0})
@@ -129,54 +160,50 @@ def cmd_fit(args: argparse.Namespace) -> int:
     return 0
 
 
-def _windows_from_dataset(lat: DatasetMatrix, lon: DatasetMatrix, meta: dict):
-    return [
-        TrajectoryWindow(storm_id=sid,
-                         lat_series=lat.values[:, j].copy(),
-                         lon_series=lon.values[:, j].copy(),
-                         total_length=meta["total_len"],
-                         predictor_length=meta["predictor_len"])
-        for j, sid in enumerate(lat.storm_ids)
-    ]
-
-
 def _write_forecasts(args: argparse.Namespace, command: str, select,
                      include_truth: bool) -> int:
-    """Forecast the windows ``select`` picks from the dataset; write GeoJSON."""
+    """Forecast the storms whose ids ``select`` takes from the split's test
+    ids and the dataset's ids; write GeoJSON."""
     t0 = time.perf_counter()
     lat, lon, meta = _load_dataset(args.data)
-    lat_model = FoFModel.from_json((args.models / "lat_model.json").read_text())
-    lon_model = FoFModel.from_json((args.models / "lon_model.json").read_text())
-    selected = select(_windows_from_dataset(lat, lon, meta))
-    grid = time_grid(meta["total_len"])
+    window, test_ids = _read_json(args.models / "split.json", _split)
+    if window != meta:
+        raise SchemaError(f"{args.models / 'split.json'}: models fitted on windows "
+                          f"{window}, {args.data / 'dataset.json'} holds {meta}")
+    lat_model, lon_model = (_read_json(args.models / f"{coord}_model.json",
+                                       FoFModel.from_dict) for coord in ("lat", "lon"))
+    ids = select(test_ids, lat.storm_ids)
+    index = {sid: j for j, sid in enumerate(lat.storm_ids)}
+    unknown = [sid for sid in ids if sid not in index]
+    if unknown:
+        raise StormLookupError(f"unknown storm ids: {', '.join(unknown)}\n"
+                               f"available: {', '.join(sorted(index))}")
+    cols = [index[sid] for sid in ids]
+    lat_obs, lon_obs = lat.values[:, cols], lon.values[:, cols]
+    grid = lat.time_grid
     P = meta["predictor_len"]
-    forecasts = predict_trajectory(lat_model, lon_model, selected, grid[:P], grid[P:])
-    geojson = forecasts_to_geojson(selected, forecasts, include_truth=include_truth)
+    lat_hat, lon_hat = predict_trajectory(lat_model, lon_model, lat_obs[:P],
+                                          lon_obs[:P], grid[:P], grid[P:])
+    geojson = forecasts_to_geojson(ids, lat_obs, lon_obs, lat_hat, lon_hat,
+                                   include_truth=include_truth)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(json.dumps(geojson))
     _write_manifest(args.out.parent, command, args,
                     {"total": time.perf_counter() - t0})
-    print(f"wrote {len(forecasts)} forecasts -> {args.out}")
+    print(f"wrote {len(ids)} forecasts -> {args.out}")
     return 0
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    def select(windows: list[TrajectoryWindow]) -> list[TrajectoryWindow]:
-        by_id = {w.storm_id: w for w in windows}
-        unknown = [sid for sid in args.storm_ids if sid not in by_id]
-        if unknown:
-            raise StormLookupError(f"unknown storm ids: {', '.join(unknown)}\n"
-                                   f"available: {', '.join(sorted(by_id))}")
-        return [by_id[sid] for sid in args.storm_ids] if args.storm_ids else windows
-
-    return _write_forecasts(args, "predict", select,
+    return _write_forecasts(args, "predict",
+                            lambda test_ids, ids: args.storm_ids or ids,
                             include_truth=not args.no_truth)
 
 
 def cmd_grid(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     lat, lon, meta = _load_dataset(args.data)
-    config = _config_from_args(args, meta)
+    config = _grid_config_from_args(args, meta)
     report = repeated_simulation(lat, lon, config)
     args.out.mkdir(parents=True, exist_ok=True)
     (args.out / "grid.csv").write_text(report.to_csv())
@@ -195,7 +222,7 @@ def cmd_length_study(args: argparse.Namespace) -> int:
         print(f"error: input file not found: {args.input}", file=sys.stderr)
         return 2
     storms = _load_storms(args.input, args.format)
-    config = _config_from_args(args, {
+    config = _grid_config_from_args(args, {
         "total_len": args.lengths[0],
         "predictor_len": args.lengths[0] - args.response_len})
     entries = length_study(storms, config, lengths=args.lengths,
@@ -222,11 +249,8 @@ def cmd_length_study(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    def select(windows: list[TrajectoryWindow]) -> list[TrajectoryWindow]:
-        split = json.loads((args.models / "split.json").read_text())
-        return [windows[i] for i in split["test"]]
-
-    return _write_forecasts(args, "export", select, include_truth=True)
+    return _write_forecasts(args, "export", lambda test_ids, ids: test_ids,
+                            include_truth=True)
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
@@ -239,6 +263,9 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
                    help="response basis dimension (default 6)")
     p.add_argument("--ridge", type=float, default=1e-8,
                    help="ridge on the coefficient surface (default 1e-8)")
+
+
+def _add_grid_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k-lat", type=int, default=10,
                    help="largest latitude cluster count (default 10)")
     p.add_argument("--k-lon", type=int, default=10,
@@ -289,6 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
     _add_model_flags(p)
+    _add_grid_flags(p)
     p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("length-study",
@@ -300,6 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--response-len", type=int, default=8,
                    help="fixed response segment length (default 8)")
     _add_model_flags(p)
+    _add_grid_flags(p)
     p.set_defaults(func=cmd_length_study)
 
     p = sub.add_parser("export", help="export all test-set forecasts as GeoJSON")

@@ -39,9 +39,5 @@ class SingularityError(FofcastError):
     """A least-squares system is rank deficient; suggests a remedy."""
 
 
-class BasisMismatchError(FofcastError):
-    """A curve was built on a different basis than the model expects."""
-
-
 class StormLookupError(FofcastError):
     """Requested storm id is not present in the dataset."""

@@ -17,11 +17,10 @@ import numpy as np
 from .basis import CurveBundle, basis_matrix, bspline_basis, fit_bundle, gram_matrix
 from .clustering import assign_batch, kmeans_fit
 from .errors import ShapeError, ValidationError
-from .ingest import (DatasetMatrix, StormRecordSet, TrajectoryWindow,
-                     build_matrices, extract_tail, filter_min_length,
-                     train_test_split)
-from .regression import (FoFModel, TrajectoryForecast, design, fit_fof,
-                         fof_forecast, fof_statistics, solve_fof)
+from .ingest import (DatasetMatrix, StormRecordSet, build_matrices, extract_tail,
+                     filter_min_length, train_test_split)
+from .regression import (FoFModel, design, fit_fof, fof_forecast, fof_statistics,
+                         solve_fof)
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -52,17 +51,6 @@ def _haversine_arrays(lat1, lon1, lat2, lon2) -> np.ndarray:
 def track_errors(lat_hat, lon_hat, lat_true, lon_true) -> np.ndarray:
     """Mean haversine over the response grid per storm; inputs are q x n."""
     return _haversine_arrays(lat_hat, lon_hat, lat_true, lon_true).mean(axis=0)
-
-
-def trajectory_error(forecast: TrajectoryForecast,
-                     truth: Sequence[GeoPoint]) -> float:
-    """Mean pointwise haversine distance between forecast and truth."""
-    if len(forecast.points) != len(truth):
-        raise ShapeError(
-            f"forecast has {len(forecast.points)} points, truth has {len(truth)}")
-    pred = np.array(forecast.points)
-    true = np.array([(p.lat, p.lon) for p in truth])
-    return float(track_errors(pred[:, :1], pred[:, 1:], true[:, :1], true[:, 1:])[0])
 
 
 @dataclass(frozen=True)
@@ -374,38 +362,34 @@ def length_study(storms: Sequence[StormRecordSet], config: ExperimentConfig,
     return entries
 
 
-def forecasts_to_geojson(windows: Sequence[TrajectoryWindow],
-                         forecasts: Sequence[TrajectoryForecast],
+def forecasts_to_geojson(storm_ids: Sequence[str], lat: np.ndarray, lon: np.ndarray,
+                         lat_hat: np.ndarray, lon_hat: np.ndarray,
                          include_truth: bool = True) -> dict:
     """One LineString per trajectory segment: observed X, observed Y, predicted Y.
 
+    ``lat`` and ``lon`` hold the storms' observed L x n windows, and
+    ``lat_hat`` and ``lon_hat`` the q x n forecasts of their last q points.
     GeoJSON positions are [lon, lat] with longitudes in [-180, 180]
     (RFC 7946). The mean error property of the predicted segment, when the
     observed response is included, is scored before the wrap.
     """
-    by_id = {w.storm_id: w for w in windows}
-    matched = [by_id.get(fc.storm_id) for fc in forecasts]
-    if None in matched:
-        missing = forecasts[matched.index(None)].storm_id
-        raise ShapeError(f"no window for forecast {missing}")
-    pred = [np.array(fc.points, dtype=float).reshape(-1, 2) for fc in forecasts]
-    errors = [{}] * len(forecasts)
-    if include_truth and forecasts:
-        if any(len(p) != len(w.lat_response) for p, w in zip(pred, matched)):
-            raise ShapeError("forecast and observed response lengths differ")
-        errors = [{"avg_dist_km": e} for e in track_errors(
-            *(np.column_stack([p[:, c] for p in pred]) for c in (0, 1)),
-            np.column_stack([w.lat_response for w in matched]),
-            np.column_stack([w.lon_response for w in matched])).tolist()]
+    q, n = lat_hat.shape
+    P = lat.shape[0] - q
+    if (lat.shape != lon.shape or lon_hat.shape != (q, n) or lat.shape[1:] != (n,)
+            or len(storm_ids) != n):
+        raise ShapeError("observed windows, forecasts and storm ids do not match")
+    errors = [{}] * n
+    if include_truth:
+        errors = [{"avg_dist_km": e} for e in
+                  track_errors(lat_hat, lon_hat, lat[P:], lon[P:]).tolist()]
     features = []
-    for fc, w, points, error in zip(forecasts, matched, pred, errors):
-        features.append(_linestring(fc.storm_id, "observed_predictor",
-                                    w.lon_predictor, w.lat_predictor))
+    for j, (sid, error) in enumerate(zip(storm_ids, errors)):
+        features.append(_linestring(sid, "observed_predictor", lon[:P, j], lat[:P, j]))
         if include_truth:
-            features.append(_linestring(fc.storm_id, "observed_response",
-                                        w.lon_response, w.lat_response))
-        features.append(_linestring(fc.storm_id, "predicted_response",
-                                    points[:, 1], points[:, 0], **error))
+            features.append(_linestring(sid, "observed_response",
+                                        lon[P:, j], lat[P:, j]))
+        features.append(_linestring(sid, "predicted_response",
+                                    lon_hat[:, j], lat_hat[:, j], **error))
     return {"type": "FeatureCollection", "features": features}
 
 

@@ -97,22 +97,6 @@ class TrajectoryWindow:
         if len(self.lon_series) != self.total_length:
             raise ShapeError("lon series length does not match total_length")
 
-    @property
-    def lat_predictor(self) -> np.ndarray:
-        return self.lat_series[: self.predictor_length]
-
-    @property
-    def lon_predictor(self) -> np.ndarray:
-        return self.lon_series[: self.predictor_length]
-
-    @property
-    def lat_response(self) -> np.ndarray:
-        return self.lat_series[self.predictor_length :]
-
-    @property
-    def lon_response(self) -> np.ndarray:
-        return self.lon_series[self.predictor_length :]
-
 
 @dataclass(frozen=True)
 class DatasetMatrix:

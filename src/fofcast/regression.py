@@ -13,7 +13,6 @@ squares against the raw response grid values.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -21,60 +20,41 @@ import numpy as np
 
 from .basis import (BasisSystem, CurveBundle, basis_matrix, fit_coefficients,
                     gram_matrix)
-from .errors import BasisMismatchError, ShapeError, SingularityError
-from .ingest import DatasetMatrix, TrajectoryWindow
+from .errors import ShapeError, SingularityError
+from .ingest import DatasetMatrix
 
 
 @dataclass(frozen=True)
 class FoFModel:
-    """Fitted function-on-function regression model."""
+    """Fitted function-on-function regression model, in the form the grid
+    engine solves and scores: the forecast of a predictor curve c is
+    theta' C w with w = ``design(J c, center)``, J the predictor basis's
+    Gram matrix."""
 
     predictor_basis: BasisSystem
     response_basis: BasisSystem
-    alpha_coeffs: np.ndarray          # length K_s, intercept curve
-    B: np.ndarray                     # K_s x K_t, coefficient surface
-    predictor_gram: np.ndarray        # K_t x K_t
-    ridge: float
+    coefficients: np.ndarray          # K_s x (1 + K_t), C = [a | B]
+    center: np.ndarray                # length K_t, training mean of J c
 
     def __post_init__(self):
         K_s, K_t = self.response_basis.K, self.predictor_basis.K
-        if self.alpha_coeffs.shape != (K_s,):
-            raise ShapeError("alpha coefficient length does not match response basis")
-        if self.B.shape != (K_s, K_t):
-            raise ShapeError("B shape does not match basis dimensions")
-        if self.predictor_gram.shape != (K_t, K_t):
-            raise ShapeError("Gram matrix shape does not match predictor basis")
+        if self.coefficients.shape != (K_s, 1 + K_t):
+            raise ShapeError("coefficient shape does not match basis dimensions")
+        if self.center.shape != (K_t,):
+            raise ShapeError("centre length does not match predictor basis")
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "predictor_basis": self.predictor_basis.to_dict(),
-            "response_basis": self.response_basis.to_dict(),
-            "alpha": self.alpha_coeffs.tolist(),
-            "B": {"shape": list(self.B.shape), "data": self.B.ravel().tolist()},
-            "gram": self.predictor_gram.ravel().tolist(),
-            "ridge": self.ridge,
-        })
+    def to_dict(self) -> dict:
+        return {"predictor_basis": self.predictor_basis.to_dict(),
+                "response_basis": self.response_basis.to_dict(),
+                "coefficients": self.coefficients.tolist(),
+                "center": self.center.tolist()}
 
     @staticmethod
-    def from_json(text: str) -> "FoFModel":
-        d = json.loads(text)
-        pb = BasisSystem.from_dict(d["predictor_basis"])
-        rb = BasisSystem.from_dict(d["response_basis"])
-        B = np.array(d["B"]["data"]).reshape(d["B"]["shape"])
-        return FoFModel(
-            predictor_basis=pb, response_basis=rb,
-            alpha_coeffs=np.array(d["alpha"]), B=B,
-            predictor_gram=np.array(d["gram"]).reshape(pb.K, pb.K),
-            ridge=d["ridge"],
-        )
-
-
-@dataclass(frozen=True)
-class TrajectoryForecast:
-    """Forecast (lat, lon) points at the response grid for one storm."""
-
-    storm_id: str
-    points: tuple[tuple[float, float], ...]
+    def from_dict(d: dict) -> "FoFModel":
+        return FoFModel(predictor_basis=BasisSystem.from_dict(d["predictor_basis"]),
+                        response_basis=BasisSystem.from_dict(d["response_basis"]),
+                        coefficients=np.array(d["coefficients"], dtype=float),
+                        center=np.array(d["center"], dtype=float))
 
 
 def design(Z: np.ndarray, center: np.ndarray | float) -> np.ndarray:
@@ -129,7 +109,9 @@ def fit_fof(X: CurveBundle, Y_obs: DatasetMatrix, response_basis: BasisSystem,
     """Fit intercept and coefficient surface by joint penalized least squares.
 
     Minimizes sum_ij (y_i(s_j) - theta(s_j)'a - theta(s_j)'B J c_i)^2
-    + ridge * ||B||_F^2 over (a, B): ``solve_fof`` with one group.
+    + ridge * ||B||_F^2 over (a, B): ``solve_fof`` with one group. The
+    regressors J c are centred on their training mean z_mean (``design``),
+    so the model's intercept column is a + B z_mean in these terms.
     """
     if Y_obs.values.shape[1] != X.coefficient_matrix.shape[1]:
         raise ShapeError("predictor and response sample counts differ")
@@ -141,11 +123,8 @@ def fit_fof(X: CurveBundle, Y_obs: DatasetMatrix, response_basis: BasisSystem,
     stats = fof_statistics(design(Z, z_mean), Theta.T @ Y_obs.values)
     C = solve_fof(stats.sum(axis=0, keepdims=True), np.linalg.eigh(Theta.T @ Theta),
                   ridge)[0]
-    return FoFModel(
-        predictor_basis=X.basis, response_basis=response_basis,
-        alpha_coeffs=C[:, 0] - C[:, 1:] @ z_mean, B=C[:, 1:].copy(),
-        predictor_gram=predictor_gram, ridge=ridge,
-    )
+    return FoFModel(predictor_basis=X.basis, response_basis=response_basis,
+                    coefficients=C, center=z_mean)
 
 
 def fof_forecast(coefficients: np.ndarray, theta: np.ndarray,
@@ -156,33 +135,17 @@ def fof_forecast(coefficients: np.ndarray, theta: np.ndarray,
     return theta @ (coefficients @ W.T[:, :, None])[:, :, 0].T
 
 
-def predict_fof_batch(model: FoFModel, X: CurveBundle,
-                      response_grid: Sequence[float]) -> np.ndarray:
-    """q x n matrix of predictions for every curve in the bundle."""
-    if X.basis != model.predictor_basis:
-        raise BasisMismatchError("bundle basis differs from model's predictor basis")
-    return fof_forecast(np.column_stack([model.alpha_coeffs, model.B]),
-                        basis_matrix(model.response_basis, response_grid),
-                        design(model.predictor_gram @ X.coefficient_matrix, 0.0))
-
-
 def predict_trajectory(lat_model: FoFModel, lon_model: FoFModel,
-                       windows: Sequence[TrajectoryWindow],
+                       lat_predictor: np.ndarray, lon_predictor: np.ndarray,
                        predictor_grid: Sequence[float],
-                       response_grid: Sequence[float],
-                       fit_ridge: float = 0.0) -> list[TrajectoryForecast]:
-    """Forecast storms: represent their predictor segments, apply both models.
-
-    Each coordinate takes one curve fit and one forecast over all windows.
-    """
-    ids = tuple(w.storm_id for w in windows)
+                       response_grid: Sequence[float]) -> tuple[np.ndarray, ...]:
+    """Forecast storms from their P x n predictor segments: q x n latitude
+    and longitude forecasts, each from one curve fit of all the columns and
+    the forecast expression the grid engine scores."""
     hats = []
-    for model, segments in ((lat_model, [w.lat_predictor for w in windows]),
-                            (lon_model, [w.lon_predictor for w in windows])):
-        coeffs = fit_coefficients(model.predictor_basis, predictor_grid,
-                                  np.column_stack(segments), ridge=fit_ridge)
-        hats.append(predict_fof_batch(
-            model, CurveBundle(model.predictor_basis, coeffs, ids), response_grid))
-    return [TrajectoryForecast(storm_id=sid,
-                               points=tuple(zip(lat.tolist(), lon.tolist())))
-            for sid, lat, lon in zip(ids, hats[0].T, hats[1].T)]
+    for model, segments in ((lat_model, lat_predictor), (lon_model, lon_predictor)):
+        coeffs = fit_coefficients(model.predictor_basis, predictor_grid, segments)
+        hats.append(fof_forecast(
+            model.coefficients, basis_matrix(model.response_basis, response_grid),
+            design(gram_matrix(model.predictor_basis) @ coeffs, model.center)))
+    return tuple(hats)

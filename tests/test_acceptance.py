@@ -18,7 +18,7 @@ from fofcast import (ExperimentConfig, GeoPoint, basis_matrix,
 from fofcast.clustering import assign_batch
 from fofcast.experiment import EARTH_RADIUS_KM, SplitRunner, make_bases
 from fofcast.ingest import DatasetMatrix
-from fofcast.regression import fit_fof, predict_fof_batch
+from fofcast.regression import design, fit_fof, fof_forecast
 
 from conftest import (archive_path, requires_archive, synthetic_matrices,
                       two_regime_matrices)
@@ -137,13 +137,15 @@ class TestCriterion6SyntheticOracles:
                 storm_ids=x_train.storm_ids)
             model = fit_fof(bundle, y_train, resp_basis, ridge=0.0,
                             predictor_gram=J)
-            train_pred = predict_fof_batch(model, bundle, grid[P:])
+            train_pred = fof_forecast(model.coefficients, Theta, design(
+                J @ bundle.coefficient_matrix, model.center))
             train_rms = np.sqrt(np.mean((train_pred - y_train.values) ** 2))
             x_test = DatasetMatrix(
                 values=coord_mat.values[:P, test_idx], time_grid=grid[:P],
                 storm_ids=tuple(ids[i] for i in test_idx))
             test_bundle = fit_bundle(pred_basis, grid[:P], x_test)
-            test_pred = predict_fof_batch(model, test_bundle, grid[P:])
+            test_pred = fof_forecast(model.coefficients, Theta, design(
+                J @ test_bundle.coefficient_matrix, model.center))
             test_rms = np.sqrt(np.mean(
                 (test_pred - coord_mat.values[P:, test_idx]) ** 2))
             assert train_rms < 1e-6, train_rms

@@ -25,6 +25,34 @@ def scipy_basis_matrix(basis, grid):
     return np.column_stack(cols)
 
 
+def scalar_de_boor(basis, t):
+    """De Boor's triangular scheme at one point, as a plain loop: the
+    reference that the whole-grid evaluation must equal bit for bit."""
+    knots, m, K = basis.full_knots, basis.order, basis.K
+    lo, hi = basis.domain
+    t = min(max(t, lo), hi)
+    if t >= hi:
+        mu = K - 1
+        while knots[mu + 1] <= knots[mu]:
+            mu -= 1
+    else:
+        mu = max(int(np.searchsorted(knots, t, side="right")) - 1, m - 1)
+    N = np.zeros(m)
+    N[0] = 1.0
+    for r in range(1, m):
+        saved = 0.0
+        for j in range(r):
+            i = mu - r + 1 + j
+            denom = knots[i + r] - knots[i]
+            term = N[j] / denom if denom > 0 else 0.0
+            N[j] = saved + (knots[i + r] - t) * term
+            saved = (t - knots[i]) * term
+        N[r] = saved
+    out = np.zeros(K)
+    out[mu - m + 1: mu + 1] = N
+    return out
+
+
 class TestEvalBasis:
     @given(st.floats(min_value=1e-6, max_value=1 - 1e-6))
     @settings(max_examples=200, deadline=None)
@@ -45,6 +73,25 @@ class TestEvalBasis:
             eval_basis(basis, 1.5)
         # endpoint tolerance admits tiny overshoot
         eval_basis(basis, 1.0 + 1e-12)
+
+    def test_domain_error_anywhere_in_grid(self):
+        basis = bspline_basis(6, (0.0, 1.0))
+        with pytest.raises(DomainError, match="t=-0.25"):
+            basis_matrix(basis, [0.0, 0.5, -0.25, 1.0])
+
+    def test_grid_equals_scalar_reference(self):
+        rng = np.random.default_rng(4)
+        bases = [bspline_basis(12, (0.0, 23 / 31)), bspline_basis(6, (24 / 31, 1.0)),
+                 bspline_basis(5, (0.0, 1.0), order=1),
+                 bspline_basis(8, (0.0, 1.0), order=2),
+                 BasisSystem(K=7, domain=(0.0, 1.0), order=4, knots=(0.3, 0.3, 0.7))]
+        for basis in bases:
+            lo, hi = basis.domain
+            # endpoints, knots (repeated ones too) and the endpoint tolerance
+            grid = np.r_[np.linspace(lo, hi, 24), basis.knots, rng.uniform(lo, hi, 40),
+                         lo - 1e-12, hi + 1e-12]
+            expected = np.array([scalar_de_boor(basis, t) for t in grid])
+            np.testing.assert_array_equal(basis_matrix(basis, grid), expected)
 
     def test_matches_scipy_oracle(self):
         basis = bspline_basis(12, (0.0, 1.0))
@@ -177,6 +224,19 @@ class TestGram:
             J = gram_matrix(bspline_basis(K, (0.0, 1.0)))
             assert np.abs(J - J.T).max() < 1e-14
             assert np.linalg.eigvalsh(J).min() >= -1e-12
+
+    def test_equals_node_by_node_reference(self):
+        # Gauss-Legendre nodes per knot span, each node's term added in turn
+        basis = bspline_basis(12, (0.0, 23 / 31))
+        breakpoints = np.unique(basis.full_knots)
+        nodes, weights = np.polynomial.legendre.leggauss(basis.order)
+        J = np.zeros((12, 12))
+        for a, b in zip(breakpoints, breakpoints[1:]):
+            half, mid = 0.5 * (b - a), 0.5 * (a + b)
+            for node, w in zip(nodes, weights):
+                phi = scalar_de_boor(basis, mid + half * node)
+                J += (w * half) * np.outer(phi, phi)
+        np.testing.assert_array_equal(gram_matrix(basis), J)
 
     def test_matches_dense_trapezoid(self):
         basis = bspline_basis(6, (0.0, 1.0))

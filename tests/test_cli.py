@@ -1,11 +1,13 @@
 import io
 import json
+import shutil
 
 import numpy as np
 import pytest
 
-from fofcast import StormRecordSet, write_csv
-from fofcast.cli import main
+from fofcast import ExperimentConfig, StormRecordSet, train_test_split, write_csv
+from fofcast.cli import _load_dataset, main
+from fofcast.experiment import SplitRunner
 from fofcast.ingest import StormRecord
 
 from conftest import rsmc_data_line, rsmc_header, synthetic_tracks
@@ -155,7 +157,9 @@ class TestExportAndLengthStudy:
         assert code == 0
         doc = json.loads(out.read_text())
         split = json.loads((fitted / "split.json").read_text())
-        assert len(doc["features"]) == 3 * len(split["test"])
+        assert len(doc["features"]) == 3 * len(split["test_ids"])
+        assert [f["properties"]["storm_id"] for f in doc["features"][::3]] == \
+            split["test_ids"]
 
     def test_length_study(self, csv_input, tmp_path):
         out = tmp_path / "study"
@@ -176,3 +180,91 @@ def test_help_lists_defaults(capsys):
     for flag in ("--ratio", "--seed", "--k-t", "--k-s", "--ridge", "--k-lat",
                  "--k-lon", "--reps", "--min-cluster-size"):
         assert flag in out
+
+
+def test_fit_rejects_grid_flags(ingested, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--data", str(ingested), "--out", str(tmp_path / "m"),
+              "--k-lat", "7"])
+    assert exc.value.code == 2
+    assert "--k-lat" in capsys.readouterr().err
+
+
+class TestShippedModelIsScored:
+    """``fit`` saves the grid engine's global models, and ``export`` scores
+    them as ``grid`` does."""
+
+    @pytest.fixture(scope="class")
+    def runner(self, ingested):
+        lat, lon, _ = _load_dataset(ingested)
+        config = ExperimentConfig(total_len=32, predictor_len=24)
+        train, test = train_test_split(lat.n_storms, config.ratio, config.seed)
+        return SplitRunner(lat, lon, train, test, config)
+
+    def test_saved_model_is_the_global_model(self, fitted, runner):
+        for coord in ("lat", "lon"):
+            saved = json.loads((fitted / f"{coord}_model.json").read_text())
+            z_mean = (runner.gram @ runner.x_train[coord]).mean(axis=1)
+            np.testing.assert_array_equal(np.array(saved["coefficients"]),
+                                          runner.global_coeffs[coord][0])
+            np.testing.assert_array_equal(np.array(saved["center"]), z_mean)
+
+    def test_export_errors_are_the_global_errors(self, ingested, fitted, runner,
+                                                 tmp_path):
+        out = tmp_path / "export.geojson"
+        assert main(["export", "--data", str(ingested), "--models", str(fitted),
+                     "--out", str(out)]) == 0
+        features = json.loads(out.read_text())["features"]
+        errors = np.array([f["properties"]["avg_dist_km"] for f in features[2::3]])
+        np.testing.assert_allclose(errors, runner.global_errors(), rtol=0, atol=1e-9)
+        assert main(["grid", "--data", str(ingested), "--out", str(tmp_path / "g"),
+                     "--k-lat", "1", "--k-lon", "1", "--reps", "1"]) == 0
+        report = json.loads((tmp_path / "g" / "report.json").read_text())
+        assert abs(errors.mean() - report["global_mean"]) <= 1e-9
+
+
+class TestInputFiles:
+    """Missing or mismatched inputs end in a typed error naming the file."""
+
+    def test_model_without_a_key(self, ingested, fitted, tmp_path, capsys):
+        models = shutil.copytree(fitted, tmp_path / "models")
+        model = json.loads((models / "lat_model.json").read_text())
+        del model["coefficients"]
+        (models / "lat_model.json").write_text(json.dumps(model))
+        code = main(["predict", "--data", str(ingested), "--models", str(models),
+                     "--out", str(tmp_path / "fc.geojson")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "lat_model.json" in err and "coefficients" in err
+
+    def test_dataset_without_predictor_len(self, ingested, tmp_path, capsys):
+        data = shutil.copytree(ingested, tmp_path / "data")
+        meta = json.loads((data / "dataset.json").read_text())
+        del meta["predictor_len"]
+        (data / "dataset.json").write_text(json.dumps(meta))
+        code = main(["fit", "--data", str(data), "--out", str(tmp_path / "m")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "dataset.json" in err and "predictor_len" in err
+
+    def test_export_on_fewer_storms(self, ingested, fitted, tmp_path, capsys):
+        # as if re-ingested with a larger --min-len: the first 10 storms stay
+        data = shutil.copytree(ingested, tmp_path / "data")
+        for name in ("lat.csv", "lon.csv"):
+            rows = (data / name).read_text().splitlines()
+            (data / name).write_text(
+                "\n".join(",".join(r.split(",")[:10]) for r in rows) + "\n")
+        code = main(["export", "--data", str(data), "--models", str(fitted),
+                     "--out", str(tmp_path / "x.geojson")])
+        assert code == 4
+        assert "unknown storm ids" in capsys.readouterr().err
+
+    def test_export_on_another_window(self, csv_input, fitted, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert main(["ingest", "--format", "csv", "--input", str(csv_input),
+                     "--total-len", "32", "--predictor-len", "20",
+                     "--out", str(data)]) == 0
+        code = main(["export", "--data", str(data), "--models", str(fitted),
+                     "--out", str(tmp_path / "x.geojson")])
+        assert code == 2
+        assert "split.json" in capsys.readouterr().err

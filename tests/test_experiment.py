@@ -5,12 +5,12 @@ from hypothesis import strategies as st
 
 from fofcast import (ExperimentConfig, GeoPoint, forecasts_to_geojson,
                      haversine, length_study, repeated_simulation, time_grid,
-                     train_test_split, trajectory_error)
-from fofcast.errors import ShapeError, SingularityError
+                     train_test_split)
+from fofcast.errors import SingularityError
 from fofcast.experiment import (EARTH_RADIUS_KM, SplitRunner, _best_cell,
-                                grid_search, ladder)
-from fofcast.ingest import StormRecord, StormRecordSet, TrajectoryWindow
-from fofcast.regression import TrajectoryForecast, fof_forecast
+                                grid_search, ladder, track_errors)
+from fofcast.ingest import StormRecord, StormRecordSet
+from fofcast.regression import fof_forecast
 
 from conftest import synthetic_matrices, two_regime_matrices
 
@@ -51,37 +51,32 @@ class TestHaversine:
 
 
 class TestTrajectoryError:
-    def _forecast(self, points):
-        return TrajectoryForecast(storm_id="X", points=tuple(points))
+    @staticmethod
+    def _error(points, truth):
+        """track_errors of one storm from its q (lat, lon) forecast and truth points."""
+        pred, true = np.array(points), np.array(truth)
+        return float(track_errors(pred[:, :1], pred[:, 1:], true[:, :1], true[:, 1:])[0])
 
     def test_exact_forecast(self):
         pts = [(20.0 + i, 140.0 + i) for i in range(8)]
-        truth = [GeoPoint(lat, lon) for lat, lon in pts]
-        assert trajectory_error(self._forecast(pts), truth) == 0.0
+        assert self._error(pts, pts) == 0.0
 
     def test_one_point_off(self):
         pts = [(20.0, 140.0 + i) for i in range(8)]
-        truth = [GeoPoint(lat, lon) for lat, lon in pts]
         shifted = list(pts)
         shifted[3] = (21.0, 143.0)
         d = haversine(GeoPoint(*pts[3]), GeoPoint(*shifted[3]))
-        err = trajectory_error(self._forecast(shifted), truth)
+        err = self._error(shifted, pts)
         assert abs(err - d / 8.0) < 1e-12
 
     def test_constant_offset(self):
         pts = [(10.0 + i, 130.0 + 2 * i) for i in range(8)]
         offset = [(lat + 0.5, lon + 0.8) for lat, lon in pts]
-        truth = [GeoPoint(lat, lon) for lat, lon in pts]
         oracle = np.mean([
             law_of_cosines_km(GeoPoint(*a), GeoPoint(*b))
             for a, b in zip(offset, pts)])
-        err = trajectory_error(self._forecast(offset), truth)
+        err = self._error(offset, pts)
         assert abs(err - oracle) < 1e-6 * oracle
-
-    def test_length_mismatch(self):
-        truth = [GeoPoint(10.0, 130.0)] * 7
-        with pytest.raises(ShapeError):
-            trajectory_error(self._forecast([(10.0, 130.0)] * 8), truth)
 
 
 class TestBestCell:
@@ -221,8 +216,9 @@ class TestEngine:
             for g, C in zip(codes, coeffs):
                 model = runner.fit_coordinate(
                     coord, np.flatnonzero((member == g).any(axis=0)))
-                ref = np.column_stack([model.alpha_coeffs, model.B])
-                expected = fof_forecast(ref, runner.theta, W + np.r_[0.0, z_mean][:, None])
+                # W moved from the engine's centre to the model's own
+                expected = fof_forecast(model.coefficients, runner.theta,
+                                        W + np.r_[0.0, z_mean - model.center][:, None])
                 np.testing.assert_allclose(fof_forecast(C, runner.theta, W), expected,
                                            rtol=1e-9)
 
@@ -278,34 +274,29 @@ class TestEngine:
 
 class TestGeoJSON:
     def test_longitudes_east_of_180(self):
-        grid = np.linspace(0.0, 1.0, 32)
-        windows, forecasts = [], []
-        for sid, lon0 in (("E", 170.0), ("W", 120.0)):
-            lat, lon = 15.0 + 15.0 * grid, lon0 + 30.0 * grid
-            windows.append(TrajectoryWindow(storm_id=sid, lat_series=lat,
-                                            lon_series=lon, total_length=32,
-                                            predictor_length=24))
-            forecasts.append(TrajectoryForecast(
-                storm_id=sid,
-                points=tuple(zip((lat[24:] + 0.3).tolist(), (lon[24:] + 0.5).tolist()))))
-        doc = forecasts_to_geojson(windows, forecasts)
+        grid = np.linspace(0.0, 1.0, 32)[:, None]
+        lat = np.tile(15.0 + 15.0 * grid, (1, 2))
+        lon = np.array([170.0, 120.0]) + 30.0 * grid     # storms "E" and "W"
+        lat_hat, lon_hat = lat[24:] + 0.3, lon[24:] + 0.5
+        doc = forecasts_to_geojson(["E", "W"], lat, lon, lat_hat, lon_hat)
         features = doc["features"]
         assert len(features) == 6
         for f in features:
             lons = np.array(f["geometry"]["coordinates"])[:, 0]
             assert np.all((-180.0 <= lons) & (lons <= 180.0))
         # positions up to 180 are written unchanged, the others one turn west
-        east = windows[0].lon_series
+        east = lon[:, 0]
         np.testing.assert_array_equal(
             np.array(features[0]["geometry"]["coordinates"])[:, 0],
             np.where(east[:24] > 180.0, east[:24] - 360.0, east[:24]))
         assert features[0]["geometry"]["coordinates"][0][0] == 170.0
         assert features[0]["geometry"]["coordinates"][-1][0] < 0
         # the error is the one of the track as forecast, before wrapping
-        for fc, w, f in zip(forecasts, windows, features[2::3]):
-            truth = [GeoPoint(a, b) for a, b in zip(w.lat_response, w.lon_response)]
-            assert f["properties"]["avg_dist_km"] == pytest.approx(
-                trajectory_error(fc, truth), rel=1e-12)
+        for j, f in enumerate(features[2::3]):
+            expected = np.mean([haversine(GeoPoint(*hat), GeoPoint(*true)) for hat, true
+                                in zip(zip(lat_hat[:, j], lon_hat[:, j]),
+                                       zip(lat[24:, j], lon[24:, j]))])
+            assert f["properties"]["avg_dist_km"] == pytest.approx(expected, rel=1e-12)
 
 
 class TestLengthStudy:

@@ -1,11 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 
 from fofcast import (CurveBundle, basis_matrix, bspline_basis, fit_fof,
                      gram_matrix, predict_trajectory)
-from fofcast.errors import BasisMismatchError, SingularityError
-from fofcast.ingest import DatasetMatrix, TrajectoryWindow, time_grid
-from fofcast.regression import (FoFModel, fof_statistics, predict_fof_batch,
+from fofcast.errors import SingularityError
+from fofcast.ingest import DatasetMatrix, time_grid
+from fofcast.regression import (FoFModel, design, fof_forecast, fof_statistics,
                                 solve_fof)
 
 
@@ -31,15 +33,29 @@ def synthetic_fof(n, seed=0, noise=0.0):
     return X, Y_obs, a_true, B_true, J
 
 
+def forecast(model, C):
+    """q x n forecasts of a model for the predictor coefficient columns C,
+    by the expression ``predict_trajectory`` applies after its curve fit."""
+    return fof_forecast(model.coefficients, basis_matrix(model.response_basis, RESP_GRID),
+                        design(gram_matrix(model.predictor_basis) @ C, model.center))
+
+
+def uncentred(model):
+    """Intercept a and surface B of yhat = theta'(a + B J c)."""
+    B = model.coefficients[:, 1:]
+    return model.coefficients[:, 0] - B @ model.center, B
+
+
 class TestFit:
     def test_generate_and_refit(self):
         X, Y_obs, a_true, B_true, J = synthetic_fof(30, seed=1)
         model = fit_fof(X, Y_obs, RESP_BASIS, ridge=0.0)
-        preds = predict_fof_batch(model, X, RESP_GRID)
+        preds = forecast(model, X.coefficient_matrix)
         np.testing.assert_allclose(preds, Y_obs.values, atol=1e-8)
         # parameters are identifiable here (n > K_t, generic curves)
-        np.testing.assert_allclose(model.alpha_coeffs, a_true, atol=1e-6)
-        np.testing.assert_allclose(model.B, B_true, atol=1e-6)
+        alpha, B = uncentred(model)
+        np.testing.assert_allclose(alpha, a_true, atol=1e-6)
+        np.testing.assert_allclose(B, B_true, atol=1e-6)
 
     def test_identical_responses_intercept_only(self):
         rng = np.random.default_rng(2)
@@ -54,12 +70,13 @@ class TestFit:
         g_fit = Theta @ np.linalg.lstsq(Theta, g, rcond=None)[0]
 
         model = fit_fof(X, Y_obs, RESP_BASIS, ridge=10.0)
-        preds = predict_fof_batch(model, X, RESP_GRID)
+        preds = forecast(model, X.coefficient_matrix)
         np.testing.assert_allclose(preds, np.tile(g_fit[:, None], (1, n)),
                                    atol=1e-3)
         weak = fit_fof(X, Y_obs, RESP_BASIS, ridge=1.0)
         strong = fit_fof(X, Y_obs, RESP_BASIS, ridge=1e6)
-        assert np.linalg.norm(strong.B) < 1e-3 * max(np.linalg.norm(weak.B), 1e-12) + 1e-9
+        strong_B, weak_B = strong.coefficients[:, 1:], weak.coefficients[:, 1:]
+        assert np.linalg.norm(strong_B) < 1e-3 * max(np.linalg.norm(weak_B), 1e-12) + 1e-9
 
     def test_single_sample_singular(self):
         X, Y_obs, *_ = synthetic_fof(1, seed=3)
@@ -69,20 +86,21 @@ class TestFit:
     def test_first_order_optimality(self):
         X, Y_obs, *_ = synthetic_fof(40, seed=4, noise=0.3)
         model = fit_fof(X, Y_obs, RESP_BASIS, ridge=0.0)
+        alpha, B = uncentred(model)
 
         def objective(a, B):
             preds = basis_matrix(RESP_BASIS, RESP_GRID) @ (
-                a[:, None] + B @ (model.predictor_gram @ X.coefficient_matrix))
+                a[:, None] + B @ (gram_matrix(PRED_BASIS) @ X.coefficient_matrix))
             return float(((Y_obs.values - preds) ** 2).sum())
 
-        base = objective(model.alpha_coeffs, model.B)
+        base = objective(alpha, B)
         rng = np.random.default_rng(5)
         for _ in range(10):
-            da = rng.normal(size=model.alpha_coeffs.shape)
-            dB = rng.normal(size=model.B.shape)
+            da = rng.normal(size=alpha.shape)
+            dB = rng.normal(size=B.shape)
             norm = np.sqrt((da**2).sum() + (dB**2).sum())
             da, dB = 1e-3 * da / norm, 1e-3 * dB / norm
-            assert objective(model.alpha_coeffs + da, model.B + dB) >= base - 1e-9
+            assert objective(alpha + da, B + dB) >= base - 1e-9
 
     def test_gradient_matches_finite_differences(self):
         X, Y_obs, *_ = synthetic_fof(20, seed=6, noise=0.5)
@@ -110,19 +128,17 @@ class TestFit:
     def test_refit_stability(self):
         X, Y_obs, *_ = synthetic_fof(30, seed=8, noise=0.4)
         model = fit_fof(X, Y_obs, RESP_BASIS, ridge=0.0)
-        fitted = predict_fof_batch(model, X, RESP_GRID)
+        fitted = forecast(model, X.coefficient_matrix)
         Y2 = DatasetMatrix(values=fitted, time_grid=RESP_GRID,
                            storm_ids=Y_obs.storm_ids)
         model2 = fit_fof(X, Y2, RESP_BASIS, ridge=0.0)
-        np.testing.assert_allclose(predict_fof_batch(model2, X, RESP_GRID),
+        np.testing.assert_allclose(forecast(model2, X.coefficient_matrix),
                                    fitted, atol=1e-8)
 
 
-def predict_one(model, c, basis=PRED_BASIS):
-    """Prediction for one coefficient vector c, through a one-column bundle."""
-    bundle = CurveBundle(basis=basis, coefficient_matrix=np.asarray(c)[:, None],
-                         ids=("x",))
-    return predict_fof_batch(model, bundle, RESP_GRID)[:, 0]
+def predict_one(model, c):
+    """Prediction for one coefficient vector c, as a one-column batch."""
+    return forecast(model, np.asarray(c)[:, None])[:, 0]
 
 
 def test_solve_fof_matches_assembled_systems():
@@ -147,9 +163,10 @@ def test_solve_fof_matches_assembled_systems():
 
 class TestPredict:
     def _model(self, a, B):
+        # regressors centred on 0: a is the intercept of yhat = theta'(a + B J c)
         return FoFModel(predictor_basis=PRED_BASIS, response_basis=RESP_BASIS,
-                        alpha_coeffs=a, B=B,
-                        predictor_gram=gram_matrix(PRED_BASIS), ridge=0.0)
+                        coefficients=np.column_stack([a, B]),
+                        center=np.zeros(PRED_BASIS.K))
 
     def test_zero_surface_returns_intercept(self):
         rng = np.random.default_rng(9)
@@ -180,14 +197,6 @@ class TestPredict:
         pred = predict_one(model, x)
         np.testing.assert_allclose(pred, oracle, rtol=1e-6)
 
-    def test_basis_mismatch(self):
-        rng = np.random.default_rng(11)
-        model = self._model(rng.normal(size=RESP_BASIS.K),
-                            rng.normal(size=(RESP_BASIS.K, PRED_BASIS.K)))
-        other = bspline_basis(6, (0.0, 0.6))
-        with pytest.raises(BasisMismatchError):
-            predict_one(model, np.zeros(6), basis=other)
-
     def test_affine_in_input(self):
         rng = np.random.default_rng(12)
         a = rng.normal(size=RESP_BASIS.K)
@@ -203,13 +212,11 @@ class TestPredict:
 def test_model_serialization_round_trip():
     X, Y_obs, *_ = synthetic_fof(20, seed=15)
     model = fit_fof(X, Y_obs, bspline_basis(4, (0.7, 1.0)))
-    back = FoFModel.from_json(model.to_json())
+    back = FoFModel.from_dict(json.loads(json.dumps(model.to_dict())))
     assert back.predictor_basis == model.predictor_basis
     assert back.response_basis == model.response_basis
-    np.testing.assert_array_equal(back.alpha_coeffs, model.alpha_coeffs)
-    np.testing.assert_array_equal(back.B, model.B)
-    np.testing.assert_array_equal(back.predictor_gram, model.predictor_gram)
-    assert back.ridge == model.ridge
+    np.testing.assert_array_equal(back.coefficients, model.coefficients)
+    np.testing.assert_array_equal(back.center, model.center)
 
 
 class TestTrajectory:
@@ -217,48 +224,46 @@ class TestTrajectory:
     pred_basis = bspline_basis(12, (float(grid[0]), float(grid[23])))
     resp_basis = bspline_basis(6, (float(grid[24]), float(grid[31])))
 
-    def _windows(self, n, seed=13):
+    def _predictors(self, n, seed=13):
+        """P x n latitude and longitude predictor segments."""
         rng = np.random.default_rng(seed)
-        windows = []
-        for i in range(n):
-            lat = 12 + 10 * np.linspace(0, 1, 32) + rng.normal(0, 0.2, 32)
-            lon = 140 - 5 * np.linspace(0, 1, 32) + rng.normal(0, 0.2, 32)
-            windows.append(TrajectoryWindow(
-                storm_id=f"W{i}", lat_series=lat, lon_series=lon,
-                total_length=32, predictor_length=24))
-        return windows
+        lat = 12 + 10 * np.linspace(0, 1, 32)[:, None] + rng.normal(0, 0.2, (32, n))
+        lon = 140 - 5 * np.linspace(0, 1, 32)[:, None] + rng.normal(0, 0.2, (32, n))
+        return lat[:24], lon[:24]
 
     def _model(self, B, seed=14):
         rng = np.random.default_rng(seed)
         return FoFModel(predictor_basis=self.pred_basis,
                         response_basis=self.resp_basis,
-                        alpha_coeffs=rng.normal(size=6), B=B,
-                        predictor_gram=gram_matrix(self.pred_basis), ridge=0.0)
+                        coefficients=np.column_stack([rng.normal(size=6), B]),
+                        center=np.zeros(12))
 
     def test_forecast_point_count(self):
         grid = self.grid
         model = self._model(np.zeros((6, 12)))
-        windows = self._windows(4)
-        forecasts = predict_trajectory(model, model, windows, grid[:24], grid[24:])
-        assert [fc.storm_id for fc in forecasts] == ["W0", "W1", "W2", "W3"]
-        assert all(len(fc.points) == 8 for fc in forecasts)
+        lat, lon = self._predictors(4)
+        lat_hat, lon_hat = predict_trajectory(model, model, lat, lon, grid[:24],
+                                              grid[24:])
+        assert lat_hat.shape == lon_hat.shape == (8, 4)
         # intercept-only models give every storm the same forecast
-        assert all(fc.points == forecasts[0].points for fc in forecasts)
+        assert np.all(lat_hat == lat_hat[:, :1]) and np.all(lon_hat == lon_hat[:, :1])
         # forecasts do not depend on position within the batch
-        again = predict_trajectory(model, model, windows[::-1], grid[:24], grid[24:])
-        assert again[1].points == forecasts[2].points
+        again = predict_trajectory(model, model, lat[:, ::-1], lon[:, ::-1],
+                                   grid[:24], grid[24:])
+        np.testing.assert_array_equal(again[0][:, 1], lat_hat[:, 2])
+        np.testing.assert_array_equal(again[1][:, 1], lon_hat[:, 2])
 
     def test_alone_and_in_batch_agree(self):
         grid = self.grid
         lat_model = self._model(np.random.default_rng(15).normal(size=(6, 12)))
         lon_model = self._model(np.random.default_rng(16).normal(size=(6, 12)),
                                 seed=17)
-        windows = self._windows(4)
-        batch = predict_trajectory(lat_model, lon_model, windows, grid[:24], grid[24:])
-        for j, w in enumerate(windows):
-            alone = predict_trajectory(lat_model, lon_model, [w], grid[:24],
-                                       grid[24:])[0]
+        lat, lon = self._predictors(4)
+        batch = predict_trajectory(lat_model, lon_model, lat, lon, grid[:24], grid[24:])
+        for j in range(4):
+            alone = predict_trajectory(lat_model, lon_model, lat[:, [j]],
+                                       lon[:, [j]], grid[:24], grid[24:])
             # a one-column product runs another BLAS kernel, so the last
             # bits may differ
-            np.testing.assert_allclose(alone.points, batch[j].points,
-                                       rtol=0, atol=1e-9)
+            for a, b in zip(alone, batch):
+                np.testing.assert_allclose(a[:, 0], b[:, j], rtol=0, atol=1e-9)
