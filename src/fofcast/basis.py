@@ -92,11 +92,6 @@ class CurveBundle:
             raise ShapeError("coefficient columns do not match id count")
 
 
-def eval_basis(basis: BasisSystem, t: float) -> np.ndarray:
-    """Evaluate all K basis functions at a single point t."""
-    return basis_matrix(basis, [t])[0]
-
-
 def basis_matrix(basis: BasisSystem, grid: Sequence[float]) -> np.ndarray:
     """p x K matrix of basis values; row j holds the K functions at grid[j].
 

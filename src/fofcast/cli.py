@@ -54,12 +54,19 @@ def _write_matrix_csv(path: Path, matrix: DatasetMatrix) -> None:
 
 
 def _read_matrix_csv(path: Path, total_len: int) -> DatasetMatrix:
+    """The matrix under the storm-id header of ``path``, or a SchemaError naming it."""
     with path.open() as fh:
         rows = list(csv.reader(fh))
-    ids = tuple(rows[0])
-    values = np.array([[float(v) for v in row] for row in rows[1:]])
-    return DatasetMatrix(values=values, time_grid=time_grid(total_len),
-                         storm_ids=ids)
+    try:
+        if not rows:
+            raise ValueError("no header of storm ids")
+        ids = tuple(rows[0])
+        # ragged rows fail in np.array, rows unlike the header in the reshape
+        values = np.array([[float(v) for v in row] for row in rows[1:]])
+        return DatasetMatrix(values=values.reshape(len(rows) - 1, len(ids)),
+                             time_grid=time_grid(total_len), storm_ids=ids)
+    except (ValueError, ShapeError) as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
 
 
 def _read_json(path: Path, parse):
@@ -91,6 +98,9 @@ def _load_dataset(data_dir: Path) -> tuple[DatasetMatrix, DatasetMatrix, dict]:
     meta = _read_json(data_dir / "dataset.json", _window)
     lat = _read_matrix_csv(data_dir / "lat.csv", meta["total_len"])
     lon = _read_matrix_csv(data_dir / "lon.csv", meta["total_len"])
+    if lon.storm_ids != lat.storm_ids:
+        raise SchemaError(f"{data_dir / 'lon.csv'}: storm ids differ from those "
+                          f"of {data_dir / 'lat.csv'} or are in another order")
     return lat, lon, meta
 
 

@@ -7,9 +7,7 @@ longitude are clustered independently; each storm then belongs to a
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -18,44 +16,9 @@ from .errors import ShapeError
 
 @dataclass(frozen=True)
 class KMeansModel:
-    k: int
     centroids: np.ndarray            # k x P
     inertia: float
-    seed: int
     iterations_run: int
-    inertia_trace: tuple[float, ...] = ()
-
-    def __post_init__(self):
-        if self.centroids.shape[0] != self.k:
-            raise ShapeError("centroid count does not match k")
-        if self.inertia < 0:
-            raise ShapeError("inertia must be non-negative")
-
-    @property
-    def segment_length(self) -> int:
-        return self.centroids.shape[1]
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "k": self.k,
-            "P": self.segment_length,
-            "seed": self.seed,
-            "centroids": self.centroids.ravel().tolist(),
-            "inertia": self.inertia,
-            "iterations_run": self.iterations_run,
-            "inertia_trace": list(self.inertia_trace),
-        })
-
-    @staticmethod
-    def from_json(text: str) -> "KMeansModel":
-        d = json.loads(text)
-        return KMeansModel(
-            k=d["k"],
-            centroids=np.array(d["centroids"]).reshape(d["k"], d["P"]),
-            inertia=d["inertia"], seed=d["seed"],
-            iterations_run=d["iterations_run"],
-            inertia_trace=tuple(d["inertia_trace"]),
-        )
 
 
 def _labels(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -90,11 +53,10 @@ def _kmeanspp_init(points: np.ndarray, k: int,
 
 
 def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator,
-           max_iter: int) -> tuple[np.ndarray, int, list[float]]:
-    """Centroids, iterations run and the inertia after each label pass."""
+           max_iter: int) -> tuple[np.ndarray, int, float]:
+    """Centroids, iterations run and the inertia of the final labels."""
     centroids = _kmeanspp_init(points, k, rng)
     labels = _labels(points, centroids)
-    trace = [_inertia(points, centroids, labels)]
     clusters = np.arange(k)[:, None]
     for it in range(1, max_iter + 1):
         counts = np.bincount(labels, minlength=k)
@@ -106,10 +68,9 @@ def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator,
             new_centroids[counts == 0] = points[int(np.argmax(d2))]
         centroids, old_labels = new_centroids, labels
         labels = _labels(points, centroids)
-        trace.append(_inertia(points, centroids, labels))
         if np.array_equal(labels, old_labels):
-            return centroids, it, trace
-    return centroids, max_iter, trace
+            return centroids, it, _inertia(points, centroids, labels)
+    return centroids, max_iter, _inertia(points, centroids, labels)
 
 
 def kmeans_fit(segments: np.ndarray, k: int, seed: int = 0,
@@ -127,25 +88,15 @@ def kmeans_fit(segments: np.ndarray, k: int, seed: int = 0,
     best = None
     for restart in range(n_restarts):
         result = _lloyd(points, k, np.random.default_rng(seed + restart), max_iter)
-        if best is None or result[2][-1] < best[2][-1]:
+        if best is None or result[2] < best[2]:
             best = result
-    centroids, iters, trace = best
-    return KMeansModel(k=k, centroids=centroids, inertia=trace[-1], seed=seed,
-                       iterations_run=iters, inertia_trace=tuple(trace))
-
-
-def assign(model: KMeansModel, segment: Sequence[float]) -> int:
-    """Nearest centroid in squared Euclidean distance; ties go to the lowest index."""
-    segment = np.asarray(segment, dtype=float)
-    if segment.shape != (model.segment_length,):
-        raise ShapeError(
-            f"segment length {segment.shape} does not match centroid length "
-            f"{model.segment_length}")
-    return int(assign_batch(model, segment[None, :])[0])
+    centroids, iters, inertia = best
+    return KMeansModel(centroids=centroids, inertia=inertia, iterations_run=iters)
 
 
 def assign_batch(model: KMeansModel, segments: np.ndarray) -> np.ndarray:
+    """Nearest centroid of each row of ``segments``; ties go to the lowest index."""
     segments = np.asarray(segments, dtype=float)
-    if segments.shape[1] != model.segment_length:
+    if segments.ndim != 2 or segments.shape[1] != model.centroids.shape[1]:
         raise ShapeError("segment length does not match centroid length")
     return _labels(segments, model.centroids)

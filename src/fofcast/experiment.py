@@ -16,7 +16,7 @@ import numpy as np
 
 from .basis import CurveBundle, basis_matrix, bspline_basis, fit_bundle, gram_matrix
 from .clustering import assign_batch, kmeans_fit
-from .errors import ShapeError, ValidationError
+from .errors import ShapeError
 from .ingest import (DatasetMatrix, StormRecordSet, build_matrices, extract_tail,
                      filter_min_length, train_test_split)
 from .regression import (FoFModel, design, fit_fof, fof_forecast, fof_statistics,
@@ -25,22 +25,8 @@ from .regression import (FoFModel, design, fit_fof, fof_forecast, fof_statistics
 EARTH_RADIUS_KM = 6371.0
 
 
-@dataclass(frozen=True)
-class GeoPoint:
-    lat: float
-    lon: float
-
-    def __post_init__(self):
-        if not -90.0 <= self.lat <= 90.0:
-            raise ValidationError(f"latitude {self.lat} outside [-90, 90]")
-
-
-def haversine(p1: GeoPoint, p2: GeoPoint) -> float:
-    """Great-circle distance in km on a sphere of radius 6371 km."""
-    return float(_haversine_arrays(p1.lat, p1.lon, p2.lat, p2.lon))
-
-
-def _haversine_arrays(lat1, lon1, lat2, lon2) -> np.ndarray:
+def haversine(lat1, lon1, lat2, lon2) -> np.ndarray:
+    """Great-circle distance in km, element by element over arrays of degrees."""
     phi1, phi2 = np.radians(lat1), np.radians(lat2)
     dphi = phi2 - phi1
     dlam = np.radians(lon2) - np.radians(lon1)
@@ -50,7 +36,7 @@ def _haversine_arrays(lat1, lon1, lat2, lon2) -> np.ndarray:
 
 def track_errors(lat_hat, lon_hat, lat_true, lon_true) -> np.ndarray:
     """Mean haversine over the response grid per storm; inputs are q x n."""
-    return _haversine_arrays(lat_hat, lon_hat, lat_true, lon_true).mean(axis=0)
+    return haversine(lat_hat, lon_hat, lat_true, lon_true).mean(axis=0)
 
 
 @dataclass(frozen=True)
@@ -271,53 +257,36 @@ def _best_cell(cell_means: np.ndarray) -> tuple[tuple[int, int], float]:
     return (int(i) + 1, int(j) + 1), float(cell_means[i, j])
 
 
-def grid_search(lat_mat: DatasetMatrix, lon_mat: DatasetMatrix,
-                train_idx: np.ndarray, test_idx: np.ndarray,
-                config: ExperimentConfig,
-                kmeans_seed: int | None = None) -> ExperimentReport:
-    """Evaluate every (k_lat, k_lon) on one shared split and clustering set."""
-    runner = SplitRunner(lat_mat, lon_mat, train_idx, test_idx, config,
-                         kmeans_seed=kmeans_seed)
-    cells = np.empty((config.k_lat_max, config.k_lon_max))
-    for i in range(config.k_lat_max):
-        for j in range(config.k_lon_max):
-            cells[i, j] = runner.clustered_errors(i + 1, j + 1).mean()
-    global_error = float(runner.global_errors().mean())
-    best_pair, best_error = _best_cell(cells)
-    return ExperimentReport(
-        config=config, n_storms=lat_mat.n_storms,
-        cell_means=cells, cell_stds=np.zeros_like(cells),
-        global_mean=global_error, global_std=0.0,
-        best_pair=best_pair, best_error=best_error,
-        repetition_traces=[{
-            "seed": int(config.seed), "global_error": global_error,
-            "cells": cells.tolist(),
-        }],
-    )
-
-
 def repeated_simulation(lat_mat: DatasetMatrix, lon_mat: DatasetMatrix,
                         config: ExperimentConfig) -> ExperimentReport:
-    """Average grid search and global evaluation over derived-seed repetitions."""
+    """Every (k_lat, k_lon) cell and the global evaluation on the split of
+    each derived-seed repetition, averaged over the repetitions."""
     n = lat_mat.n_storms
+    shape = (config.k_lat_max, config.k_lon_max)
     rows = []
     traces = []
     for rep in range(config.n_repetitions):
         seed_r = config.seed + rep
         train_idx, test_idx = train_test_split(n, config.ratio, seed_r)
-        rep_report = grid_search(lat_mat, lon_mat, train_idx, test_idx,
-                                 config, kmeans_seed=seed_r)
+        runner = SplitRunner(lat_mat, lon_mat, train_idx, test_idx, config,
+                             kmeans_seed=seed_r)
+        cells = np.empty(shape)
+        for i in range(config.k_lat_max):
+            for j in range(config.k_lon_max):
+                cells[i, j] = runner.clustered_errors(i + 1, j + 1).mean()
+        global_error = float(runner.global_errors().mean())
+        # freed now, this split's caches are gone before the next split's are built
+        del runner
         # the global error rides as one more column, so that it is averaged
         # in the same order as the cells and cell (1,1) stays equal to it
-        rows.append(np.append(rep_report.cell_means.ravel(), rep_report.global_mean))
+        rows.append(np.append(cells.ravel(), global_error))
         traces.append({
             "repetition": rep, "seed": seed_r,
-            "global_error": rep_report.global_mean,
-            "cells": rep_report.cell_means.tolist(),
+            "global_error": global_error,
+            "cells": cells.tolist(),
         })
     stack = np.stack(rows)
     means, stds = stack.mean(axis=0), stack.std(axis=0)
-    shape = (config.k_lat_max, config.k_lon_max)
     cell_means = means[:-1].reshape(shape)
     best_pair, best_error = _best_cell(cell_means)
     return ExperimentReport(

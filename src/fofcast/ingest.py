@@ -141,11 +141,9 @@ def parse_rsmc(stream: TextIO | str) -> list[StormRecordSet]:
     follow; data lines are fixed-width (yymmddhh, indicator, grade, lat*10,
     lon*10, pressure, wind, radii, landfall marker).
     """
-    if isinstance(stream, str):
-        stream = io.StringIO(stream)
-
+    # split in place: a StringIO copy of the text takes 4 bytes a character
+    lines = (stream if isinstance(stream, str) else stream.read()).splitlines()
     storms: list[StormRecordSet] = []
-    lines = stream.readlines()
     i = 0
     while i < len(lines):
         line = lines[i]
@@ -238,6 +236,10 @@ def parse_csv(stream: TextIO | str) -> list[StormRecordSet]:
     for row in reader:
         sid = row["storm_id"]
         try:
+            # a short row leaves its last fields None
+            absent = [c for c in CSV_REQUIRED if row[c] is None]
+            if absent:
+                raise ValidationError(f"missing fields: {', '.join(absent)}")
             rec = StormRecord(
                 time=datetime.strptime(row["time"], TIME_FORMAT),
                 grade=int(row["grade"]) if row.get("grade") else None,
@@ -247,7 +249,7 @@ def parse_csv(stream: TextIO | str) -> list[StormRecordSet]:
                 max_wind=float(row["wind"]) if row.get("wind") else None,
             )
         except (ValueError, ValidationError) as exc:
-            raise ValidationError(f"storm {sid}: {exc}") from exc
+            raise ValidationError(f"line {reader.line_num}: storm {sid}: {exc}") from exc
         by_storm.setdefault(sid, []).append(rec)
         names.setdefault(sid, row.get("name", "") or "")
 
@@ -325,7 +327,9 @@ def build_matrices(windows: Sequence[TrajectoryWindow]
                 f"window {w.storm_id} has length {w.total_length}/{w.predictor_length}, "
                 f"expected {L}/{P}")
     grid = time_grid(L)
-    ids = tuple(w.storm_id for w in windows)
+    # copies, because the parsed ids lie among the freed records and would
+    # keep the memory pages of all of them mapped
+    ids = tuple(w.storm_id.encode().decode() for w in windows)
     lat = np.column_stack([w.lat_series for w in windows])
     lon = np.column_stack([w.lon_series for w in windows])
     return (DatasetMatrix(values=lat, time_grid=grid, storm_ids=ids),

@@ -10,9 +10,9 @@ import time
 import numpy as np
 import pytest
 
-from fofcast import (ExperimentConfig, GeoPoint, basis_matrix,
-                     bspline_basis, eval_basis, filter_min_length,
-                     fit_coefficients, gram_matrix, haversine, kmeans_fit,
+from fofcast import (ExperimentConfig, basis_matrix, bspline_basis,
+                     filter_min_length, fit_coefficients, gram_matrix,
+                     haversine, kmeans_fit,
                      length_study, parse_rsmc, repeated_simulation, time_grid,
                      train_test_split)
 from fofcast.clustering import assign_batch
@@ -22,7 +22,7 @@ from fofcast.regression import design, fit_fof, fof_forecast
 
 from conftest import (archive_path, requires_archive, synthetic_matrices,
                       two_regime_matrices)
-from test_clustering import brute_force_two_partition, partition_of
+from test_clustering import brute_force_two_partition, lloyd_trace, partition_of
 
 
 @pytest.fixture(scope="module")
@@ -164,27 +164,26 @@ class TestCriterion6SyntheticOracles:
 
     def test_c_haversine_oracle(self):
         # independent oracle: the atan2 form of the great-circle distance
-        def vincenty_sphere_km(p1, p2):
-            phi1, phi2 = np.radians(p1.lat), np.radians(p2.lat)
-            dlam = np.radians(p2.lon - p1.lon)
+        def vincenty_sphere_km(lat1, lon1, lat2, lon2):
+            phi1, phi2 = np.radians(lat1), np.radians(lat2)
+            dlam = np.radians(lon2 - lon1)
             num = np.hypot(
                 np.cos(phi2) * np.sin(dlam),
                 np.cos(phi1) * np.sin(phi2)
                 - np.sin(phi1) * np.cos(phi2) * np.cos(dlam))
             den = (np.sin(phi1) * np.sin(phi2)
                    + np.cos(phi1) * np.cos(phi2) * np.cos(dlam))
-            return EARTH_RADIUS_KM * float(np.arctan2(num, den))
+            return EARTH_RADIUS_KM * np.arctan2(num, den)
 
         rng = np.random.default_rng(61)
-        for _ in range(10_000):
-            p1 = GeoPoint(rng.uniform(-90, 90), rng.uniform(0, 360))
-            p2 = GeoPoint(rng.uniform(-90, 90), rng.uniform(0, 360))
-            d = haversine(p1, p2)
-            oracle = vincenty_sphere_km(p1, p2)
-            assert abs(d - oracle) <= 1e-6 * max(oracle, 1e-9)
-        p = GeoPoint(12.3, 222.2)
-        assert haversine(p, p) == 0.0
-        anti = haversine(GeoPoint(0.0, 0.0), GeoPoint(0.0, 180.0))
+        # 10,000 pairs, one (lat1, lon1, lat2, lon2) row each
+        pairs = rng.uniform([-90, 0, -90, 0], [90, 360, 90, 360], size=(10_000, 4)).T
+        d = haversine(*pairs)
+        oracle = vincenty_sphere_km(*pairs)
+        assert d.shape == (10_000,)
+        assert np.all(np.abs(d - oracle) <= 1e-6 * np.maximum(oracle, 1e-9))
+        assert haversine(12.3, 222.2, 12.3, 222.2) == 0.0
+        anti = haversine(0.0, 0.0, 0.0, 180.0)
         assert abs(anti - np.pi * EARTH_RADIUS_KM) < 1e-9
         print("ACCEPTANCE 6c (haversine vs independent oracle): PASS")
 
@@ -203,7 +202,7 @@ class TestCriterion7Properties:
         basis = bspline_basis(12, (0.0, 1.0))
         rng = np.random.default_rng(70)
         ts = rng.uniform(1e-9, 1 - 1e-9, size=1000)
-        sums = np.array([eval_basis(basis, t).sum() for t in ts])
+        sums = basis_matrix(basis, ts).sum(axis=1)
         assert np.abs(sums - 1.0).max() < 1e-12
         print("ACCEPTANCE 7 (partition of unity): PASS")
 
@@ -224,7 +223,8 @@ class TestCriterion7Properties:
         rng = np.random.default_rng(72)
         points = rng.normal(size=(80, 10))
         model = kmeans_fit(points, k=5, seed=3, n_restarts=1)
-        trace = np.array(model.inertia_trace)
+        trace = lloyd_trace(points, k=5, seed=3)
+        assert len(trace) == model.iterations_run + 1
         assert np.all(np.diff(trace) <= 1e-9)
         labels = assign_batch(model, points)
         means = np.array([points[labels == j].mean(axis=0) for j in range(5)])

@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 from scipy.interpolate import BSpline
 
 from fofcast import (BasisSystem, CurveBundle, basis_matrix, bspline_basis,
-                     eval_basis, fit_bundle, fit_coefficients, gram_matrix,
-                     time_grid)
+                     fit_bundle, fit_coefficients, gram_matrix, time_grid)
 from fofcast.errors import DomainError, ShapeError, SingularityError
 from fofcast.ingest import DatasetMatrix
 
@@ -58,11 +57,11 @@ class TestEvalBasis:
     @settings(max_examples=200, deadline=None)
     def test_partition_of_unity(self, t):
         basis = bspline_basis(12, (0.0, 1.0))
-        assert abs(eval_basis(basis, t).sum() - 1.0) < 1e-12
+        assert abs(basis_matrix(basis, [t])[0].sum() - 1.0) < 1e-12
 
     def test_order_one_is_indicator(self):
         basis = bspline_basis(5, (0.0, 1.0), order=1)
-        values = eval_basis(basis, 0.3)
+        values = basis_matrix(basis, [0.3])[0]
         expected = np.zeros(5)
         expected[1] = 1.0  # 0.3 lies in the second of five uniform spans
         np.testing.assert_array_equal(values, expected)
@@ -70,9 +69,9 @@ class TestEvalBasis:
     def test_domain_error(self):
         basis = bspline_basis(6, (0.0, 1.0))
         with pytest.raises(DomainError):
-            eval_basis(basis, 1.5)
+            basis_matrix(basis, [1.5])
         # endpoint tolerance admits tiny overshoot
-        eval_basis(basis, 1.0 + 1e-12)
+        basis_matrix(basis, [1.0 + 1e-12])
 
     def test_domain_error_anywhere_in_grid(self):
         basis = bspline_basis(6, (0.0, 1.0))
@@ -107,7 +106,8 @@ class TestEvalBasis:
         np.testing.assert_allclose(M.sum(axis=1), 1.0, atol=1e-12)
         single = basis_matrix(basis, [0.37])
         assert single.shape == (1, 8)
-        np.testing.assert_array_equal(single[0], eval_basis(basis, 0.37))
+        # a point's row does not depend on the other points of the grid
+        np.testing.assert_array_equal(single[0], basis_matrix(basis, [0.1, 0.37, 0.9])[1])
 
 
 class TestFit:
@@ -194,14 +194,16 @@ class TestFit:
 
 
 class TestEvalCurve:
-    """A curve is a coefficient vector c; its value at t is eval_basis(t) . c."""
+    """A curve is a coefficient vector c; its value at t is the basis_matrix
+    row of t times c."""
 
     def test_zero_and_constant(self):
         basis = bspline_basis(7, (0.0, 1.0))
         zero, const = np.zeros(7), np.full(7, 4.5)
         for t in np.linspace(0, 1, 9):
-            assert float(eval_basis(basis, t) @ zero) == 0.0
-            assert abs(float(eval_basis(basis, t) @ const) - 4.5) < 1e-12
+            row = basis_matrix(basis, [t])[0]
+            assert float(row @ zero) == 0.0
+            assert abs(float(row @ const) - 4.5) < 1e-12
 
     def test_fitted_curve_at_grid(self):
         rng = np.random.default_rng(10)
@@ -209,7 +211,7 @@ class TestEvalCurve:
         grid = np.linspace(0, 1, 20)
         coeffs = fit_coefficients(basis, grid, rng.normal(size=20))
         expected = basis_matrix(basis, grid) @ coeffs
-        actual = [float(eval_basis(basis, t) @ coeffs) for t in grid]
+        actual = [float(basis_matrix(basis, [t])[0] @ coeffs) for t in grid]
         np.testing.assert_allclose(actual, expected, atol=1e-12)
 
 

@@ -86,6 +86,15 @@ class TestIngest:
         assert code == 2
         assert "predictor-len" in capsys.readouterr().err
 
+    def test_csv_row_missing_fields(self, tmp_path, capsys):
+        path = tmp_path / "short.csv"
+        path.write_text("storm_id,time,lat,lon\nA,2005-07-01 00:00:00,15.0\n")
+        code = main(["ingest", "--format", "csv", "--input", str(path),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "line 2" in err and "storm A" in err and "lon" in err
+
 
 class TestPredict:
     def test_single_storm_geojson(self, ingested, fitted, tmp_path):
@@ -268,3 +277,35 @@ class TestInputFiles:
                      "--out", str(tmp_path / "x.geojson")])
         assert code == 2
         assert "split.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", [
+        lambda rows: [],                                         # empty file
+        lambda rows: rows[:5] + ["x" + rows[5]] + rows[6:],      # non-numeric cell
+        lambda rows: rows[:5] + [rows[5] + ",1.0"] + rows[6:],   # ragged row
+        lambda rows: rows + [""],                                # trailing blank line
+        lambda rows: rows[:-1],                                  # dropped row
+    ], ids=["empty", "non-numeric", "ragged", "blank-line", "dropped-row"])
+    def test_damaged_matrix_file(self, ingested, fitted, tmp_path, capsys, damage):
+        data = shutil.copytree(ingested, tmp_path / "data")
+        rows = (data / "lat.csv").read_text().splitlines()
+        (data / "lat.csv").write_text("".join(r + "\n" for r in damage(rows)))
+        code = main(["predict", "--data", str(data), "--models", str(fitted),
+                     "--out", str(tmp_path / "fc.geojson")])
+        assert code == 2
+        assert "lat.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["predict", "export"])
+    @pytest.mark.parametrize("change", ["one-column-fewer", "reordered-ids"])
+    def test_lon_ids_differ_from_lat(self, ingested, fitted, tmp_path, capsys,
+                                     command, change):
+        data = shutil.copytree(ingested, tmp_path / "data")
+        rows = [r.split(",") for r in (data / "lon.csv").read_text().splitlines()]
+        if change == "one-column-fewer":
+            rows = [r[:-1] for r in rows]
+        else:
+            rows[0][:2] = rows[0][1::-1]
+        (data / "lon.csv").write_text("".join(",".join(r) + "\n" for r in rows))
+        code = main([command, "--data", str(data), "--models", str(fitted),
+                     "--out", str(tmp_path / "fc.geojson")])
+        assert code == 2
+        assert "lon.csv" in capsys.readouterr().err

@@ -3,8 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from fofcast import assign, kmeans_fit
-from fofcast.clustering import KMeansModel, assign_batch
+from fofcast import assign_batch, kmeans_fit
+from fofcast.clustering import KMeansModel
 from fofcast.errors import ShapeError
 
 from conftest import synthetic_matrices, two_regime_matrices
@@ -28,6 +28,14 @@ def brute_force_two_partition(points):
                     [frozenset(np.where(mask)[0].tolist()),
                      frozenset(np.where(~mask)[0].tolist())])
     return best_cost, best_partition
+
+
+def lloyd_trace(points, k, seed):
+    """Inertia of a single-restart fit after each of its label passes: the
+    fit stopped after i passes, for i = 0 .. the passes it runs to converge."""
+    full = kmeans_fit(points, k=k, seed=seed, n_restarts=1)
+    return np.array([kmeans_fit(points, k=k, seed=seed, n_restarts=1, max_iter=i).inertia
+                     for i in range(full.iterations_run + 1)])
 
 
 def partition_of(labels):
@@ -80,7 +88,10 @@ class TestKMeansFit:
         rng = np.random.default_rng(3)
         points = rng.normal(size=(60, 8))
         model = kmeans_fit(points, k=4, seed=1, n_restarts=1)
-        trace = np.array(model.inertia_trace)
+        assert model.iterations_run > 0
+        trace = lloyd_trace(points, k=4, seed=1)
+        assert len(trace) == model.iterations_run + 1
+        assert trace[-1] == model.inertia
         assert np.all(np.diff(trace) <= 1e-9)
 
     def test_converged_state_is_fixed_point(self):
@@ -121,45 +132,40 @@ class TestKMeansFit:
 
 
 class TestAssign:
+    @staticmethod
+    def _model(centroids):
+        return KMeansModel(centroids=centroids, inertia=0.0, iterations_run=0)
+
     def test_centroid_maps_to_itself(self):
         rng = np.random.default_rng(7)
         centroids = rng.normal(size=(4, 5))
-        model = KMeansModel(k=4, centroids=centroids, inertia=0.0, seed=0,
-                            iterations_run=0)
-        for j in range(4):
-            assert assign(model, centroids[j]) == j
+        np.testing.assert_array_equal(
+            assign_batch(self._model(centroids), centroids), np.arange(4))
 
     def test_k1_always_zero(self):
-        model = KMeansModel(k=1, centroids=np.zeros((1, 3)), inertia=0.0,
-                            seed=0, iterations_run=0)
-        assert assign(model, [5.0, -2.0, 1.0]) == 0
+        model = self._model(np.zeros((1, 3)))
+        np.testing.assert_array_equal(assign_batch(model, [[5.0, -2.0, 1.0]]), [0])
+
+    def test_ties_go_to_lowest_index(self):
+        centroids = np.array([[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0]])
+        labels = assign_batch(self._model(centroids), [[0.0, 3.0], [1.0, 0.0]])
+        np.testing.assert_array_equal(labels, [0, 0])
 
     def test_matches_linear_scan(self):
         rng = np.random.default_rng(8)
         centroids = rng.normal(size=(6, 9))
-        model = KMeansModel(k=6, centroids=centroids, inertia=0.0, seed=0,
-                            iterations_run=0)
-        for _ in range(50):
-            seg = rng.normal(size=9)
-            dists = [((seg - c) ** 2).sum() for c in centroids]
-            assert assign(model, seg) == int(np.argmin(dists))
+        segments = rng.normal(size=(50, 9))
+        expected = [int(np.argmin([((seg - c) ** 2).sum() for c in centroids]))
+                    for seg in segments]
+        np.testing.assert_array_equal(
+            assign_batch(self._model(centroids), segments), expected)
 
     def test_length_mismatch(self):
-        model = KMeansModel(k=1, centroids=np.zeros((1, 3)), inertia=0.0,
-                            seed=0, iterations_run=0)
+        model = self._model(np.zeros((1, 3)))
         with pytest.raises(ShapeError):
-            assign(model, [1.0, 2.0])
-
-
-def test_serialization_round_trip():
-    rng = np.random.default_rng(10)
-    model = kmeans_fit(rng.normal(size=(20, 6)), k=3, seed=4)
-    back = KMeansModel.from_json(model.to_json())
-    np.testing.assert_array_equal(back.centroids, model.centroids)
-    assert back.k == model.k and back.inertia == model.inertia
-    assert back.iterations_run == model.iterations_run > 0
-    assert back.inertia_trace == model.inertia_trace
-    assert len(model.inertia_trace) == model.iterations_run + 1
+            assign_batch(model, [[1.0, 2.0]])
+        with pytest.raises(ShapeError):
+            assign_batch(model, [1.0, 2.0, 3.0])
 
 
 def test_gemm_labels_match_broadcast_form():

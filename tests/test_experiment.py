@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fofcast import (ExperimentConfig, GeoPoint, forecasts_to_geojson,
-                     haversine, length_study, repeated_simulation, time_grid,
+from fofcast import (ExperimentConfig, forecasts_to_geojson, haversine,
+                     length_study, repeated_simulation, time_grid,
                      train_test_split)
 from fofcast.errors import SingularityError
-from fofcast.experiment import (EARTH_RADIUS_KM, SplitRunner, _best_cell,
-                                grid_search, ladder, track_errors)
+from fofcast.experiment import (EARTH_RADIUS_KM, SplitRunner, _best_cell, ladder,
+                                track_errors)
 from fofcast.ingest import StormRecord, StormRecordSet
 from fofcast.regression import fof_forecast
 
@@ -17,10 +17,12 @@ from conftest import synthetic_matrices, two_regime_matrices
 from datetime import datetime, timedelta
 
 
-def law_of_cosines_km(p1: GeoPoint, p2: GeoPoint) -> float:
-    """Independent great-circle oracle (spherical law of cosines)."""
-    phi1, phi2 = np.radians(p1.lat), np.radians(p2.lat)
-    dlam = np.radians(p2.lon - p1.lon)
+def law_of_cosines_km(p1, p2) -> float:
+    """Independent great-circle oracle (spherical law of cosines) between
+    two (lat, lon) points."""
+    (lat1, lon1), (lat2, lon2) = p1, p2
+    phi1, phi2 = np.radians(lat1), np.radians(lat2)
+    dlam = np.radians(lon2 - lon1)
     cos_d = (np.sin(phi1) * np.sin(phi2)
              + np.cos(phi1) * np.cos(phi2) * np.cos(dlam))
     return EARTH_RADIUS_KM * float(np.arccos(np.clip(cos_d, -1.0, 1.0)))
@@ -28,24 +30,22 @@ def law_of_cosines_km(p1: GeoPoint, p2: GeoPoint) -> float:
 
 class TestHaversine:
     def test_identical_points(self):
-        p = GeoPoint(37.0, 127.3)
-        assert haversine(p, p) == 0.0
+        assert haversine(37.0, 127.3, 37.0, 127.3) == 0.0
 
     def test_half_great_circle(self):
-        d = haversine(GeoPoint(0.0, 0.0), GeoPoint(0.0, 180.0))
+        d = haversine(0.0, 0.0, 0.0, 180.0)
         assert abs(d - np.pi * EARTH_RADIUS_KM) < 1e-9
 
     def test_seoul_tokyo_vs_law_of_cosines(self):
-        p1, p2 = GeoPoint(37.5665, 126.9780), GeoPoint(35.6762, 139.6503)
-        d = haversine(p1, p2)
+        p1, p2 = (37.5665, 126.9780), (35.6762, 139.6503)
+        d = haversine(*p1, *p2)
         assert abs(d - law_of_cosines_km(p1, p2)) < 1e-6 * d
 
     @given(st.floats(-90, 90), st.floats(0, 360 - 1e-9),
            st.floats(-90, 90), st.floats(0, 360 - 1e-9))
     @settings(max_examples=200, deadline=None)
     def test_symmetry_and_bounds(self, lat1, lon1, lat2, lon2):
-        a, b = GeoPoint(lat1, lon1), GeoPoint(lat2, lon2)
-        d_ab, d_ba = haversine(a, b), haversine(b, a)
+        d_ab, d_ba = haversine(lat1, lon1, lat2, lon2), haversine(lat2, lon2, lat1, lon1)
         assert d_ab == d_ba
         assert 0.0 <= d_ab <= np.pi * EARTH_RADIUS_KM + 1e-9
 
@@ -65,7 +65,7 @@ class TestTrajectoryError:
         pts = [(20.0, 140.0 + i) for i in range(8)]
         shifted = list(pts)
         shifted[3] = (21.0, 143.0)
-        d = haversine(GeoPoint(*pts[3]), GeoPoint(*shifted[3]))
+        d = haversine(*pts[3], *shifted[3])
         err = self._error(shifted, pts)
         assert abs(err - d / 8.0) < 1e-12
 
@@ -73,7 +73,7 @@ class TestTrajectoryError:
         pts = [(10.0 + i, 130.0 + 2 * i) for i in range(8)]
         offset = [(lat + 0.5, lon + 0.8) for lat, lon in pts]
         oracle = np.mean([
-            law_of_cosines_km(GeoPoint(*a), GeoPoint(*b))
+            law_of_cosines_km(a, b)
             for a, b in zip(offset, pts)])
         err = self._error(offset, pts)
         assert abs(err - oracle) < 1e-6 * oracle
@@ -94,6 +94,13 @@ def test_config_rejects(field, value):
         ExperimentConfig(**{field: value})
 
 
+def runner_cells(runner, config):
+    """The k_lat_max x k_lon_max mean errors of one split, cell by cell."""
+    return np.array([[runner.clustered_errors(i, j).mean()
+                      for j in range(1, config.k_lon_max + 1)]
+                     for i in range(1, config.k_lat_max + 1)])
+
+
 @pytest.fixture(scope="module")
 def small_dataset():
     return synthetic_matrices(n=80, seed=3, noise=0.15)
@@ -112,8 +119,10 @@ class TestEvaluation:
         lat, lon = small_dataset
         config = ExperimentConfig(n_repetitions=1, k_lat_max=3, k_lon_max=2,
                                   seed=2)
+        report = repeated_simulation(lat, lon, config)
         train, test = train_test_split(lat.n_storms, 0.8, seed=2)
-        report = grid_search(lat, lon, train, test, config)
+        runner = SplitRunner(lat, lon, train, test, config)
+        np.testing.assert_array_equal(report.cell_means, runner_cells(runner, config))
         assert report.cell_means.shape == (3, 2)
         assert np.all(report.cell_means >= 0)
         assert report.cell_means[0, 0] == report.global_mean
@@ -127,9 +136,9 @@ class TestEvaluation:
                                   seed=4)
         rep = repeated_simulation(lat, lon, config)
         train, test = train_test_split(lat.n_storms, 0.8, seed=4)
-        single = grid_search(lat, lon, train, test, config, kmeans_seed=4)
-        np.testing.assert_array_equal(rep.cell_means, single.cell_means)
-        assert rep.global_mean == single.global_mean
+        runner = SplitRunner(lat, lon, train, test, config, kmeans_seed=4)
+        np.testing.assert_array_equal(rep.cell_means, runner_cells(runner, config))
+        assert rep.global_mean == runner.global_errors().mean()
         np.testing.assert_array_equal(rep.cell_stds, 0.0)
 
     def test_global_mean_averaged_like_the_cells(self):
@@ -293,7 +302,7 @@ class TestGeoJSON:
         assert features[0]["geometry"]["coordinates"][-1][0] < 0
         # the error is the one of the track as forecast, before wrapping
         for j, f in enumerate(features[2::3]):
-            expected = np.mean([haversine(GeoPoint(*hat), GeoPoint(*true)) for hat, true
+            expected = np.mean([haversine(*hat, *true) for hat, true
                                 in zip(zip(lat_hat[:, j], lon_hat[:, j]),
                                        zip(lat[24:, j], lon[24:, j]))])
             assert f["properties"]["avg_dist_km"] == pytest.approx(expected, rel=1e-12)
