@@ -35,8 +35,8 @@ def make_storms(n: int, length: int, seed: int) -> list[StormRecordSet]:
             StormRecord(time=start + timedelta(hours=6 * j), grade=5,
                         lat=float(lat[j]), lon=float(lon[j]))
             for j in range(length))
-        storms.append(StormRecordSet(storm_id=f"D{i:04d}", name="DEMO",
-                                     records=records))
+        storms.append(StormRecordSet.from_records(storm_id=f"D{i:04d}", name="DEMO",
+                                                  records=records))
     return storms
 
 

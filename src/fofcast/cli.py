@@ -28,13 +28,14 @@ from .regression import FoFModel, predict_trajectory
 
 
 def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace,
-                    timings: dict[str, float]) -> None:
+                    timings: dict[str, float], **fields) -> None:
     manifest = {
         "command": command,
         "version": __version__,
         "arguments": {k: str(v) if isinstance(v, Path) else v
                       for k, v in vars(args).items() if k != "func"},
         "timings_s": timings,
+        **fields,
     }
     (out_dir / f"{command}_manifest.json").write_text(
         json.dumps(manifest, indent=2))
@@ -128,10 +129,13 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         print(f"error: input file not found: {args.input}", file=sys.stderr)
         return 2
     storms = _load_storms(args.input, args.format)
-    storms = filter_min_length(storms, args.min_len)
-    windows = [extract_tail(s, args.total_len, args.predictor_len)
-               for s in storms if len(s) >= args.total_len]
+    t_parse = time.perf_counter()
+    kept = [s for s in filter_min_length(storms, args.min_len) if len(s) >= args.total_len]
+    windows = [extract_tail(s, args.total_len, args.predictor_len) for s in kept]
     lat, lon = build_matrices(windows)
+    # the time grid assumes 6-hourly steps; count, not refuse, the others
+    steps = np.diff([s.times[-args.total_len:] for s in kept], axis=1)
+    t_window = time.perf_counter()
     args.out.mkdir(parents=True, exist_ok=True)
     _write_matrix_csv(args.out / "lat.csv", lat)
     _write_matrix_csv(args.out / "lon.csv", lon)
@@ -140,8 +144,13 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         "min_len": args.min_len, "n_storms": lat.n_storms,
         "source_format": args.format, "source_path": str(args.input),
     }, indent=2))
+    t_write = time.perf_counter()
     _write_manifest(args.out, "ingest", args,
-                    {"total": time.perf_counter() - t0})
+                    {"parse": t_parse - t0, "window": t_window - t_parse,
+                     "write": t_write - t_window, "total": t_write - t0},
+                    counts={"storms": len(storms), "records": sum(map(len, storms)),
+                            "windows": len(windows), "irregular_windows":
+                            int(np.any(steps != 6 * 3600, axis=1).sum())})
     print(f"ingested {lat.n_storms} storms "
           f"(L={args.total_len}, P={args.predictor_len}) -> {args.out}")
     return 0

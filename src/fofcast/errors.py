@@ -2,17 +2,17 @@
 
 
 class FofcastError(Exception):
-    """Base class for all package-specific errors."""
-
-
-class ParseError(FofcastError):
-    """Malformed input text (carries a line number when known)."""
+    """Base class for all package-specific errors (with the input line when known)."""
 
     def __init__(self, message: str, line_no: int | None = None):
         if line_no is not None:
             message = f"line {line_no}: {message}"
         super().__init__(message)
         self.line_no = line_no
+
+
+class ParseError(FofcastError):
+    """Malformed input text."""
 
 
 class SchemaError(FofcastError):

@@ -1,17 +1,21 @@
 """Best-track ingestion: parsing, filtering, windowing, matrix assembly.
 
 Storms come either from RSMC Tokyo fixed-width best-track files or from a
-portable CSV interchange format. Downstream modeling only consumes the
-lat/lon series; the remaining best-track variables are parsed and kept but
-never enter the models.
+portable CSV interchange format, and are held as columns. Downstream
+modeling only consumes the lat/lon series; the remaining best-track
+variables are parsed and kept but never enter the models. Checked at
+ingest: latitudes lie in [-90, 90]; longitudes in [0, 360), into which CSV
+longitudes in [-180, 0) are wrapped; times strictly increase per storm.
+The models assume 6-hourly steps, which ``fofcast ingest`` counts, not checks.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
 from typing import Iterable, Sequence, TextIO
 
@@ -20,11 +24,17 @@ import numpy as np
 from .errors import LengthError, ParseError, SchemaError, ShapeError, ValidationError
 
 TIME_FORMAT = "%Y-%m-%d %H:%M:%S"
+# columns [start, stop) of the optional fields (grade, pressure, wind, four
+# radii) in an RSMC data line; the landfall mark '#' is column 71, the last read
+RSMC_OPTIONAL = ((13, 14), (24, 28), (33, 36), (42, 46), (47, 51), (53, 57), (58, 62))
+RSMC_WIDTH = 72
+# bytes that leave an optional field blank: NUL pads a short line
+BLANK = np.isin(np.arange(256), list(b"\x00\t "))
 
 
 @dataclass(frozen=True)
 class StormRecord:
-    """One 6-hourly best-track observation."""
+    """One 6-hourly best-track observation: a row of a StormRecordSet."""
 
     time: datetime
     grade: int | None
@@ -40,40 +50,43 @@ class StormRecord:
     radius_short_30kt: float | None = None
     landfall: bool = False
 
-    def __post_init__(self):
-        if not -90.0 <= self.lat <= 90.0:
-            raise ValidationError(f"latitude {self.lat} outside [-90, 90]")
-        if not 0.0 <= self.lon < 360.0:
-            raise ValidationError(f"longitude {self.lon} outside [0, 360)")
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StormRecordSet:
-    """All observations of one storm, ordered by time."""
+    """All observations of one storm in time order, as columns: int64 ``times`` (s
+    since 1970), lat, lon, StormRecord's optional fields (NaN if absent), landfall."""
 
     storm_id: str
     name: str
-    records: tuple[StormRecord, ...]
-
-    def __post_init__(self):
-        if not self.records:
-            raise ValidationError(f"storm {self.storm_id}: no records")
-        times = [r.time for r in self.records]
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValidationError(
-                f"storm {self.storm_id}: timestamps not strictly increasing"
-            )
+    times: np.ndarray
+    lats: np.ndarray
+    lons: np.ndarray
+    optional: np.ndarray
+    landfall: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.times)
+
+    @classmethod
+    def from_records(cls, storm_id: str, name: str,
+                     records: Sequence[StormRecord]) -> StormRecordSet:
+        """The storm of ``records``, whose times must strictly increase."""
+        times = np.array([r.time for r in records], "datetime64[s]").astype(np.int64)
+        if not records or np.any(np.diff(times) <= 0):
+            raise ValidationError(f"storm {storm_id}: no records or times not increasing")
+        # the fields after time: grade, lat, lon, six optional floats, landfall
+        table = np.array([list(vars(r).values())[1:] for r in records], dtype=float)
+        return cls(storm_id, name, times, table[:, 1], table[:, 2],
+                   table[:, [0, 3, 4, 5, 6, 7, 8]], table[:, 9] == 1)
 
     @property
-    def lats(self) -> np.ndarray:
-        return np.array([r.lat for r in self.records])
-
-    @property
-    def lons(self) -> np.ndarray:
-        return np.array([r.lon for r in self.records])
+    def records(self) -> tuple[StormRecord, ...]:
+        """The observations as rows, built on each call."""
+        rows = zip(self.times.astype("datetime64[s]").tolist(), self.lats.tolist(),
+                   self.lons.tolist(), self.optional.tolist(), self.landfall.tolist())
+        return tuple(StormRecord(t, None if math.isnan(g) else int(g), lat, lon,
+                                 *(None if math.isnan(v) else v for v in rest), landfall=mark)
+                     for t, lat, lon, (g, *rest), mark in rows)
 
 
 @dataclass(frozen=True)
@@ -120,18 +133,82 @@ class DatasetMatrix:
         return self.values.shape[1]
 
 
-def _optional_float(token: str) -> float | None:
-    token = token.strip()
-    if not token:
-        return None
-    value = float(token)
-    # RSMC writes 0 for "no analysis"; treat as absent rather than a value
-    return value if value != 0 else None
+def _rsmc_header(line: str, line_no: int) -> tuple[str, int, str]:
+    """(storm id, declared data line count, name) of an RSMC header line."""
+    tokens = line.split()
+    if not line.startswith("66666") or len(tokens) < 3:
+        raise ParseError(f"expected header '66666 <id> <count>', got {line!r}", line_no)
+    try:
+        n_lines = int(tokens[2])
+    except ValueError as exc:
+        raise ParseError(f"non-numeric record count {tokens[2]!r}", line_no) from exc
+    if n_lines < 1:
+        raise ParseError(f"storm {tokens[1]}: header declares {n_lines} data lines", line_no)
+    return tokens[1], n_lines, line[30:50].strip()
 
 
-def _parse_two_digit_year(yy: int) -> int:
-    # archive spans 1951-2023
-    return 1900 + yy if yy >= 51 else 2000 + yy
+def _columns(lines: list[str], offsets: list[int]) -> tuple[np.ndarray, ...]:
+    """times, lat, lon, optional fields and landfall marks of the RSMC data lines of
+    storms that start at ``offsets``, or ValueError; NumPy converts each field of
+    all lines at once as Python's int() and float() would."""
+    cells = np.array(lines, f"S{RSMC_WIDTH}").view(np.uint8).reshape(len(lines), RSMC_WIDTH)
+
+    def number(start, stop, dtype=np.int64, rows=slice(None)):
+        field = np.ascontiguousarray(cells[rows, start:stop])
+        return field.view(f"S{stop - start}").ravel().astype(dtype)
+
+    yy, month, day, hour = (number(a, a + 2) for a in (0, 2, 4, 6))
+    # the archive spans 1951-2023
+    months = ((yy + np.where(yy >= 51, 1900, 2000) - 1970) * 12
+              + np.clip(month, 1, 12) - 1).astype("datetime64[M]")
+    days = months.astype("datetime64[D]") + (day - 1)   # in another month if no such day
+    if np.any((month < 1) | (month > 12) | (days.astype("datetime64[M]") != months)
+              | (hour < 0) | (hour > 23)):
+        raise ValueError("no such date")
+    times = days.astype(np.int64) * 86400 + hour * 3600
+    opens = np.zeros(len(lines) + 1, bool)
+    opens[offsets] = True
+    if np.any(~opens[1:-1] & (np.diff(times) <= 0)):
+        raise ValueError("times not strictly increasing")
+    lat, lon = number(15, 18) / 10.0, number(19, 23) / 10.0
+    if not np.all((np.abs(lat) <= 90.0) & (lon >= 0.0) & (lon < 360.0)):
+        raise ValueError("latitude outside [-90, 90] or longitude outside [0, 360)")
+    # str.strip() drops a unit separator from an optional field; float() refuses it
+    cells[cells == 0x1f] = ord(" ")
+    optional = np.full((len(lines), len(RSMC_OPTIONAL)), np.nan)
+    for j, (a, b) in enumerate(RSMC_OPTIONAL):
+        present = ~BLANK[cells[:, a:b]].all(axis=1)
+        values = number(a, b, np.float64, present)
+        if j:   # RSMC writes 0 for "no analysis"; a grade of 0 is a grade
+            values[values == 0] = np.nan
+        optional[present, j] = values
+    return times, lat, lon, optional, cells[:, RSMC_WIDTH - 1] == ord("#")
+
+
+def _first_fault(data: list[str], offsets: list[int], blocks: list[tuple],
+                 pending: ParseError | None) -> ParseError:
+    """parse_rsmc's error path: the first fault in file order, storm by storm,
+    then line by line; ``pending`` is a fault that follows all ``blocks``."""
+    for (start, storm_id, n_lines, _), a, b in zip(blocks, offsets, offsets[1:]):
+        block = data[a:b]
+        try:
+            if len(block) == n_lines:
+                _columns(block, [0])
+                continue
+        except ValueError:
+            pass
+        # a storm cut short ends as if a header followed
+        for j, line in enumerate(block + ["66666"] * (len(block) < n_lines)):
+            if line.startswith("66666"):
+                return ParseError(f"storm {storm_id}: header declares {n_lines} "
+                                  f"data lines, found {j}", start)
+            try:
+                _columns([line], [0])
+            except ValueError as exc:
+                return ParseError(f"unparsable data line {line.rstrip()!r} ({exc})",
+                                  start + j + 1)
+        return ParseError(f"storm {storm_id}: timestamps not strictly increasing", start)
+    return pending
 
 
 def parse_rsmc(stream: TextIO | str) -> list[StormRecordSet]:
@@ -139,81 +216,40 @@ def parse_rsmc(stream: TextIO | str) -> list[StormRecordSet]:
 
     Header lines begin with indicator 66666 and declare how many data lines
     follow; data lines are fixed-width (yymmddhh, indicator, grade, lat*10,
-    lon*10, pressure, wind, radii, landfall marker).
+    lon*10, pressure, wind, radii, landfall marker). The headers are read
+    one by one, the data lines of all storms at once. The first fault in
+    file order raises ParseError with its line number.
     """
+    text = stream if isinstance(stream, str) else stream.read()
     # split in place: a StringIO copy of the text takes 4 bytes a character
-    lines = (stream if isinstance(stream, str) else stream.read()).splitlines()
-    storms: list[StormRecordSet] = []
+    lines = text.splitlines()
+    if "\x00" in text:   # NumPy reads NUL as padding; \x01 fails where NUL fails
+        lines = [s if s.startswith("66666") else s.replace("\x00", "\x01") for s in lines]
+    blocks: list[tuple[int, str, int, str]] = []  # (first data line index, id, count, name)
+    offsets, data = [0], []                       # rows of each block in ``data``
     i = 0
     while i < len(lines):
-        line = lines[i]
-        if not line.strip():
+        if not lines[i].strip():
             i += 1
             continue
-        if not line.startswith("66666"):
-            raise ParseError(f"expected header line starting with 66666, got {line!r}",
-                             line_no=i + 1)
-        tokens = line.split()
-        if len(tokens) < 3:
-            raise ParseError("header too short", line_no=i + 1)
-        storm_id = tokens[1]
         try:
-            n_lines = int(tokens[2])
-        except ValueError as exc:
-            raise ParseError(f"non-numeric record count {tokens[2]!r}",
-                             line_no=i + 1) from exc
-        name = line[30:50].strip() if len(line) > 30 else ""
-        records = []
-        for j in range(n_lines):
-            idx = i + 1 + j
-            if idx >= len(lines) or lines[idx].startswith("66666"):
-                raise ParseError(
-                    f"storm {storm_id}: header declares {n_lines} data lines, "
-                    f"found {j}", line_no=i + 1)
-            records.append(_parse_rsmc_data_line(lines[idx], idx + 1))
-        if not records:
-            raise ParseError(f"storm {storm_id}: header declares 0 data lines",
-                             line_no=i + 1)
-        try:
-            storms.append(StormRecordSet(storm_id=storm_id, name=name,
-                                         records=tuple(records)))
-        except ValidationError as exc:
-            raise ParseError(str(exc), line_no=i + 1) from exc
+            storm_id, n_lines, name = _rsmc_header(lines[i], i + 1)
+        except ParseError as exc:
+            raise _first_fault(data, offsets, blocks, exc) from None
+        blocks.append((i + 1, storm_id, n_lines, name))
+        data += lines[i + 1:i + 1 + n_lines]
+        offsets.append(len(data))
         i += 1 + n_lines
-    return storms
-
-
-def _parse_rsmc_data_line(line: str, line_no: int) -> StormRecord:
     try:
-        yy = int(line[0:2])
-        time = datetime(
-            _parse_two_digit_year(yy),
-            int(line[2:4]), int(line[4:6]), int(line[6:8]),
-        )
-        grade_str = line[13:14].strip()
-        grade = int(grade_str) if grade_str else None
-        lat = int(line[15:18]) / 10.0
-        lon = int(line[19:23]) / 10.0
-        pressure = _optional_float(line[24:28]) if len(line) > 24 else None
-        wind = _optional_float(line[33:36]) if len(line) > 33 else None
-        r50_long = _optional_float(line[42:46]) if len(line) > 42 else None
-        r50_short = _optional_float(line[47:51]) if len(line) > 47 else None
-        r30_long = _optional_float(line[53:57]) if len(line) > 53 else None
-        r30_short = _optional_float(line[58:62]) if len(line) > 58 else None
-    except (ValueError, IndexError) as exc:
-        raise ParseError(f"unparsable data line {line.rstrip()!r}",
-                         line_no=line_no) from exc
-    landfall = len(line) > 71 and line[71] == "#"
-    try:
-        return StormRecord(
-            time=time, grade=grade, lat=lat, lon=lon,
-            central_pressure=pressure, max_wind=wind,
-            radius_long_50kt=r50_long, radius_short_50kt=r50_short,
-            radius_long_30kt=r30_long, radius_short_30kt=r30_short,
-            landfall=landfall,
-        )
-    except ValidationError as exc:
-        raise ParseError(str(exc), line_no=line_no) from exc
+        if i > len(lines):
+            raise ValueError("the last storm is cut short")
+        columns = _columns(data, offsets[:-1])
+    except ValueError:
+        raise _first_fault(data, offsets, blocks, None) from None
+    for column in columns:
+        column.flags.writeable = False
+    return [StormRecordSet(storm_id, name, *(column[a:b] for column in columns))
+            for (_, storm_id, _, name), a, b in zip(blocks, offsets, offsets[1:])]
 
 
 CSV_REQUIRED = ("storm_id", "time", "lat", "lon")
@@ -221,17 +257,18 @@ CSV_OPTIONAL = ("grade", "pressure", "wind")
 
 
 def parse_csv(stream: TextIO | str) -> list[StormRecordSet]:
-    """Parse the CSV interchange format (storm_id,time,lat,lon[,extras])."""
+    """Parse the CSV interchange format (storm_id,time,lat,lon[,extras]);
+    longitudes in [-180, 0) are wrapped into [0, 360)."""
     if isinstance(stream, str):
-        stream = io.StringIO(stream)
+        stream = io.StringIO(stream, newline="")   # csv reads the line ends itself
     reader = csv.DictReader(stream)
     if reader.fieldnames is None:
         return []
     missing = [c for c in CSV_REQUIRED if c not in reader.fieldnames]
     if missing:
-        raise SchemaError(f"missing required columns: {', '.join(missing)}")
+        raise SchemaError(f"missing required columns: {', '.join(missing)}", line_no=1)
 
-    by_storm: dict[str, list[StormRecord]] = {}
+    by_storm: dict[str, list[tuple[StormRecord, int]]] = {}
     names: dict[str, str] = {}
     for row in reader:
         sid = row["storm_id"]
@@ -240,30 +277,35 @@ def parse_csv(stream: TextIO | str) -> list[StormRecordSet]:
             absent = [c for c in CSV_REQUIRED if row[c] is None]
             if absent:
                 raise ValidationError(f"missing fields: {', '.join(absent)}")
+            lat, lon = float(row["lat"]), float(row["lon"])
+            if not (-90.0 <= lat <= 90.0 and -180.0 <= lon < 360.0):
+                raise ValidationError(f"latitude {lat} outside [-90, 90] or "
+                                      f"longitude {lon} outside [-180, 360)")
             rec = StormRecord(
                 time=datetime.strptime(row["time"], TIME_FORMAT),
                 grade=int(row["grade"]) if row.get("grade") else None,
-                lat=float(row["lat"]),
-                lon=float(row["lon"]),
+                lat=lat,
+                lon=lon % 360.0,
                 central_pressure=float(row["pressure"]) if row.get("pressure") else None,
                 max_wind=float(row["wind"]) if row.get("wind") else None,
             )
         except (ValueError, ValidationError) as exc:
-            raise ValidationError(f"line {reader.line_num}: storm {sid}: {exc}") from exc
-        by_storm.setdefault(sid, []).append(rec)
+            raise ValidationError(f"storm {sid}: {exc}", line_no=reader.line_num) from exc
+        by_storm.setdefault(sid, []).append((rec, reader.line_num))
         names.setdefault(sid, row.get("name", "") or "")
 
     storms = []
-    for sid, records in by_storm.items():
-        times = [r.time for r in records]
-        if any(b <= a for a, b in zip(times, times[1:])):
-            if len(set(times)) != len(times):
-                raise ValidationError(f"storm {sid}: duplicate timestamps")
+    for sid, rows in by_storm.items():
+        ordered = sorted(rows, key=lambda row: row[0].time)
+        for (a, _), (b, line_no) in zip(ordered, ordered[1:]):
+            if a.time == b.time:
+                raise ValidationError(f"storm {sid}: duplicate timestamps",
+                                      line_no=line_no)
+        if ordered != rows:
             warnings.warn(f"storm {sid}: rows out of time order, sorting",
                           stacklevel=2)
-            records = sorted(records, key=lambda r: r.time)
-        storms.append(StormRecordSet(storm_id=sid, name=names[sid],
-                                     records=tuple(records)))
+        storms.append(StormRecordSet.from_records(sid, names[sid],
+                                                  [rec for rec, _ in ordered]))
     return storms
 
 
@@ -299,11 +341,10 @@ def extract_tail(storm: StormRecordSet, total_len: int,
         raise LengthError(
             f"storm {storm.storm_id} has {len(storm)} records, "
             f"needs {total_len}")
-    tail = storm.records[-total_len:]
     return TrajectoryWindow(
         storm_id=storm.storm_id,
-        lat_series=np.array([r.lat for r in tail]),
-        lon_series=np.array([r.lon for r in tail]),
+        lat_series=storm.lats[-total_len:],
+        lon_series=storm.lons[-total_len:],
         total_length=total_len,
         predictor_length=predictor_len,
     )
@@ -327,8 +368,8 @@ def build_matrices(windows: Sequence[TrajectoryWindow]
                 f"window {w.storm_id} has length {w.total_length}/{w.predictor_length}, "
                 f"expected {L}/{P}")
     grid = time_grid(L)
-    # copies, because the parsed ids lie among the freed records and would
-    # keep the memory pages of all of them mapped
+    # copies, because the parsed ids lie among the freed parse objects and
+    # would keep the memory pages of all of them mapped
     ids = tuple(w.storm_id.encode().decode() for w in windows)
     lat = np.column_stack([w.lat_series for w in windows])
     lon = np.column_stack([w.lon_series for w in windows])

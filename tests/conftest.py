@@ -34,10 +34,17 @@ def rsmc_header(storm_id: str, n_lines: int, name: str = "TEST") -> str:
     return head.ljust(30) + name.ljust(20) + "20240101"
 
 
-def rsmc_data_line(dt: datetime, lat: float, lon: float, grade: int = 5,
-                   pressure: int = 990, wind: int = 35) -> str:
-    return (f"{dt:%y%m%d%H} 002 {grade} {int(round(lat * 10)):3d} "
-            f"{int(round(lon * 10)):4d} {pressure:4d}     {wind:3d}")
+def rsmc_data_line(dt: datetime, lat: float, lon: float, grade: int | None = 5,
+                   pressure: int = 990, wind: int = 35, radii=None,
+                   landfall: bool = False) -> str:
+    """One data line; ``grade=None`` leaves the grade blank, ``radii`` adds the
+    (long, short) 50 kt and 30 kt radii and ``landfall`` the '#' mark."""
+    line = (f"{dt:%y%m%d%H} 002 {' ' if grade is None else grade} "
+            f"{int(round(lat * 10)):3d} {int(round(lon * 10)):4d} {pressure:4d}     {wind:3d}")
+    if radii is not None:
+        # each pair of radii follows a one-digit direction code
+        line += "     1{:4d} {:4d} 1{:4d} {:4d}".format(*radii)
+    return line.ljust(71) + "#" if landfall else line
 
 
 def make_rsmc_storm(storm_id: str, lats, lons,
@@ -46,6 +53,29 @@ def make_rsmc_storm(storm_id: str, lats, lons,
     lines = [rsmc_header(storm_id, len(lats), name)]
     for i, (lat, lon) in enumerate(zip(lats, lons)):
         lines.append(rsmc_data_line(start + timedelta(hours=6 * i), lat, lon))
+    return "\n".join(lines) + "\n"
+
+
+def mixed_rsmc_text() -> str:
+    """Three storms whose data lines vary every optional part of the layout:
+    lines cut short (inside and after the optional fields), blank grades,
+    absent (0) pressure and wind, radii and landfall marks. The tracks cross
+    the equator, a leap day and the pivot of the two-digit years."""
+    starts = (datetime(1951, 7, 1), datetime(2000, 2, 27, 6), datetime(1999, 12, 30, 18))
+    cuts = (None, 23, 26, None, 30, 36, 44, 60, None, 65)
+    lines = []
+    for s, (start, n) in enumerate(zip(starts, (9, 12, 8))):
+        lines.append(rsmc_header(f"{s + 1:04d}", n, name=f"MIXED {s}"))
+        for i in range(n):
+            line = rsmc_data_line(
+                start + timedelta(hours=6 * i), -3.0 + 1.7 * i + s,
+                (355.0 - 37.1 * i - 80 * s) % 350 + 5,
+                grade=None if i % 4 == 1 else (i + s) % 8,
+                pressure=0 if i % 5 == 2 else 1012 - 9 * i,
+                wind=0 if i % 3 == 0 else 15 + 7 * i,
+                radii=(30 * i, 20 * i, 60 + 5 * i, 40 + i) if i % 2 else None,
+                landfall=i % 3 == 2)
+            lines.append(line[:cuts[(i + s) % len(cuts)]])
     return "\n".join(lines) + "\n"
 
 

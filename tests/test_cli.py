@@ -26,8 +26,8 @@ def csv_input(tmp_path_factory):
             StormRecord(time=start + timedelta(hours=6 * j), grade=4,
                         lat=float(lat_v[j, i]), lon=float(lon_v[j, i]))
             for j in range(40))
-        storms.append(StormRecordSet(storm_id=f"C{i:03d}", name="CLI",
-                                     records=records))
+        storms.append(StormRecordSet.from_records(storm_id=f"C{i:03d}", name="CLI",
+                                                  records=records))
     buf = io.StringIO()
     write_csv(storms, buf)
     path = tmp_path_factory.mktemp("input") / "storms.csv"
@@ -94,6 +94,42 @@ class TestIngest:
         assert code == 2
         err = capsys.readouterr().err
         assert "line 2" in err and "storm A" in err and "lon" in err
+
+    @pytest.mark.parametrize("fmt, text, line_no", [
+        ("rsmc", rsmc_header("0501", 2) + "\n"
+         + rsmc_data_line(datetime(2005, 7, 1), 15.0, 140.0) + "\n"
+         + rsmc_data_line(datetime(2005, 7, 1), 15.5, 139.5) + "\n", 1),    # ParseError
+        ("csv", "storm_id,time,lon\nA,2005-07-01 00:00:00,140.0\n", 1),      # SchemaError
+        ("csv", "storm_id,time,lat,lon\nA,2005-07-01 00:00:00,15.0,140.0\n"
+         "A,2005-07-01 06:00:00,-95.0,140.0\n", 3),                          # ValidationError
+    ])
+    def test_typed_input_errors_exit_2(self, tmp_path, capsys, fmt, text, line_no):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        code = main(["ingest", "--format", fmt, "--input", str(path),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"error: line {line_no}: " in capsys.readouterr().err
+
+    def test_irregular_cadence_is_counted(self, tmp_path, capsys):
+        start = datetime(2012, 8, 1)
+        storms = []
+        for i, gap in enumerate((0, 7, 0)):   # storm C001 pauses a week mid-window
+            hours = [6 * j + 24 * gap * (j >= 20) for j in range(40)]
+            storms.append(StormRecordSet.from_records(f"C{i:03d}", "CLI", [
+                StormRecord(time=start + timedelta(hours=h), grade=4, lat=15.0 + 0.2 * j,
+                            lon=140.0 - 0.3 * j) for j, h in enumerate(hours)]))
+        buf = io.StringIO()
+        write_csv(storms, buf)
+        (tmp_path / "gap.csv").write_text(buf.getvalue())
+        code = main(["ingest", "--format", "csv", "--input", str(tmp_path / "gap.csv"),
+                     "--out", str(tmp_path / "o")])
+        assert code == 0
+        assert capsys.readouterr().out == f"ingested 3 storms (L=32, P=24) -> {tmp_path / 'o'}\n"
+        manifest = json.loads((tmp_path / "o" / "ingest_manifest.json").read_text())
+        assert manifest["counts"] == {"storms": 3, "records": 120, "windows": 3,
+                                      "irregular_windows": 1}
+        assert set(manifest["timings_s"]) == {"parse", "window", "write", "total"}
 
 
 class TestPredict:

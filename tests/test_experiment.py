@@ -320,8 +320,8 @@ class TestLengthStudy:
                             lat=10 + 0.3 * j + rng.normal(0, 0.1),
                             lon=150 - 0.2 * j + rng.normal(0, 0.1))
                 for j in range(length))
-            storms.append(StormRecordSet(storm_id=f"L{i}", name="",
-                                         records=records))
+            storms.append(StormRecordSet.from_records(storm_id=f"L{i}", name="",
+                                                      records=records))
         return storms
 
     def test_lower_triangular_layout(self):

@@ -1,4 +1,6 @@
 import io
+import warnings
+from dataclasses import astuple
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -11,7 +13,7 @@ from fofcast import (build_matrices, extract_tail, filter_min_length,
 from fofcast.errors import LengthError, ParseError, SchemaError, ShapeError, ValidationError
 from fofcast.ingest import StormRecord, StormRecordSet
 
-from conftest import make_rsmc_storm, rsmc_data_line, rsmc_header
+from conftest import make_rsmc_storm, mixed_rsmc_text, rsmc_data_line, rsmc_header
 
 
 def _records(n, start=datetime(2005, 7, 1)):
@@ -22,7 +24,8 @@ def _records(n, start=datetime(2005, 7, 1)):
 
 
 def _storm(storm_id, n):
-    return StormRecordSet(storm_id=storm_id, name="T", records=_records(n))
+    return StormRecordSet.from_records(storm_id=storm_id, name="T",
+                                       records=_records(n))
 
 
 class TestParseRsmc:
@@ -97,6 +100,146 @@ class TestParseRsmc:
             assert len(storm) == i + 2
 
 
+def reference_data_line(line: str) -> tuple:
+    """The StormRecord fields of one RSMC data line, read field by field with
+    Python's int() and float(): the per-line reference for the columnar parse.
+    ValueError or IndexError on a malformed line."""
+    def optional(token: str) -> float | None:
+        token = token.strip()
+        if not token:
+            return None
+        value = float(token)
+        # RSMC writes 0 for "no analysis"
+        return value if value != 0 else None
+
+    yy = int(line[0:2])
+    time = datetime(1900 + yy if yy >= 51 else 2000 + yy,
+                    int(line[2:4]), int(line[4:6]), int(line[6:8]))
+    grade = line[13:14].strip()
+    lat, lon = int(line[15:18]) / 10.0, int(line[19:23]) / 10.0
+    if not (-90.0 <= lat <= 90.0 and 0.0 <= lon < 360.0):
+        raise ValueError("position out of range")
+    return (time, int(grade) if grade else None, lat, lon,
+            *(optional(line[a:b]) if len(line) > a else None
+              for a, b in ((24, 28), (33, 36), (42, 46), (47, 51), (53, 57), (58, 62))),
+            len(line) > 71 and line[71] == "#")
+
+
+def reference_parse(text: str) -> list[tuple[str, str, list[tuple]]]:
+    """(storm id, name, record fields) per storm, or the ParseError at the
+    line where a line-by-line reading of ``text`` meets its first fault."""
+    lines, storms, i = text.splitlines(), [], 0
+    while i < len(lines):
+        line = lines[i]
+        if not line.strip():
+            i += 1
+            continue
+        tokens = line.split()
+        if not line.startswith("66666") or len(tokens) < 3:
+            raise ParseError("not a header", i + 1)
+        try:
+            n_lines = int(tokens[2])
+        except ValueError:
+            raise ParseError("count", i + 1) from None
+        rows = []
+        for j in range(n_lines):
+            if i + 1 + j >= len(lines) or lines[i + 1 + j].startswith("66666"):
+                raise ParseError("storm cut short", i + 1)
+            try:
+                rows.append(reference_data_line(lines[i + 1 + j]))
+            except (ValueError, IndexError):
+                raise ParseError("data line", i + 2 + j) from None
+        if not rows or any(b[0] <= a[0] for a, b in zip(rows, rows[1:])):
+            raise ParseError("no rows or times out of order", i + 1)
+        storms.append((tokens[1], line[30:50].strip(), rows))
+        i += 1 + n_lines
+    return storms
+
+
+def outcome(parse, text: str):
+    """What ``parse`` makes of ``text``: each storm's id, name and record
+    fields (as repr, so floats compare bit for bit), or the error's type and
+    line number."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")   # out-of-order CSV rows are sorted
+            storms = parse(text)
+    except (ParseError, SchemaError, ValidationError) as exc:
+        return type(exc), exc.line_no
+    if parse is reference_parse:
+        return repr(storms)
+    return repr([(s.storm_id, s.name, [astuple(r) for r in s.records]) for s in storms])
+
+
+def mutants(text: str):
+    """A strategy of texts one character, one dropped or one repeated line away."""
+    lines = text.splitlines(keepends=True)
+    char = st.one_of(st.characters(max_codepoint=127), st.characters())
+    replaced = st.tuples(st.integers(0, len(text) - 1), char).map(
+        lambda kc: text[:kc[0]] + kc[1] + text[kc[0] + 1:])
+    dropped = st.integers(0, len(lines) - 1).map(
+        lambda k: "".join(lines[:k] + lines[k + 1:]))
+    repeated = st.integers(0, len(lines) - 1).map(
+        lambda k: "".join(lines[:k + 1] + lines[k:]))
+    return st.one_of(replaced, dropped, repeated)
+
+
+THREE_STORMS = (make_rsmc_storm("0501", [15.0, 15.5, 16.2], [140.0, 139.5, 139.1])
+                + make_rsmc_storm("0502", [10.0, 10.4], [150.0, 149.0])
+                + make_rsmc_storm("0503", [20.0, 21.0, 22.5, 24.1], [130.0, 131.0, 133.2, 136.0],
+                                  start=datetime(2005, 8, 30, 12)))
+
+
+class TestColumnarRsmc:
+    def test_every_column_matches_the_line_by_line_reference(self):
+        text = mixed_rsmc_text()
+        storms = parse_rsmc(text)
+        reference = reference_parse(text)
+        assert [(s.storm_id, s.name) for s in storms] == [r[:2] for r in reference]
+        for storm, (_, _, rows) in zip(storms, reference):
+            assert repr([astuple(r) for r in storm.records]) == repr(rows)
+        # the mix reaches every optional part of the layout
+        fields = [f for s in storms for r in s.records for f in astuple(r)]
+        assert None in fields and True in fields and 0 in fields
+        assert storms[0].lats.flags.writeable is False
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_damaged_text_parses_or_names_its_line(self, data):
+        text = data.draw(mutants(THREE_STORMS))
+        got = outcome(parse_rsmc, text)
+        if isinstance(got, tuple):
+            assert got[0] is ParseError and got[1] is not None
+        if text.isascii():   # a non-ASCII data line is a fault the reference may accept
+            assert got == outcome(reference_parse, text)
+
+    @pytest.mark.parametrize("edits, line_no", [
+        # {line: new text, or None to drop it} on THREE_STORMS: the lines of
+        # storms 0501/0502/0503 are 2-4/6-7/9-12 under headers 1/5/8
+        ({3: "0507010X 002 5 150 1400", 5: "77777"}, 3),
+        ({3: "05070100 002 5 155 1395", 6: "05070100 002 5 xxx 1500"}, 1),
+        ({10: "05083018 002 5 210 3600", 12: None}, 10),
+        ({7: "05070100 002 5 104 1490", 8: "66666 0503"}, 5),
+        ({4: None, 6: "0507010"}, 1),
+        ({9: "05083012 002 5 950 1300", 11: "05083012 002 5 225 1332"}, 9),
+    ])
+    def test_first_fault_in_file_order(self, edits, line_no):
+        lines = THREE_STORMS.splitlines()
+        for k in sorted(edits, reverse=True):
+            lines[k - 1:k] = [] if edits[k] is None else [edits[k]]
+        text = "\n".join(lines) + "\n"
+        assert outcome(parse_rsmc, text) == outcome(reference_parse, text) == (ParseError, line_no)
+
+    def test_nul_and_non_ascii_lines(self):
+        line = rsmc_data_line(datetime(2005, 7, 1, 6), 15.5, 139.5)
+        for bad in (line[:27] + "\x00", line[:26] + "٣" + line[27:], line + " é"):
+            text = (rsmc_header("0501", 2) + "\n"
+                    + rsmc_data_line(datetime(2005, 7, 1), 15.0, 140.0) + "\n" + bad + "\n")
+            with pytest.raises(ParseError) as info:
+                parse_rsmc(text)
+            assert info.value.line_no == 3
+
+
 class TestParseCsv:
     def test_round_trip(self):
         storms = [_storm("A", 5), _storm("B", 3)]
@@ -133,6 +276,47 @@ class TestParseCsv:
                 "A,2005-07-01 00:00:00,15.5,139.0\n")
         with pytest.raises(ValidationError, match="duplicate"):
             parse_csv(text)
+
+    @pytest.mark.parametrize("row, error", [
+        ("A,2005-07-01 00:00:00,15.0,140.0\nA,2005-07-01 0600,15.5,139.0", ValidationError),
+        ("A,2005-07-01 00:00:00,15.0,140.0\nA,2005-07-01 06:00:00,95.5,139.0", ValidationError),
+        ("A,2005-07-01 00:00:00,15.0,140.0\nA,2005-07-01 06:00:00,15.5", ValidationError),
+        ("A,2005-07-01 00:00:00,15.0,140.0\nA,2005-07-01 06:00:00,15.5,360.0", ValidationError),
+        ("A,2005-07-01 00:00:00,15.0,140.0\nA,2005-07-01 00:00:00,15.5,139.0", ValidationError),
+    ])
+    def test_row_errors_carry_line_no(self, row, error):
+        with pytest.raises(error) as info:
+            parse_csv("storm_id,time,lat,lon\n" + row + "\n")
+        assert info.value.line_no == 3
+        assert str(info.value).startswith("line 3: ")
+
+    def test_missing_column_is_line_1(self):
+        with pytest.raises(SchemaError) as info:
+            parse_csv("storm_id,time,lat\nA,2005-07-01 00:00:00,15.0\n")
+        assert info.value.line_no == 1
+
+    def test_west_longitudes_wrap_into_0_360(self):
+        storms = parse_csv("storm_id,time,lat,lon\n"
+                           "A,2005-07-01 00:00:00,15.0,-170.0\n"
+                           "A,2005-07-01 06:00:00,15.5,-180.0\n"
+                           "A,2005-07-01 12:00:00,16.0,179.5\n")
+        np.testing.assert_array_equal(storms[0].lons, [190.0, 180.0, 179.5])
+        buf = io.StringIO()
+        write_csv(storms, buf)
+        assert ",190.0," in buf.getvalue()
+        np.testing.assert_array_equal(parse_csv(buf.getvalue())[0].lons, storms[0].lons)
+        with pytest.raises(ValidationError, match="longitude -180.5"):
+            parse_csv("storm_id,time,lat,lon\nA,2005-07-01 00:00:00,15.0,-180.5\n")
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_damaged_text_parses_or_names_its_line(self, data):
+        buf = io.StringIO()
+        write_csv([_storm("A", 3), _storm("B", 2), _storm("C", 4)], buf)
+        got = outcome(parse_csv, data.draw(mutants(buf.getvalue())))
+        if isinstance(got, tuple):
+            assert got[0] in (ParseError, SchemaError, ValidationError)
+            assert got[1] is not None
 
 
 class TestFilterAndWindow:
