@@ -76,22 +76,6 @@ def bspline_basis(K: int, domain: tuple[float, float],
     return BasisSystem(K=K, domain=domain, order=order, knots=knots)
 
 
-@dataclass(frozen=True)
-class CurveBundle:
-    """A batch of curves sharing one basis: K x n coefficient matrix."""
-
-    basis: BasisSystem
-    coefficient_matrix: np.ndarray
-    ids: tuple[str, ...]
-
-    def __post_init__(self):
-        K, n = self.coefficient_matrix.shape
-        if K != self.basis.K:
-            raise ShapeError("coefficient rows do not match basis dimension")
-        if n != len(self.ids):
-            raise ShapeError("coefficient columns do not match id count")
-
-
 def basis_matrix(basis: BasisSystem, grid: Sequence[float]) -> np.ndarray:
     """p x K matrix of basis values; row j holds the K functions at grid[j].
 
@@ -157,11 +141,10 @@ def fit_coefficients(basis: BasisSystem, grid: Sequence[float],
 
 
 def fit_bundle(basis: BasisSystem, grid: Sequence[float],
-               matrix, ridge: float = 0.0) -> CurveBundle:
-    """Columnwise fit of a DatasetMatrix, reusing a single factorization."""
-    coeffs = fit_coefficients(basis, grid, matrix.values, ridge)
-    return CurveBundle(basis=basis, coefficient_matrix=coeffs,
-                       ids=tuple(matrix.storm_ids))
+               matrix, ridge: float = 0.0) -> np.ndarray:
+    """K x n coefficients of the columns of a DatasetMatrix, from a single
+    factorization."""
+    return fit_coefficients(basis, grid, matrix.values, ridge)
 
 
 def gram_matrix(basis: BasisSystem) -> np.ndarray:

@@ -134,7 +134,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     windows = [extract_tail(s, args.total_len, args.predictor_len) for s in kept]
     lat, lon = build_matrices(windows)
     # the time grid assumes 6-hourly steps; count, not refuse, the others
-    steps = np.diff([s.times[-args.total_len:] for s in kept], axis=1)
+    steps = np.diff([w.times for w in windows], axis=1)
     t_window = time.perf_counter()
     args.out.mkdir(parents=True, exist_ok=True)
     _write_matrix_csv(args.out / "lat.csv", lat)
@@ -165,11 +165,11 @@ def cmd_fit(args: argparse.Namespace) -> int:
     runner = SplitRunner(lat, lon, train_idx, test_idx, config)
     args.out.mkdir(parents=True, exist_ok=True)
     for coord in ("lat", "lon"):
-        model = runner.fit_coordinate(coord, np.arange(len(train_idx)))
+        model = runner.fit_coordinate(coord)
         (args.out / f"{coord}_model.json").write_text(json.dumps(model.to_dict()))
     (args.out / "split.json").write_text(json.dumps({
         "seed": config.seed, "ratio": config.ratio,
-        "train_ids": list(runner.train_ids),
+        "train_ids": [lat.storm_ids[i] for i in train_idx],
         "test_ids": [lat.storm_ids[i] for i in test_idx],
         "total_len": meta["total_len"], "predictor_len": meta["predictor_len"],
     }))

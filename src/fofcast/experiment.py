@@ -14,13 +14,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .basis import CurveBundle, basis_matrix, bspline_basis, fit_bundle, gram_matrix
+from .basis import basis_matrix, bspline_basis, fit_bundle, gram_matrix
 from .clustering import assign_batch, kmeans_fit
 from .errors import ShapeError
 from .ingest import (DatasetMatrix, StormRecordSet, build_matrices, extract_tail,
                      filter_min_length, train_test_split)
-from .regression import (FoFModel, design, fit_fof, fof_forecast, fof_statistics,
-                         solve_fof)
+from .regression import FoFModel, design, fof_forecast, fof_statistics, solve_fof
+# not called here: perfbench/spans.py traces the one-model fit by this name
+from .regression import fit_fof  # noqa: F401
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -59,6 +60,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if not 0 < self.predictor_len < self.total_len:
             raise ValueError("need 0 < predictor_len < total_len")
+        # more basis functions than points leave a curve or model undetermined
+        if self.K_t > self.predictor_len and self.curve_ridge == 0:
+            raise ValueError(f"K_t={self.K_t} exceeds the {self.predictor_len} "
+                             f"predictor points")
+        if self.K_s > self.total_len - self.predictor_len:
+            raise ValueError(f"K_s={self.K_s} exceeds the "
+                             f"{self.total_len - self.predictor_len} response points")
         for name, low in (("k_lat_max", 1), ("k_lon_max", 1), ("n_repetitions", 1),
                           ("min_cluster_size", 1), ("kmeans_restarts", 1), ("ridge", 0)):
             if getattr(self, name) < low:
@@ -163,10 +171,9 @@ class SplitRunner:
         self.gram = gram_matrix(self.predictor_basis)
         self.theta = basis_matrix(self.response_basis, self.response_grid)
         self.eig = np.linalg.eigh(self.theta.T @ self.theta)
-        self.train_ids = tuple(lat_mat.storm_ids[i] for i in self.train_idx)
 
-        self.x_train, self.y_train, self.train_segments = {}, {}, {}
-        self.test_segments, self.stats, self.w_test, self.truth = {}, {}, {}, {}
+        self.train_segments, self.test_segments = {}, {}
+        self.stats, self.center, self.w_test, self.truth = {}, {}, {}, {}
         for coord, v in (("lat", lat_mat.values), ("lon", lon_mat.values)):
             self.train_segments[coord] = v[:P, self.train_idx].T.copy()
             self.test_segments[coord] = v[:P, self.test_idx].T.copy()
@@ -174,30 +181,23 @@ class SplitRunner:
                 self.predictor_basis, self.predictor_grid,
                 DatasetMatrix(values=v[:P], time_grid=self.predictor_grid,
                               storm_ids=lat_mat.storm_ids),
-                ridge=config.curve_ridge).coefficient_matrix
-            self.x_train[coord] = coeffs[:, self.train_idx]
-            self.y_train[coord] = v[P:, self.train_idx]
+                ridge=config.curve_ridge)
             self.truth[coord] = v[P:, self.test_idx]
             # the engine centres the regressors on the training mean, so its
             # intercepts are a + B z_mean
-            z_train = self.gram @ self.x_train[coord]
-            z_mean = z_train.mean(axis=1)
+            z_train = self.gram @ coeffs[:, self.train_idx]
+            z_mean = self.center[coord] = z_train.mean(axis=1)
             self.stats[coord] = fof_statistics(design(z_train, z_mean),
-                                               self.theta.T @ self.y_train[coord])
+                                               self.theta.T @ v[P:, self.train_idx])
             self.w_test[coord] = design(self.gram @ coeffs[:, self.test_idx], z_mean)
         self.global_coeffs = {c: solve_fof(st.sum(axis=0, keepdims=True), self.eig,
                                            config.ridge) for c, st in self.stats.items()}
         self._kmeans_cache: dict = {}
 
-    def fit_coordinate(self, coord: str, cols: np.ndarray) -> FoFModel:
-        """One model of a coordinate on the training columns ``cols``."""
-        bundle = CurveBundle(basis=self.predictor_basis,
-                             coefficient_matrix=self.x_train[coord][:, cols],
-                             ids=tuple(self.train_ids[i] for i in cols))
-        y = DatasetMatrix(values=self.y_train[coord][:, cols],
-                          time_grid=self.response_grid, storm_ids=bundle.ids)
-        return fit_fof(bundle, y, self.response_basis,
-                       ridge=self.config.ridge, predictor_gram=self.gram)
+    def fit_coordinate(self, coord: str) -> FoFModel:
+        """The global model of a coordinate, as the engine solved it."""
+        return FoFModel(self.predictor_basis, self.response_basis,
+                        self.global_coeffs[coord][0], self.center[coord])
 
     def group_models(self, coord: str, onehot: np.ndarray) -> np.ndarray:
         """Coefficients (G x K_s x (1 + K_t)) of the groups of training storms

@@ -90,28 +90,6 @@ class StormRecordSet:
 
 
 @dataclass(frozen=True)
-class TrajectoryWindow:
-    """Fixed-length tail of a storm, split into predictor and response parts."""
-
-    storm_id: str
-    lat_series: np.ndarray
-    lon_series: np.ndarray
-    total_length: int
-    predictor_length: int
-
-    def __post_init__(self):
-        if not 0 < self.predictor_length < self.total_length:
-            raise ShapeError(
-                f"predictor length {self.predictor_length} must lie strictly "
-                f"inside (0, {self.total_length})"
-            )
-        if len(self.lat_series) != self.total_length:
-            raise ShapeError("lat series length does not match total_length")
-        if len(self.lon_series) != self.total_length:
-            raise ShapeError("lon series length does not match total_length")
-
-
-@dataclass(frozen=True)
 class DatasetMatrix:
     """p x n value matrix: rows are time points, columns are storms."""
 
@@ -335,19 +313,21 @@ def filter_min_length(storms: Sequence[StormRecordSet],
 
 
 def extract_tail(storm: StormRecordSet, total_len: int,
-                 predictor_len: int) -> TrajectoryWindow:
-    """Take the last ``total_len`` observations as a trajectory window."""
+                 predictor_len: int) -> StormRecordSet:
+    """The last ``total_len`` observations of a storm, as read-only views, for
+    a window of ``predictor_len`` predictor and the rest response points."""
+    if not 0 < predictor_len < total_len:
+        raise ShapeError(f"predictor length {predictor_len} must lie strictly "
+                         f"inside (0, {total_len})")
     if len(storm) < total_len:
         raise LengthError(
             f"storm {storm.storm_id} has {len(storm)} records, "
             f"needs {total_len}")
-    return TrajectoryWindow(
-        storm_id=storm.storm_id,
-        lat_series=storm.lats[-total_len:],
-        lon_series=storm.lons[-total_len:],
-        total_length=total_len,
-        predictor_length=predictor_len,
-    )
+    columns = [getattr(storm, f)[-total_len:]
+               for f in ("times", "lats", "lons", "optional", "landfall")]
+    for column in columns:
+        column.flags.writeable = False
+    return StormRecordSet(storm.storm_id, storm.name, *columns)
 
 
 def time_grid(total_len: int) -> np.ndarray:
@@ -355,35 +335,34 @@ def time_grid(total_len: int) -> np.ndarray:
     return np.linspace(0.0, 1.0, total_len)
 
 
-def build_matrices(windows: Sequence[TrajectoryWindow]
+def build_matrices(windows: Sequence[StormRecordSet]
                    ) -> tuple[DatasetMatrix, DatasetMatrix]:
-    """Assemble (lat, lon) p x n matrices, one column per window."""
+    """Assemble (lat, lon) p x n matrices, one column per window of equal length."""
     if not windows:
         raise ShapeError("no windows to assemble")
-    L = windows[0].total_length
-    P = windows[0].predictor_length
+    L = len(windows[0])
     for w in windows:
-        if w.total_length != L or w.predictor_length != P:
-            raise ShapeError(
-                f"window {w.storm_id} has length {w.total_length}/{w.predictor_length}, "
-                f"expected {L}/{P}")
+        if len(w) != L:
+            raise ShapeError(f"window {w.storm_id} has {len(w)} records, expected {L}")
     grid = time_grid(L)
     # copies, because the parsed ids lie among the freed parse objects and
     # would keep the memory pages of all of them mapped
     ids = tuple(w.storm_id.encode().decode() for w in windows)
-    lat = np.column_stack([w.lat_series for w in windows])
-    lon = np.column_stack([w.lon_series for w in windows])
+    lat = np.column_stack([w.lats for w in windows])
+    lon = np.column_stack([w.lons for w in windows])
     return (DatasetMatrix(values=lat, time_grid=grid, storm_ids=ids),
             DatasetMatrix(values=lon, time_grid=grid, storm_ids=ids))
 
 
 def train_test_split(n: int, ratio: float,
                      seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded disjoint index partition; train size is floor(ratio * n)."""
+    """Seeded disjoint index partition; train size is floor(ratio * n), and
+    neither part may be empty."""
     if not 0.0 < ratio < 1.0:
         raise ValueError("ratio must be in (0, 1)")
-    if n < 2:
-        raise ValueError("need at least 2 samples to split")
-    perm = np.random.default_rng(seed).permutation(n)
     n_train = int(np.floor(ratio * n))
+    if not 0 < n_train < n:
+        raise ValueError(f"ratio {ratio} of {n} storms leaves {n_train} training "
+                         f"and {n - n_train} test storms; need at least one of each")
+    perm = np.random.default_rng(seed).permutation(n)
     return np.sort(perm[:n_train]), np.sort(perm[n_train:])

@@ -18,10 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .basis import (BasisSystem, CurveBundle, basis_matrix, fit_coefficients,
-                    gram_matrix)
+from .basis import BasisSystem, basis_matrix, fit_coefficients, gram_matrix
 from .errors import ShapeError, SingularityError
-from .ingest import DatasetMatrix
 
 
 @dataclass(frozen=True)
@@ -103,27 +101,28 @@ def solve_fof(stats: np.ndarray, eig: tuple[np.ndarray, np.ndarray],
     return V @ x.transpose(1, 2, 0)
 
 
-def fit_fof(X: CurveBundle, Y_obs: DatasetMatrix, response_basis: BasisSystem,
-            ridge: float = 1e-8,
-            predictor_gram: np.ndarray | None = None) -> FoFModel:
-    """Fit intercept and coefficient surface by joint penalized least squares.
+def fit_fof(predictor_basis: BasisSystem, X: np.ndarray, response_basis: BasisSystem,
+            response_grid: Sequence[float], Y: np.ndarray,
+            ridge: float = 1e-8) -> FoFModel:
+    """One model from the K_t x n predictor coefficients X and the q x n
+    responses Y observed on ``response_grid``.
 
     Minimizes sum_ij (y_i(s_j) - theta(s_j)'a - theta(s_j)'B J c_i)^2
     + ridge * ||B||_F^2 over (a, B): ``solve_fof`` with one group. The
     regressors J c are centred on their training mean z_mean (``design``),
     so the model's intercept column is a + B z_mean in these terms.
     """
-    if Y_obs.values.shape[1] != X.coefficient_matrix.shape[1]:
+    if X.shape[0] != predictor_basis.K:
+        raise ShapeError("coefficient rows do not match basis dimension")
+    if Y.shape[1] != X.shape[1]:
         raise ShapeError("predictor and response sample counts differ")
-    if predictor_gram is None:
-        predictor_gram = gram_matrix(X.basis)
-    Theta = basis_matrix(response_basis, Y_obs.time_grid)      # q x K_s
-    Z = predictor_gram @ X.coefficient_matrix
+    Theta = basis_matrix(response_basis, response_grid)      # q x K_s
+    Z = gram_matrix(predictor_basis) @ X
     z_mean = Z.mean(axis=1)
-    stats = fof_statistics(design(Z, z_mean), Theta.T @ Y_obs.values)
+    stats = fof_statistics(design(Z, z_mean), Theta.T @ Y)
     C = solve_fof(stats.sum(axis=0, keepdims=True), np.linalg.eigh(Theta.T @ Theta),
                   ridge)[0]
-    return FoFModel(predictor_basis=X.basis, response_basis=response_basis,
+    return FoFModel(predictor_basis=predictor_basis, response_basis=response_basis,
                     coefficients=C, center=z_mean)
 
 

@@ -131,21 +131,18 @@ class TestCriterion6SyntheticOracles:
                 time_grid=grid[:P],
                 storm_ids=tuple(ids[i] for i in train_idx))
             from fofcast import fit_bundle
-            bundle = fit_bundle(pred_basis, grid[:P], x_train)
-            y_train = DatasetMatrix(
-                values=coord_mat.values[P:, train_idx], time_grid=grid[P:],
-                storm_ids=x_train.storm_ids)
-            model = fit_fof(bundle, y_train, resp_basis, ridge=0.0,
-                            predictor_gram=J)
+            X = fit_bundle(pred_basis, grid[:P], x_train)
+            y_train = coord_mat.values[P:, train_idx]
+            model = fit_fof(pred_basis, X, resp_basis, grid[P:], y_train, ridge=0.0)
             train_pred = fof_forecast(model.coefficients, Theta, design(
-                J @ bundle.coefficient_matrix, model.center))
-            train_rms = np.sqrt(np.mean((train_pred - y_train.values) ** 2))
+                J @ X, model.center))
+            train_rms = np.sqrt(np.mean((train_pred - y_train) ** 2))
             x_test = DatasetMatrix(
                 values=coord_mat.values[:P, test_idx], time_grid=grid[:P],
                 storm_ids=tuple(ids[i] for i in test_idx))
-            test_bundle = fit_bundle(pred_basis, grid[:P], x_test)
+            X_test = fit_bundle(pred_basis, grid[:P], x_test)
             test_pred = fof_forecast(model.coefficients, Theta, design(
-                J @ test_bundle.coefficient_matrix, model.center))
+                J @ X_test, model.center))
             test_rms = np.sqrt(np.mean(
                 (test_pred - coord_mat.values[P:, test_idx]) ** 2))
             assert train_rms < 1e-6, train_rms

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import BSpline
 
-from fofcast import (BasisSystem, CurveBundle, basis_matrix, bspline_basis,
-                     fit_bundle, fit_coefficients, gram_matrix, time_grid)
+from fofcast import (BasisSystem, basis_matrix, bspline_basis, fit_bundle,
+                     fit_coefficients, gram_matrix, time_grid)
 from fofcast.errors import DomainError, ShapeError, SingularityError
 from fofcast.ingest import DatasetMatrix
 
@@ -142,12 +142,11 @@ class TestFit:
         values = rng.normal(size=(24, 7))
         mat = DatasetMatrix(values=values, time_grid=grid,
                             storm_ids=tuple(f"S{i}" for i in range(7)))
-        bundle = fit_bundle(basis, grid, mat)
-        assert bundle.coefficient_matrix.shape == (12, 7)
+        coeffs = fit_bundle(basis, grid, mat)
+        assert coeffs.shape == (12, 7)
         for j in range(7):
             single = fit_coefficients(basis, grid, values[:, j])
-            np.testing.assert_allclose(bundle.coefficient_matrix[:, j],
-                                       single, atol=1e-12)
+            np.testing.assert_allclose(coeffs[:, j], single, atol=1e-12)
 
     def test_singular_without_ridge(self):
         basis = bspline_basis(12, (0.0, 1.0))
@@ -264,9 +263,5 @@ class TestSerialization:
 
     def test_bad_shapes_rejected(self):
         basis = bspline_basis(8, (0.0, 1.0))
-        with pytest.raises(ShapeError):
-            CurveBundle(basis, np.zeros((5, 1)), ids=("only",))
-        with pytest.raises(ShapeError):
-            CurveBundle(basis, np.zeros((8, 2)), ids=("only",))
         with pytest.raises(ShapeError):
             fit_coefficients(basis, np.linspace(0, 1, 24), np.zeros(23))

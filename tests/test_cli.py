@@ -235,6 +235,38 @@ def test_fit_rejects_grid_flags(ingested, tmp_path, capsys):
     assert "--k-lat" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["fit", "grid"])
+@pytest.mark.parametrize("flags, message", [
+    (["--ratio", "0.005"], "ratio 0.005 of 40 storms leaves 0 training"),
+    (["--k-t", "30"], "K_t=30 exceeds the 24 predictor points"),
+    (["--k-s", "12", "--ridge", "1"], "K_s=12 exceeds the 8 response points"),
+    (["--k-s", "9"], "K_s=9 exceeds the 8 response points"),
+])
+def test_unfittable_settings_are_input_errors(ingested, tmp_path, capsys, command,
+                                              flags, message):
+    out = tmp_path / "out"
+    assert main([command, "--data", str(ingested), "--out", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "ridge > 0" not in err
+    assert not out.exists()
+
+
+def test_fit_solves_each_coordinate_once(ingested, tmp_path, monkeypatch):
+    from fofcast import experiment, regression
+    calls = []
+
+    def counted(solve):
+        def wrapper(*args, **kwargs):
+            calls.append(args[0].shape[0])
+            return solve(*args, **kwargs)
+        return wrapper
+
+    for module in (experiment, regression):
+        monkeypatch.setattr(module, "solve_fof", counted(module.solve_fof))
+    assert main(["fit", "--data", str(ingested), "--out", str(tmp_path / "m")]) == 0
+    assert calls == [1, 1]
+
+
 class TestShippedModelIsScored:
     """``fit`` saves the grid engine's global models, and ``export`` scores
     them as ``grid`` does."""
@@ -249,10 +281,9 @@ class TestShippedModelIsScored:
     def test_saved_model_is_the_global_model(self, fitted, runner):
         for coord in ("lat", "lon"):
             saved = json.loads((fitted / f"{coord}_model.json").read_text())
-            z_mean = (runner.gram @ runner.x_train[coord]).mean(axis=1)
             np.testing.assert_array_equal(np.array(saved["coefficients"]),
                                           runner.global_coeffs[coord][0])
-            np.testing.assert_array_equal(np.array(saved["center"]), z_mean)
+            np.testing.assert_array_equal(np.array(saved["center"]), runner.center[coord])
 
     def test_export_errors_are_the_global_errors(self, ingested, fitted, runner,
                                                  tmp_path):

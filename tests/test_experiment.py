@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fofcast import (ExperimentConfig, forecasts_to_geojson, haversine,
-                     length_study, repeated_simulation, time_grid,
-                     train_test_split)
+from fofcast import (ExperimentConfig, fit_coefficients, fit_fof,
+                     forecasts_to_geojson, haversine, length_study,
+                     repeated_simulation, time_grid, train_test_split)
 from fofcast.errors import SingularityError
 from fofcast.experiment import (EARTH_RADIUS_KM, SplitRunner, _best_cell, ladder,
                                 track_errors)
@@ -88,10 +88,17 @@ class TestBestCell:
 
 
 @pytest.mark.parametrize("field, value", [("min_cluster_size", 0),
-                                          ("kmeans_restarts", 0), ("ridge", -1e-8)])
+                                          ("kmeans_restarts", 0), ("ridge", -1e-8),
+                                          ("K_t", 25), ("K_s", 9)])
 def test_config_rejects(field, value):
     with pytest.raises(ValueError, match=field):
         ExperimentConfig(**{field: value})
+
+
+def test_config_bases_fit_their_points():
+    ExperimentConfig(K_t=24, K_s=8)
+    # a curve ridge determines curves of more coefficients than points
+    ExperimentConfig(K_t=30, curve_ridge=1e-6)
 
 
 def runner_cells(runner, config):
@@ -186,8 +193,9 @@ class TestEngine:
     def test_grouped_models_equal_fit_fof(self, small_dataset):
         lat, lon = small_dataset
         config = ExperimentConfig(n_repetitions=1)
-        train, test = train_test_split(lat.n_storms, 0.8, seed=5)
-        runner = SplitRunner(lat, lon, train, test, config)
+        train_idx, test_idx = train_test_split(lat.n_storms, 0.8, seed=5)
+        runner = SplitRunner(lat, lon, train_idx, test_idx, config)
+        P = config.predictor_len
         k_lat, k_lon = 2, 3
         c = {coord: runner.kmeans_for(coord, k)
              for coord, k in (("lat", k_lat), ("lon", k_lon))}
@@ -220,11 +228,16 @@ class TestEngine:
             # the engine's regressors are centred on the training mean, and
             # a model is compared by its forecasts: its coefficients are only
             # as well determined as the design is conditioned
-            z_mean = (runner.gram @ runner.x_train[coord]).mean(axis=1)
+            values = {"lat": lat, "lon": lon}[coord].values
+            X = fit_coefficients(runner.predictor_basis, runner.predictor_grid,
+                                 values[:P])[:, train_idx]
+            Y = values[P:, train_idx]
+            z_mean = runner.center[coord]
             W = runner.w_test[coord]
             for g, C in zip(codes, coeffs):
-                model = runner.fit_coordinate(
-                    coord, np.flatnonzero((member == g).any(axis=0)))
+                cols = np.flatnonzero((member == g).any(axis=0))
+                model = fit_fof(runner.predictor_basis, X[:, cols], runner.response_basis,
+                                runner.response_grid, Y[:, cols], ridge=config.ridge)
                 # W moved from the engine's centre to the model's own
                 expected = fof_forecast(model.coefficients, runner.theta,
                                         W + np.r_[0.0, z_mean - model.center][:, None])

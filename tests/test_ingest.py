@@ -337,13 +337,24 @@ class TestFilterAndWindow:
     def test_tail_semantics(self):
         storm = _storm("A", 50)
         window = extract_tail(storm, 32, 24)
-        np.testing.assert_array_equal(window.lat_series, storm.lats[18:])
-        np.testing.assert_array_equal(window.lon_series, storm.lons[18:])
+        assert window.storm_id == "A" and len(window) == 32
+        for field in ("times", "lats", "lons", "optional", "landfall"):
+            column = getattr(window, field)
+            np.testing.assert_array_equal(column, getattr(storm, field)[18:])
+            assert not column.flags.writeable
+            assert np.shares_memory(column, getattr(storm, field))
+        # the views are read-only, the storm's own columns are not touched
+        assert storm.lats.flags.writeable
 
     def test_tail_exact_length(self):
         storm = _storm("A", 32)
         window = extract_tail(storm, 32, 24)
-        np.testing.assert_array_equal(window.lat_series, storm.lats)
+        np.testing.assert_array_equal(window.lats, storm.lats)
+
+    @pytest.mark.parametrize("predictor_len", [0, 32, 40, -1])
+    def test_tail_predictor_outside_window(self, predictor_len):
+        with pytest.raises(ShapeError, match="predictor length"):
+            extract_tail(_storm("A", 40), 32, predictor_len)
 
     def test_tail_too_short(self):
         with pytest.raises(LengthError):
@@ -363,7 +374,7 @@ class TestFilterAndWindow:
     def test_build_mixed_lengths(self):
         windows = [extract_tail(_storm("A", 40), 32, 24),
                    extract_tail(_storm("B", 40), 40, 32)]
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match="window B has 40 records, expected 32"):
             build_matrices(windows)
 
 
@@ -376,6 +387,11 @@ class TestSplit:
         train, test = train_test_split(5, 0.8, seed=0)
         assert len(train) == 4 and len(test) == 1
 
+    @pytest.mark.parametrize("n, ratio", [(120, 0.005), (1, 0.8), (0, 0.5)])
+    def test_no_training_storm_refused(self, n, ratio):
+        with pytest.raises(ValueError, match=f"ratio {ratio} of {n} storms leaves 0 training"):
+            train_test_split(n, ratio, seed=0)
+
     def test_determinism(self):
         a = train_test_split(10, 0.8, seed=3)
         b = train_test_split(10, 0.8, seed=3)
@@ -387,7 +403,12 @@ class TestSplit:
            st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=50, deadline=None)
     def test_partition(self, n, ratio, seed):
+        n_train = int(np.floor(ratio * n))
+        if n_train == 0:
+            with pytest.raises(ValueError, match="leaves 0 training"):
+                train_test_split(n, ratio, seed)
+            return
         train, test = train_test_split(n, ratio, seed)
-        assert len(train) == int(np.floor(ratio * n))
+        assert len(train) == n_train
         combined = np.concatenate([train, test])
         np.testing.assert_array_equal(np.sort(combined), np.arange(n))

@@ -3,10 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from fofcast import (CurveBundle, basis_matrix, bspline_basis, fit_fof,
-                     gram_matrix, predict_trajectory)
-from fofcast.errors import SingularityError
-from fofcast.ingest import DatasetMatrix, time_grid
+from fofcast import (basis_matrix, bspline_basis, fit_fof, gram_matrix,
+                     predict_trajectory)
+from fofcast.errors import ShapeError, SingularityError
+from fofcast.ingest import time_grid
 from fofcast.regression import (FoFModel, design, fof_forecast, fof_statistics,
                                 solve_fof)
 
@@ -27,10 +27,12 @@ def synthetic_fof(n, seed=0, noise=0.0):
     Y = Theta @ (a_true[:, None] + B_true @ (J @ C))
     if noise:
         Y = Y + rng.normal(0, noise, Y.shape)
-    ids = tuple(f"S{i}" for i in range(n))
-    X = CurveBundle(basis=PRED_BASIS, coefficient_matrix=C, ids=ids)
-    Y_obs = DatasetMatrix(values=Y, time_grid=RESP_GRID, storm_ids=ids)
-    return X, Y_obs, a_true, B_true, J
+    return C, Y, a_true, B_true, J
+
+
+def fit(C, Y, ridge, response_basis=RESP_BASIS):
+    """``fit_fof`` on predictor coefficients C and responses Y on RESP_GRID."""
+    return fit_fof(PRED_BASIS, C, response_basis, RESP_GRID, Y, ridge=ridge)
 
 
 def forecast(model, C):
@@ -48,10 +50,10 @@ def uncentred(model):
 
 class TestFit:
     def test_generate_and_refit(self):
-        X, Y_obs, a_true, B_true, J = synthetic_fof(30, seed=1)
-        model = fit_fof(X, Y_obs, RESP_BASIS, ridge=0.0)
-        preds = forecast(model, X.coefficient_matrix)
-        np.testing.assert_allclose(preds, Y_obs.values, atol=1e-8)
+        X, Y, a_true, B_true, J = synthetic_fof(30, seed=1)
+        model = fit(X, Y, ridge=0.0)
+        preds = forecast(model, X)
+        np.testing.assert_allclose(preds, Y, atol=1e-8)
         # parameters are identifiable here (n > K_t, generic curves)
         alpha, B = uncentred(model)
         np.testing.assert_allclose(alpha, a_true, atol=1e-6)
@@ -63,35 +65,39 @@ class TestFit:
         C = rng.normal(size=(PRED_BASIS.K, n))
         g = np.sin(np.linspace(0, 3, 8)) + 2.0
         Y = np.tile(g[:, None], (1, n))
-        ids = tuple(f"S{i}" for i in range(n))
-        X = CurveBundle(basis=PRED_BASIS, coefficient_matrix=C, ids=ids)
-        Y_obs = DatasetMatrix(values=Y, time_grid=RESP_GRID, storm_ids=ids)
         Theta = basis_matrix(RESP_BASIS, RESP_GRID)
         g_fit = Theta @ np.linalg.lstsq(Theta, g, rcond=None)[0]
 
-        model = fit_fof(X, Y_obs, RESP_BASIS, ridge=10.0)
-        preds = forecast(model, X.coefficient_matrix)
+        model = fit(C, Y, ridge=10.0)
+        preds = forecast(model, C)
         np.testing.assert_allclose(preds, np.tile(g_fit[:, None], (1, n)),
                                    atol=1e-3)
-        weak = fit_fof(X, Y_obs, RESP_BASIS, ridge=1.0)
-        strong = fit_fof(X, Y_obs, RESP_BASIS, ridge=1e6)
+        weak = fit(C, Y, ridge=1.0)
+        strong = fit(C, Y, ridge=1e6)
         strong_B, weak_B = strong.coefficients[:, 1:], weak.coefficients[:, 1:]
         assert np.linalg.norm(strong_B) < 1e-3 * max(np.linalg.norm(weak_B), 1e-12) + 1e-9
 
     def test_single_sample_singular(self):
-        X, Y_obs, *_ = synthetic_fof(1, seed=3)
+        X, Y, *_ = synthetic_fof(1, seed=3)
         with pytest.raises(SingularityError, match="ridge"):
-            fit_fof(X, Y_obs, RESP_BASIS, ridge=0.0)
+            fit(X, Y, ridge=0.0)
+
+    def test_bad_shapes_rejected(self):
+        X, Y, *_ = synthetic_fof(6, seed=3)
+        with pytest.raises(ShapeError, match="basis dimension"):
+            fit(X[1:], Y, ridge=0.0)
+        with pytest.raises(ShapeError, match="sample counts"):
+            fit(X, Y[:, 1:], ridge=0.0)
 
     def test_first_order_optimality(self):
-        X, Y_obs, *_ = synthetic_fof(40, seed=4, noise=0.3)
-        model = fit_fof(X, Y_obs, RESP_BASIS, ridge=0.0)
+        X, Y, *_ = synthetic_fof(40, seed=4, noise=0.3)
+        model = fit(X, Y, ridge=0.0)
         alpha, B = uncentred(model)
 
         def objective(a, B):
             preds = basis_matrix(RESP_BASIS, RESP_GRID) @ (
-                a[:, None] + B @ (gram_matrix(PRED_BASIS) @ X.coefficient_matrix))
-            return float(((Y_obs.values - preds) ** 2).sum())
+                a[:, None] + B @ (gram_matrix(PRED_BASIS) @ X))
+            return float(((Y - preds) ** 2).sum())
 
         base = objective(alpha, B)
         rng = np.random.default_rng(5)
@@ -103,20 +109,20 @@ class TestFit:
             assert objective(alpha + da, B + dB) >= base - 1e-9
 
     def test_gradient_matches_finite_differences(self):
-        X, Y_obs, *_ = synthetic_fof(20, seed=6, noise=0.5)
+        X, Y, *_ = synthetic_fof(20, seed=6, noise=0.5)
         rng = np.random.default_rng(7)
         a = rng.normal(size=RESP_BASIS.K)
         B = rng.normal(size=(RESP_BASIS.K, PRED_BASIS.K))
         Theta = basis_matrix(RESP_BASIS, RESP_GRID)
         J = gram_matrix(PRED_BASIS)
-        Z = J @ X.coefficient_matrix
+        Z = J @ X
         W = np.vstack([np.ones((1, Z.shape[1])), Z])
         C = np.column_stack([a, B])
 
         def objective(Cmat):
-            return float(((Y_obs.values - Theta @ Cmat @ W) ** 2).sum())
+            return float(((Y - Theta @ Cmat @ W) ** 2).sum())
 
-        analytic = 2.0 * Theta.T @ (Theta @ C @ W - Y_obs.values) @ W.T
+        analytic = 2.0 * Theta.T @ (Theta @ C @ W - Y) @ W.T
         eps = 1e-6
         for idx in [(0, 0), (1, 3), (3, 5), (2, 2)]:
             Cp, Cm = C.copy(), C.copy()
@@ -126,14 +132,11 @@ class TestFit:
             assert abs(fd - analytic[idx]) < 1e-5 * max(abs(fd), 1.0)
 
     def test_refit_stability(self):
-        X, Y_obs, *_ = synthetic_fof(30, seed=8, noise=0.4)
-        model = fit_fof(X, Y_obs, RESP_BASIS, ridge=0.0)
-        fitted = forecast(model, X.coefficient_matrix)
-        Y2 = DatasetMatrix(values=fitted, time_grid=RESP_GRID,
-                           storm_ids=Y_obs.storm_ids)
-        model2 = fit_fof(X, Y2, RESP_BASIS, ridge=0.0)
-        np.testing.assert_allclose(forecast(model2, X.coefficient_matrix),
-                                   fitted, atol=1e-8)
+        X, Y, *_ = synthetic_fof(30, seed=8, noise=0.4)
+        model = fit(X, Y, ridge=0.0)
+        fitted = forecast(model, X)
+        model2 = fit(X, fitted, ridge=0.0)
+        np.testing.assert_allclose(forecast(model2, X), fitted, atol=1e-8)
 
 
 def predict_one(model, c):
@@ -210,8 +213,8 @@ class TestPredict:
 
 
 def test_model_serialization_round_trip():
-    X, Y_obs, *_ = synthetic_fof(20, seed=15)
-    model = fit_fof(X, Y_obs, bspline_basis(4, (0.7, 1.0)))
+    X, Y, *_ = synthetic_fof(20, seed=15)
+    model = fit(X, Y, ridge=1e-8, response_basis=bspline_basis(4, (0.7, 1.0)))
     back = FoFModel.from_dict(json.loads(json.dumps(model.to_dict())))
     assert back.predictor_basis == model.predictor_basis
     assert back.response_basis == model.response_basis
