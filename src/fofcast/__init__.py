@@ -4,7 +4,7 @@ __version__ = "0.1.0"
 
 from .basis import (BasisSystem, basis_matrix, bspline_basis, fit_bundle,
                     fit_coefficients, gram_matrix)
-from .clustering import KMeansModel, assign_batch, kmeans_fit
+from .clustering import KMeansModel, assign_batch, kmeans_fit, kmeans_seeds
 from .experiment import (ExperimentConfig, ExperimentReport,
                          forecasts_to_geojson, haversine, length_study,
                          repeated_simulation)

@@ -2,7 +2,8 @@
 
 Lloyd's algorithm with k-means++ seeding and restarts. Latitude and
 longitude are clustered independently; each storm then belongs to a
-(lat-cluster, lon-cluster) pair.
+(lat-cluster, lon-cluster) pair. A restart's seeds of k are the first k of
+its seeds of any larger k, so one ``kmeans_seeds`` call seeds every k.
 """
 
 from __future__ import annotations
@@ -52,10 +53,11 @@ def _kmeanspp_init(points: np.ndarray, k: int,
     return centroids
 
 
-def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator,
+def _lloyd(points: np.ndarray, centroids: np.ndarray,
            max_iter: int) -> tuple[np.ndarray, int, float]:
-    """Centroids, iterations run and the inertia of the final labels."""
-    centroids = _kmeanspp_init(points, k, rng)
+    """Centroids, iterations run and the inertia of the final labels, from
+    the seeds ``centroids``."""
+    k = len(centroids)
     labels = _labels(points, centroids)
     clusters = np.arange(k)[:, None]
     for it in range(1, max_iter + 1):
@@ -73,9 +75,7 @@ def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator,
     return centroids, max_iter, _inertia(points, centroids, labels)
 
 
-def kmeans_fit(segments: np.ndarray, k: int, seed: int = 0,
-               max_iter: int = 100, n_restarts: int = 10) -> KMeansModel:
-    """Best-of-restarts Lloyd's algorithm; deterministic for a fixed seed."""
+def _points(segments: np.ndarray, k: int, n_restarts: int) -> np.ndarray:
     points = np.asarray(segments, dtype=float)
     if points.ndim != 2:
         raise ShapeError("segments must be an n x P array")
@@ -84,10 +84,42 @@ def kmeans_fit(segments: np.ndarray, k: int, seed: int = 0,
         raise ValueError("k and n_restarts must be >= 1")
     if k > n:
         raise ValueError(f"k={k} exceeds sample count n={n}")
+    return points
+
+
+def kmeans_seeds(segments: np.ndarray, k_max: int, seed: int = 0,
+                 n_restarts: int = 10) -> np.ndarray:
+    """k-means++ seeds (n_restarts x k_max x P) of the restarts
+    ``default_rng(seed + r)``. Each centre is drawn, by one draw of the
+    restart's generator, from the distances to the centres before it, so
+    the seeds of any k <= k_max are the first k rows."""
+    points = _points(segments, k_max, n_restarts)
+    return np.stack([_kmeanspp_init(points, k_max, np.random.default_rng(seed + r))
+                     for r in range(n_restarts)])
+
+
+def kmeans_fit(segments: np.ndarray, k: int, seed: int = 0,
+               max_iter: int = 100, n_restarts: int = 10,
+               init: np.ndarray | None = None) -> KMeansModel:
+    """Best-of-restarts Lloyd's algorithm; deterministic for a fixed seed.
+
+    Restart r starts from ``init[r, :k]``, ``kmeans_seeds`` of any k_max >= k
+    and the same seed giving the fit's own seeds; without ``init`` exactly k
+    centres are seeded.
+    """
+    points = _points(segments, k, n_restarts)
+    if max_iter < 0:
+        raise ValueError(f"max_iter={max_iter} must be >= 0")
+    if init is None:
+        init = kmeans_seeds(points, k, seed, n_restarts)
+    init = np.asarray(init, dtype=float)
+    if (init.ndim != 3 or init.shape[0] != n_restarts or init.shape[1] < k
+            or init.shape[2] != points.shape[1]):
+        raise ShapeError(f"init must be n_restarts x >= {k} x {points.shape[1]}")
 
     best = None
     for restart in range(n_restarts):
-        result = _lloyd(points, k, np.random.default_rng(seed + restart), max_iter)
+        result = _lloyd(points, init[restart, :k], max_iter)
         if best is None or result[2] < best[2]:
             best = result
     centroids, iters, inertia = best

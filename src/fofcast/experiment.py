@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .basis import basis_matrix, bspline_basis, fit_bundle, gram_matrix
-from .clustering import assign_batch, kmeans_fit
+from .clustering import assign_batch, kmeans_fit, kmeans_seeds
 from .errors import ShapeError
 from .ingest import (DatasetMatrix, StormRecordSet, build_matrices, extract_tail,
                      filter_min_length, train_test_split)
@@ -68,7 +68,8 @@ class ExperimentConfig:
             raise ValueError(f"K_s={self.K_s} exceeds the "
                              f"{self.total_len - self.predictor_len} response points")
         for name, low in (("k_lat_max", 1), ("k_lon_max", 1), ("n_repetitions", 1),
-                          ("min_cluster_size", 1), ("kmeans_restarts", 1), ("ridge", 0)):
+                          ("min_cluster_size", 1), ("kmeans_max_iter", 0),
+                          ("kmeans_restarts", 1), ("ridge", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}")
 
@@ -146,9 +147,10 @@ class SplitRunner:
     """Fits and evaluates coordinate models on one train/test split.
 
     Models are group sums of per-storm sufficient statistics, solved in
-    batches: the global ones once, the cluster unions once per (coordinate,
-    k) and, per cell, the pairs that serve a test storm. Cell (1, 1) is
-    served by the global models alone, as is the global evaluation.
+    batches: the global ones once, the cluster unions of every k once per
+    coordinate and, per cell, the pairs of both coordinates that serve a
+    test storm. Cell (1, 1) is served by the global models alone, as is the
+    global evaluation.
     """
 
     def __init__(self, lat_mat: DatasetMatrix, lon_mat: DatasetMatrix,
@@ -199,11 +201,13 @@ class SplitRunner:
         return FoFModel(self.predictor_basis, self.response_basis,
                         self.global_coeffs[coord][0], self.center[coord])
 
-    def group_models(self, coord: str, onehot: np.ndarray) -> np.ndarray:
+    def group_models(self, parts: Sequence[tuple[str, np.ndarray]]) -> np.ndarray:
         """Coefficients (G x K_s x (1 + K_t)) of the groups of training storms
-        marked in the G rows of ``onehot``: one group sum, one solve."""
-        stats = np.tensordot(onehot.astype(float), self.stats[coord], axes=1)
-        return solve_fof(stats, self.eig, self.config.ridge)
+        marked in the rows of each (coordinate, one-hot) part, in order: one
+        group sum per part, one solve for all."""
+        stats = [np.tensordot(onehot.astype(float), self.stats[coord], axes=1)
+                 for coord, onehot in parts]
+        return solve_fof(np.concatenate(stats), self.eig, self.config.ridge)
 
     def global_errors(self) -> np.ndarray:
         """Cell (1, 1), which the global models serve alone."""
@@ -212,20 +216,51 @@ class SplitRunner:
     def kmeans_for(self, coord: str, k: int) -> tuple[np.ndarray, ...]:
         """Cluster labels of the training and test storms of ``coord``, and the
         coefficients of its k union models, then the global one ((k + 1) x
-        K_s x m); a union that is not ``fittable`` holds the global model."""
-        key = (coord, k)
-        if key not in self._kmeans_cache:
-            model = kmeans_fit(self.train_segments[coord], k, seed=self.kmeans_seed,
+        K_s x m); a union that is not ``fittable`` holds the global model.
+
+        k = 1 puts every storm in cluster 0, whose union is the global group.
+        The first k > 1 asked of a coordinate clusters every k up to the
+        coordinate's grid maximum.
+        """
+        if k < 1:
+            raise ValueError(f"k={k} must be >= 1")
+        if (coord, k) not in self._kmeans_cache:
+            if k == 1:
+                self._kmeans_cache[coord, 1] = (
+                    np.zeros(len(self.train_idx), dtype=np.intp),
+                    np.zeros(len(self.test_idx), dtype=np.intp),
+                    np.repeat(self.global_coeffs[coord], 2, axis=0))
+            else:
+                self._cluster(coord, k)
+        return self._kmeans_cache[coord, k]
+
+    def _cluster(self, coord: str, k: int) -> None:
+        """Caches ``kmeans_for`` of every uncached k from 2 to the larger of k
+        and the grid maximum (at most the training count): the restarts are
+        seeded once for the largest k, and the unions of all k are solved in
+        one call."""
+        points = self.train_segments[coord]
+        k_max = {"lat": self.config.k_lat_max, "lon": self.config.k_lon_max}[coord]
+        k_top = max(k, min(k_max, len(points)))
+        seeds = kmeans_seeds(points, k_top, self.kmeans_seed,
+                             self.config.kmeans_restarts)
+        todo = [j for j in range(2, k_top + 1) if (coord, j) not in self._kmeans_cache]
+        fits, parts = [], []
+        for j in todo:
+            model = kmeans_fit(points, j, seed=self.kmeans_seed,
                                max_iter=self.config.kmeans_max_iter,
-                               n_restarts=self.config.kmeans_restarts)
-            train = assign_batch(model, self.train_segments[coord])
-            coeffs = np.repeat(self.global_coeffs[coord], k + 1, axis=0)
-            own = np.flatnonzero(fittable(np.bincount(train, minlength=k),
+                               n_restarts=self.config.kmeans_restarts, init=seeds)
+            train = assign_batch(model, points)
+            own = np.flatnonzero(fittable(np.bincount(train, minlength=j),
                                           self.config.min_cluster_size, len(train)))
-            coeffs[own] = self.group_models(coord, train == own[:, None])
-            self._kmeans_cache[key] = (
-                train, assign_batch(model, self.test_segments[coord]), coeffs)
-        return self._kmeans_cache[key]
+            fits.append((train, assign_batch(model, self.test_segments[coord]), own))
+            parts.append((coord, train == own[:, None]))
+        solved = np.split(self.group_models(parts),
+                          np.cumsum([len(own) for *_, own in fits])[:-1])
+        for j, (train, test, own), models in zip(todo, fits, solved):
+            coeffs = np.repeat(self.global_coeffs[coord], j + 1, axis=0)
+            coeffs[own] = models
+            self._kmeans_cache[coord, j] = (train, test, coeffs)
 
     def clustered_errors(self, k_lat: int, k_lon: int) -> np.ndarray:
         """Pair-local models with the sparse-pair fallback ladder.
@@ -236,18 +271,22 @@ class SplitRunner:
         lat, lon = self.kmeans_for("lat", k_lat), self.kmeans_for("lon", k_lon)
         n_pairs = k_lat * k_lon
         pair_tr, pair_te = lat[0] * k_lon + lon[0], lat[1] * k_lon + lon[1]
-        hats = []
-        for coord, k, (train, test, unions) in (("lat", k_lat, lat),
-                                                ("lon", k_lon, lon)):
+        cached, parts = [], []
+        for coord, k, (train, test, _) in (("lat", k_lat, lat), ("lon", k_lon, lon)):
             member, rungs = ladder(pair_tr, train, pair_te, test, n_pairs, k,
                                    self.config.min_cluster_size)
-            # the pair models are solved here, the others are cached rows
             groups, index = np.unique(rungs, return_inverse=True)
             pairs = groups[groups < n_pairs]
-            coeffs = np.concatenate([
-                self.group_models(coord, member[0] == pairs[:, None]),
-                unions[groups[len(pairs):] - n_pairs]])
-            hats.append(fof_forecast(coeffs[index], self.theta, self.w_test[coord]))
+            cached.append((groups[len(pairs):] - n_pairs, index))
+            parts.append((coord, member[0] == pairs[:, None]))
+        # the pair models of both coordinates are solved here, the others are
+        # cached rows; the group sums stay one per coordinate, since a GEMM's
+        # rounding depends on its row count and merged sums would move models
+        pair_models = np.split(self.group_models(parts), [len(parts[0][1])])
+        hats = [fof_forecast(np.concatenate([models, unions[rows]])[index],
+                             self.theta, self.w_test[coord])
+                for coord, (_, _, unions), (rows, index), models
+                in zip(("lat", "lon"), (lat, lon), cached, pair_models)]
         return track_errors(*hats, self.truth["lat"], self.truth["lon"])
 
 

@@ -2,8 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from fofcast import assign_batch, kmeans_fit
+from fofcast import assign_batch, kmeans_fit, kmeans_seeds
 from fofcast.clustering import KMeansModel
 from fofcast.errors import ShapeError
 
@@ -84,6 +86,16 @@ class TestKMeansFit:
         with pytest.raises(ValueError, match="n_restarts"):
             kmeans_fit(np.zeros((5, 3)), k=2, n_restarts=0)
 
+    def test_negative_max_iter(self):
+        points = np.random.default_rng(12).normal(size=(10, 2))
+        with pytest.raises(ValueError, match="max_iter"):
+            kmeans_fit(points, k=3, max_iter=-2)
+        # no Lloyd pass: the best restart's seeds, scored as they are
+        model = kmeans_fit(points, k=3, max_iter=0, n_restarts=1)
+        assert model.iterations_run == 0
+        np.testing.assert_array_equal(model.centroids,
+                                      kmeans_seeds(points, 3, n_restarts=1)[0])
+
     def test_lloyd_monotone_inertia(self):
         rng = np.random.default_rng(3)
         points = rng.normal(size=(60, 8))
@@ -129,6 +141,49 @@ class TestKMeansFit:
             for group in partition_of(labels_b))
         assert part_a == part_b
         assert abs(a.inertia - b.inertia) < 1e-10
+
+
+@st.composite
+def clumped_points(draw):
+    """Up to 12 points of P <= 3 integer coordinates, drawn with repeats
+    from at most 4 distinct rows, and a k_max <= n that can exceed the
+    distinct count."""
+    n, P = draw(st.integers(1, 12)), draw(st.integers(1, 3))
+    distinct = draw(st.lists(st.lists(st.integers(-3, 3), min_size=P, max_size=P),
+                             min_size=1, max_size=4))
+    rows = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=n, max_size=n))
+    return np.array([distinct[r] for r in rows], dtype=float), draw(st.integers(1, n))
+
+
+class TestSharedSeeds:
+    """``kmeans_seeds`` of k_max seeds the fit of every k <= k_max as the
+    fit's own seeding does."""
+
+    @given(clumped_points(), st.integers(0, 1000), st.integers(1, 3))
+    @settings(max_examples=100, deadline=None)
+    # one distinct point: every centre after the first is drawn with total <= 0
+    @example((np.ones((5, 2)), 5), 3, 2)
+    def test_prefix_fits_equal_own_fits(self, points_k_max, seed, n_restarts):
+        points, k_max = points_k_max
+        seeds = kmeans_seeds(points, k_max, seed, n_restarts)
+        assert seeds.shape == (n_restarts, k_max, points.shape[1])
+        for k in range(1, k_max + 1):
+            shared = kmeans_fit(points, k, seed, n_restarts=n_restarts, init=seeds)
+            own = kmeans_fit(points, k, seed, n_restarts=n_restarts)
+            np.testing.assert_array_equal(shared.centroids, own.centroids)
+            assert shared.inertia == own.inertia
+            assert shared.iterations_run == own.iterations_run
+
+    def test_k_max_exceeds_samples(self):
+        with pytest.raises(ValueError, match="exceeds sample count"):
+            kmeans_seeds(np.zeros((4, 2)), 5)
+
+    # not 3-D, too few restarts, too few centres, centres of the wrong length
+    @pytest.mark.parametrize("shape", [(3, 2), (9, 3, 2), (10, 2, 2), (10, 3, 3)])
+    def test_malformed_init(self, shape):
+        points = np.random.default_rng(13).normal(size=(8, 2))
+        with pytest.raises(ShapeError, match="init"):
+            kmeans_fit(points, k=3, n_restarts=10, init=np.zeros(shape))
 
 
 class TestAssign:

@@ -7,8 +7,9 @@ from fofcast import (ExperimentConfig, fit_coefficients, fit_fof,
                      forecasts_to_geojson, haversine, length_study,
                      repeated_simulation, time_grid, train_test_split)
 from fofcast.errors import SingularityError
-from fofcast.experiment import (EARTH_RADIUS_KM, SplitRunner, _best_cell, ladder,
-                                track_errors)
+from fofcast.clustering import assign_batch, kmeans_fit
+from fofcast.experiment import (EARTH_RADIUS_KM, SplitRunner, _best_cell, fittable,
+                                ladder, track_errors)
 from fofcast.ingest import StormRecord, StormRecordSet
 from fofcast.regression import fof_forecast
 
@@ -89,6 +90,7 @@ class TestBestCell:
 
 @pytest.mark.parametrize("field, value", [("min_cluster_size", 0),
                                           ("kmeans_restarts", 0), ("ridge", -1e-8),
+                                          ("kmeans_max_iter", -5),
                                           ("K_t", 25), ("K_s", 9)])
 def test_config_rejects(field, value):
     with pytest.raises(ValueError, match=field):
@@ -97,6 +99,7 @@ def test_config_rejects(field, value):
 
 def test_config_bases_fit_their_points():
     ExperimentConfig(K_t=24, K_s=8)
+    ExperimentConfig(kmeans_max_iter=0)
     # a curve ridge determines curves of more coefficients than points
     ExperimentConfig(K_t=30, curve_ridge=1e-6)
 
@@ -215,7 +218,7 @@ class TestEngine:
             # pairs are solved per cell; unions and the global model are the
             # cached rows, and a union too small to fit holds the global model
             coeffs = np.concatenate([
-                runner.group_models(coord, member[0] == pairs[:, None]),
+                runner.group_models([(coord, member[0] == pairs[:, None])]),
                 unions[codes[codes >= n_pairs] - n_pairs]])
             np.testing.assert_array_equal(unions[k], runner.global_coeffs[coord][0])
             small = np.setdiff1d(np.arange(k + 1), codes - n_pairs)
@@ -243,6 +246,75 @@ class TestEngine:
                                         W + np.r_[0.0, z_mean - model.center][:, None])
                 np.testing.assert_allclose(fof_forecast(C, runner.theta, W), expected,
                                            rtol=1e-9)
+
+    @staticmethod
+    def _reference_errors(runner, k_lat, k_lon):
+        """``clustered_errors`` from an own k-means fit per coordinate and k,
+        and one ``group_models`` call per coordinate for its unions and one
+        for its pairs."""
+        config, n_pairs = runner.config, k_lat * k_lon
+        clusters = {}
+        for coord, k in (("lat", k_lat), ("lon", k_lon)):
+            model = kmeans_fit(runner.train_segments[coord], k, seed=runner.kmeans_seed,
+                               max_iter=config.kmeans_max_iter,
+                               n_restarts=config.kmeans_restarts)
+            clusters[coord] = (assign_batch(model, runner.train_segments[coord]),
+                               assign_batch(model, runner.test_segments[coord]))
+        (lat_tr, lat_te), (lon_tr, lon_te) = clusters["lat"], clusters["lon"]
+        pair_tr, pair_te = lat_tr * k_lon + lon_tr, lat_te * k_lon + lon_te
+        hats = []
+        for coord, k in (("lat", k_lat), ("lon", k_lon)):
+            train, test = clusters[coord]
+            member, rungs = ladder(pair_tr, train, pair_te, test, n_pairs, k,
+                                   config.min_cluster_size)
+            unions = np.repeat(runner.global_coeffs[coord], k + 1, axis=0)
+            own = np.flatnonzero(fittable(np.bincount(train, minlength=k),
+                                          config.min_cluster_size, len(train)))
+            unions[own] = runner.group_models([(coord, train == own[:, None])])
+            pairs = np.unique(rungs[rungs < n_pairs])
+            coeffs = np.concatenate([
+                runner.group_models([(coord, member[0] == pairs[:, None])]),
+                unions])
+            row = np.where(rungs < n_pairs, np.searchsorted(pairs, rungs),
+                           len(pairs) + rungs - n_pairs)
+            hats.append(fof_forecast(coeffs[row], runner.theta, runner.w_test[coord]))
+        return track_errors(*hats, runner.truth["lat"], runner.truth["lon"])
+
+    def test_cells_equal_independent_fits(self, small_dataset, monkeypatch):
+        # the engine seeds every k of a coordinate at once and solves the
+        # unions of all k, and the pairs of both coordinates, in one call each
+        from fofcast import experiment
+        lat, lon = small_dataset
+        config = ExperimentConfig(n_repetitions=1, k_lat_max=4, k_lon_max=3)
+        train, test = train_test_split(lat.n_storms, 0.8, seed=6)
+        runner = SplitRunner(lat, lon, train, test, config, kmeans_seed=6)
+        calls = {"kmeans_fit": 0, "solve_fof": 0}
+
+        def counted(name, f):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return f(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(experiment, name, counted(name, getattr(experiment, name)))
+        runner.global_errors()
+        assert calls == {"kmeans_fit": 0, "solve_fof": 1}
+        runner.clustered_errors(2, 1)
+        assert calls == {"kmeans_fit": 3, "solve_fof": 3}
+        runner.clustered_errors(1, 3)
+        assert calls == {"kmeans_fit": 5, "solve_fof": 5}
+        monkeypatch.undo()
+        for k_lat in range(1, 5):
+            for k_lon in range(1, 4):
+                np.testing.assert_array_equal(
+                    runner.clustered_errors(k_lat, k_lon),
+                    self._reference_errors(runner, k_lat, k_lon))
+        # a k beyond the grid is clustered on request, and k > n refused
+        np.testing.assert_array_equal(runner.clustered_errors(6, 2),
+                                      self._reference_errors(runner, 6, 2))
+        with pytest.raises(ValueError, match="exceeds sample count"):
+            runner.kmeans_for("lon", len(train) + 1)
 
     def test_rank_deficient_group_raises(self, small_dataset):
         lat, lon = small_dataset

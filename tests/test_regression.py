@@ -164,6 +164,27 @@ def test_solve_fof_matches_assembled_systems():
             assert np.abs(C[g] - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
+def test_solve_fof_is_independent_of_the_batch():
+    # the grid engine solves the groups of several sums in one call, and must
+    # get the models each sum's own call gives, to the bit
+    rng = np.random.default_rng(31)
+    for _ in range(100):
+        K_s, m = int(rng.integers(1, 8)), int(rng.integers(1, 14))
+        Theta = rng.normal(size=(K_s + 3, K_s))
+        eig = np.linalg.eigh(Theta.T @ Theta)
+        ridge = float(rng.choice([0.0, 1e-8, 0.5]))
+        parts = []
+        for size in rng.integers(0, 7, size=int(rng.integers(1, 5))):
+            n = 2 * m + 5
+            W = np.vstack([np.ones((1, n)), rng.normal(size=(m - 1, n))])
+            onehot = rng.random((size, n)) < 0.7
+            stats = fof_statistics(W, rng.normal(size=(K_s, n)))
+            parts.append(np.tensordot(onehot.astype(float), stats, axes=1))
+        joined = solve_fof(np.concatenate(parts), eig, ridge)
+        alone = np.concatenate([solve_fof(p, eig, ridge) for p in parts])
+        assert np.array_equal(joined, alone)
+
+
 class TestPredict:
     def _model(self, a, B):
         # regressors centred on 0: a is the intercept of yhat = theta'(a + B J c)
