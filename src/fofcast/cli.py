@@ -64,6 +64,8 @@ def _read_matrix_csv(path: Path, total_len: int) -> DatasetMatrix:
         ids = tuple(rows[0])
         # ragged rows fail in np.array, rows unlike the header in the reshape
         values = np.array([[float(v) for v in row] for row in rows[1:]])
+        if not np.isfinite(values).all():
+            raise ValueError("a value is not finite")
         return DatasetMatrix(values=values.reshape(len(rows) - 1, len(ids)),
                              time_grid=time_grid(total_len), storm_ids=ids)
     except (ValueError, ShapeError) as exc:

@@ -1,9 +1,9 @@
 """Evaluation metric and experiment harness.
 
 Distances are great-circle (haversine, r = 6371 km). The harness covers:
-one global regression per coordinate, cluster-pair-local regressions with a
-fallback ladder for sparse pairs, the k_lat x k_lon grid search, repeated
-simulations with derived seeds, and the trajectory-length study.
+one global regression per coordinate, cluster-pair regressions with union
+and global fallbacks for sparse pairs, the k_lat x k_lon grid search,
+repeated simulations with derived seeds, and the trajectory-length study.
 """
 
 from __future__ import annotations
@@ -69,8 +69,8 @@ class ExperimentConfig:
                              f"{self.total_len - self.predictor_len} response points")
         for name, low in (("k_lat_max", 1), ("k_lon_max", 1), ("n_repetitions", 1),
                           ("min_cluster_size", 1), ("kmeans_max_iter", 0),
-                          ("kmeans_restarts", 1), ("ridge", 0)):
-            if getattr(self, name) < low:
+                          ("kmeans_restarts", 1), ("ridge", 0), ("curve_ridge", 0)):
+            if not getattr(self, name) >= low:     # refuses NaN as well
                 raise ValueError(f"{name} must be >= {low}")
 
 
@@ -127,30 +127,16 @@ def fittable(size: np.ndarray, min_size: int, n_train: int) -> np.ndarray:
     return (size >= min_size) & (size < n_train)
 
 
-def ladder(pair_tr: np.ndarray, own_tr: np.ndarray, pair_te: np.ndarray,
-           own_te: np.ndarray, n_pairs: int, k_own: int,
-           min_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Codes of the 3 groups each training storm is in (3 x n_train) and,
-    per test storm, the first ``fittable`` of its pair, union and global
-    group. Pair p has code p, the coordinate's cluster union a has
-    n_pairs + a and the global group n_pairs + k_own."""
-    n_global = n_pairs + k_own
-    member = np.stack([pair_tr, n_pairs + own_tr, np.full_like(pair_tr, n_global)])
-    chain = np.stack([pair_te, n_pairs + own_te, np.full_like(pair_te, n_global)])
-    ok = fittable(np.bincount(member.ravel(), minlength=n_global + 1)[chain],
-                  min_size, len(pair_tr))
-    ok[2] = True
-    return member, chain[ok.argmax(axis=0), np.arange(chain.shape[1])]
-
-
 class SplitRunner:
     """Fits and evaluates coordinate models on one train/test split.
 
     Models are group sums of per-storm sufficient statistics, solved in
     batches: the global ones once, the cluster unions of every k once per
     coordinate and, per cell, the pairs of both coordinates that serve a
-    test storm. Cell (1, 1) is served by the global models alone, as is the
-    global evaluation.
+    test storm. A cell reads each test storm's model from a table with one
+    row per cluster pair: the pair's own model, else its union's, which is
+    the global one where the union is too small. Cell (1, 1) is served by
+    the global models alone, as is the global evaluation.
     """
 
     def __init__(self, lat_mat: DatasetMatrix, lon_mat: DatasetMatrix,
@@ -215,8 +201,8 @@ class SplitRunner:
 
     def kmeans_for(self, coord: str, k: int) -> tuple[np.ndarray, ...]:
         """Cluster labels of the training and test storms of ``coord``, and the
-        coefficients of its k union models, then the global one ((k + 1) x
-        K_s x m); a union that is not ``fittable`` holds the global model.
+        coefficients of its k union models (k x K_s x m); a union that is not
+        ``fittable`` holds the global model.
 
         k = 1 puts every storm in cluster 0, whose union is the global group.
         The first k > 1 asked of a coordinate clusters every k up to the
@@ -229,7 +215,7 @@ class SplitRunner:
                 self._kmeans_cache[coord, 1] = (
                     np.zeros(len(self.train_idx), dtype=np.intp),
                     np.zeros(len(self.test_idx), dtype=np.intp),
-                    np.repeat(self.global_coeffs[coord], 2, axis=0))
+                    self.global_coeffs[coord])
             else:
                 self._cluster(coord, k)
         return self._kmeans_cache[coord, k]
@@ -258,35 +244,33 @@ class SplitRunner:
         solved = np.split(self.group_models(parts),
                           np.cumsum([len(own) for *_, own in fits])[:-1])
         for j, (train, test, own), models in zip(todo, fits, solved):
-            coeffs = np.repeat(self.global_coeffs[coord], j + 1, axis=0)
+            coeffs = np.repeat(self.global_coeffs[coord], j, axis=0)
             coeffs[own] = models
             self._kmeans_cache[coord, j] = (train, test, coeffs)
 
     def clustered_errors(self, k_lat: int, k_lon: int) -> np.ndarray:
-        """Pair-local models with the sparse-pair fallback ladder.
-
-        Ladder: pair model (>= min_cluster_size training members) ->
-        per-coordinate cluster-union model (same threshold) -> global model.
+        """Errors of the test storms, each forecast per coordinate by its
+        cluster pair's model where the pair is ``fittable``, else by its
+        cluster union's model, which is the global one where the union is not.
         """
-        lat, lon = self.kmeans_for("lat", k_lat), self.kmeans_for("lon", k_lon)
-        n_pairs = k_lat * k_lon
-        pair_tr, pair_te = lat[0] * k_lon + lon[0], lat[1] * k_lon + lon[1]
-        cached, parts = [], []
-        for coord, k, (train, test, _) in (("lat", k_lat, lat), ("lon", k_lon, lon)):
-            member, rungs = ladder(pair_tr, train, pair_te, test, n_pairs, k,
-                                   self.config.min_cluster_size)
-            groups, index = np.unique(rungs, return_inverse=True)
-            pairs = groups[groups < n_pairs]
-            cached.append((groups[len(pairs):] - n_pairs, index))
-            parts.append((coord, member[0] == pairs[:, None]))
-        # the pair models of both coordinates are solved here, the others are
+        (lat_tr, lat_te, lat_unions), (lon_tr, lon_te, lon_unions) = (
+            self.kmeans_for("lat", k_lat), self.kmeans_for("lon", k_lon))
+        pair_tr, pair_te = lat_tr * k_lon + lon_tr, lat_te * k_lon + lon_te
+        ok = fittable(np.bincount(pair_tr, minlength=k_lat * k_lon),
+                      self.config.min_cluster_size, len(pair_tr))
+        pairs = np.unique(pair_te[ok[pair_te]])
+        onehot = pair_tr == pairs[:, None]
+        # the pair models of both coordinates are solved here, the unions are
         # cached rows; the group sums stay one per coordinate, since a GEMM's
         # rounding depends on its row count and merged sums would move models
-        pair_models = np.split(self.group_models(parts), [len(parts[0][1])])
-        hats = [fof_forecast(np.concatenate([models, unions[rows]])[index],
-                             self.theta, self.w_test[coord])
-                for coord, (_, _, unions), (rows, index), models
-                in zip(("lat", "lon"), (lat, lon), cached, pair_models)]
+        pair_models = np.split(self.group_models([("lat", onehot), ("lon", onehot)]), 2)
+        # one model per pair code: the pair's own, else its union's in the coordinate
+        codes = np.arange(k_lat * k_lon)
+        tables = {"lat": lat_unions[codes // k_lon], "lon": lon_unions[codes % k_lon]}
+        for table, models in zip(tables.values(), pair_models):
+            table[pairs] = models
+        hats = [fof_forecast(table[pair_te], self.theta, self.w_test[coord])
+                for coord, table in tables.items()]
         return track_errors(*hats, self.truth["lat"], self.truth["lon"])
 
 

@@ -1,6 +1,10 @@
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -241,6 +245,7 @@ def test_fit_rejects_grid_flags(ingested, tmp_path, capsys):
     (["--k-t", "30"], "K_t=30 exceeds the 24 predictor points"),
     (["--k-s", "12", "--ridge", "1"], "K_s=12 exceeds the 8 response points"),
     (["--k-s", "9"], "K_s=9 exceeds the 8 response points"),
+    (["--ridge", "nan"], "ridge must be >= 0"),
 ])
 def test_unfittable_settings_are_input_errors(ingested, tmp_path, capsys, command,
                                               flags, message):
@@ -351,7 +356,10 @@ class TestInputFiles:
         lambda rows: rows[:5] + [rows[5] + ",1.0"] + rows[6:],   # ragged row
         lambda rows: rows + [""],                                # trailing blank line
         lambda rows: rows[:-1],                                  # dropped row
-    ], ids=["empty", "non-numeric", "ragged", "blank-line", "dropped-row"])
+        lambda rows: rows[:5] + ["nan," + rows[5].split(",", 1)[1]] + rows[6:],
+        lambda rows: rows[:5] + ["inf," + rows[5].split(",", 1)[1]] + rows[6:],
+    ], ids=["empty", "non-numeric", "ragged", "blank-line", "dropped-row", "nan",
+            "inf"])
     def test_damaged_matrix_file(self, ingested, fitted, tmp_path, capsys, damage):
         data = shutil.copytree(ingested, tmp_path / "data")
         rows = (data / "lat.csv").read_text().splitlines()
@@ -376,3 +384,19 @@ class TestInputFiles:
                      "--out", str(tmp_path / "fc.geojson")])
         assert code == 2
         assert "lon.csv" in capsys.readouterr().err
+
+
+def test_synthetic_demo_runs_and_repeats(tmp_path):
+    """README's entry point runs end to end, and a second run writes the same
+    grid table, report and forecasts byte for byte."""
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    outputs = ("grid/grid.csv", "grid/report.json", "forecasts.geojson")
+    runs = []
+    for name in ("a", "b"):
+        done = subprocess.run([sys.executable, str(root / "scripts/run_synthetic_demo.py"),
+                               "--out", str(tmp_path / name)],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        runs.append([(tmp_path / name / f).read_bytes() for f in outputs])
+    assert runs[0] == runs[1]

@@ -9,7 +9,7 @@ from fofcast import (ExperimentConfig, fit_coefficients, fit_fof,
 from fofcast.errors import SingularityError
 from fofcast.clustering import assign_batch, kmeans_fit
 from fofcast.experiment import (EARTH_RADIUS_KM, SplitRunner, _best_cell, fittable,
-                                ladder, track_errors)
+                                track_errors)
 from fofcast.ingest import StormRecord, StormRecordSet
 from fofcast.regression import fof_forecast
 
@@ -90,6 +90,9 @@ class TestBestCell:
 
 @pytest.mark.parametrize("field, value", [("min_cluster_size", 0),
                                           ("kmeans_restarts", 0), ("ridge", -1e-8),
+                                          ("ridge", float("nan")),
+                                          ("curve_ridge", -1.0),
+                                          ("curve_ridge", float("nan")),
                                           ("kmeans_max_iter", -5),
                                           ("K_t", 25), ("K_s", 9)])
 def test_config_rejects(field, value):
@@ -198,36 +201,34 @@ class TestEngine:
         config = ExperimentConfig(n_repetitions=1)
         train_idx, test_idx = train_test_split(lat.n_storms, 0.8, seed=5)
         runner = SplitRunner(lat, lon, train_idx, test_idx, config)
-        P = config.predictor_len
+        P, n_train = config.predictor_len, len(train_idx)
         k_lat, k_lon = 2, 3
         c = {coord: runner.kmeans_for(coord, k)
              for coord, k in (("lat", k_lat), ("lon", k_lon))}
-        n_pairs = k_lat * k_lon
         pair_tr = c["lat"][0] * k_lon + c["lon"][0]
+        pairs = np.flatnonzero(fittable(np.bincount(pair_tr, minlength=k_lat * k_lon),
+                                        config.min_cluster_size, n_train))
+        assert len(pairs) > 0
         for coord, k in (("lat", k_lat), ("lon", k_lon)):
             train, _, unions = c[coord]
-            member, rungs = ladder(pair_tr, train, pair_tr, train, n_pairs, k,
-                                   config.min_cluster_size)
-            # every group large enough to fit: pairs, unions and the global one
-            codes = np.flatnonzero(np.bincount(member.ravel()) >= config.min_cluster_size)
-            assert codes.min() < n_pairs and codes.max() == n_pairs + k
-            assert np.any((codes >= n_pairs) & (codes < n_pairs + k))
-            # the training storms, scored as test storms, reach every such pair
-            pairs = codes[codes < n_pairs]
-            np.testing.assert_array_equal(np.unique(rungs[rungs < n_pairs]), pairs)
-            # pairs are solved per cell; unions and the global model are the
-            # cached rows, and a union too small to fit holds the global model
+            glob = runner.global_coeffs[coord]
+            # one union row per cluster; a union too small to fit holds the
+            # global model, and k = 1 is the global model alone
+            assert unions.shape[0] == k
+            own = np.flatnonzero(fittable(np.bincount(train, minlength=k),
+                                          config.min_cluster_size, n_train))
+            assert 0 < len(own)
+            small = np.setdiff1d(np.arange(k), own)
+            np.testing.assert_array_equal(unions[small],
+                                          np.repeat(glob, len(small), axis=0))
+            np.testing.assert_array_equal(runner.kmeans_for(coord, 1)[2], glob)
+            # every group large enough to fit: the pairs, solved per cell, and
+            # the cached unions and global model
+            groups = np.concatenate([pair_tr == pairs[:, None], train == own[:, None],
+                                     np.ones((1, n_train), bool)])
             coeffs = np.concatenate([
-                runner.group_models([(coord, member[0] == pairs[:, None])]),
-                unions[codes[codes >= n_pairs] - n_pairs]])
-            np.testing.assert_array_equal(unions[k], runner.global_coeffs[coord][0])
-            small = np.setdiff1d(np.arange(k + 1), codes - n_pairs)
-            np.testing.assert_array_equal(
-                unions[small],
-                np.repeat(runner.global_coeffs[coord], len(small), axis=0))
-            np.testing.assert_array_equal(
-                runner.kmeans_for(coord, 1)[2],
-                np.repeat(runner.global_coeffs[coord], 2, axis=0))
+                runner.group_models([(coord, pair_tr == pairs[:, None])]),
+                unions[own], glob])
             # the engine's regressors are centred on the training mean, and
             # a model is compared by its forecasts: its coefficients are only
             # as well determined as the design is conditioned
@@ -237,22 +238,23 @@ class TestEngine:
             Y = values[P:, train_idx]
             z_mean = runner.center[coord]
             W = runner.w_test[coord]
-            for g, C in zip(codes, coeffs):
-                cols = np.flatnonzero((member == g).any(axis=0))
-                model = fit_fof(runner.predictor_basis, X[:, cols], runner.response_basis,
-                                runner.response_grid, Y[:, cols], ridge=config.ridge)
+            for members, C in zip(groups, coeffs):
+                model = fit_fof(runner.predictor_basis, X[:, members],
+                                runner.response_basis, runner.response_grid,
+                                Y[:, members], ridge=config.ridge)
                 # W moved from the engine's centre to the model's own
                 expected = fof_forecast(model.coefficients, runner.theta,
                                         W + np.r_[0.0, z_mean - model.center][:, None])
                 np.testing.assert_allclose(fof_forecast(C, runner.theta, W), expected,
                                            rtol=1e-9)
 
-    @staticmethod
-    def _reference_errors(runner, k_lat, k_lon):
+    @classmethod
+    def _reference_errors(cls, runner, k_lat, k_lon):
         """``clustered_errors`` from an own k-means fit per coordinate and k,
-        and one ``group_models`` call per coordinate for its unions and one
-        for its pairs."""
-        config, n_pairs = runner.config, k_lat * k_lon
+        each test storm's model picked by ``_rule``, and one ``group_models``
+        call per coordinate for its unions and one for its pairs; and the
+        kinds of model that serve some test storm."""
+        config = runner.config
         clusters = {}
         for coord, k in (("lat", k_lat), ("lon", k_lon)):
             model = kmeans_fit(runner.train_segments[coord], k, seed=runner.kmeans_seed,
@@ -262,23 +264,38 @@ class TestEngine:
                                assign_batch(model, runner.test_segments[coord]))
         (lat_tr, lat_te), (lon_tr, lon_te) = clusters["lat"], clusters["lon"]
         pair_tr, pair_te = lat_tr * k_lon + lon_tr, lat_te * k_lon + lon_te
-        hats = []
+        hats, kinds = [], set()
         for coord, k in (("lat", k_lat), ("lon", k_lon)):
             train, test = clusters[coord]
-            member, rungs = ladder(pair_tr, train, pair_te, test, n_pairs, k,
-                                   config.min_cluster_size)
-            unions = np.repeat(runner.global_coeffs[coord], k + 1, axis=0)
+            rungs = cls._rule(pair_tr, train, pair_te, test, config.min_cluster_size)
+            # as the engine, the unions of every cluster that fits and the pairs
+            # that serve a test storm: a group sum's rounding depends on its rows
             own = np.flatnonzero(fittable(np.bincount(train, minlength=k),
                                           config.min_cluster_size, len(train)))
-            unions[own] = runner.group_models([(coord, train == own[:, None])])
-            pairs = np.unique(rungs[rungs < n_pairs])
-            coeffs = np.concatenate([
-                runner.group_models([(coord, member[0] == pairs[:, None])]),
-                unions])
-            row = np.where(rungs < n_pairs, np.searchsorted(pairs, rungs),
-                           len(pairs) + rungs - n_pairs)
-            hats.append(fof_forecast(coeffs[row], runner.theta, runner.w_test[coord]))
-        return track_errors(*hats, runner.truth["lat"], runner.truth["lon"])
+            pairs = np.unique([g for r, g in rungs if r == "pair"])
+            models = {("global", 0): runner.global_coeffs[coord][0]}
+            for kind, labels, groups in (("union", train, own), ("pair", pair_tr, pairs)):
+                solved = runner.group_models([(coord, labels == groups[:, None])])
+                models.update(((kind, g), C) for g, C in zip(groups, solved))
+            kinds.update(kind for kind, _ in rungs)
+            hats.append(fof_forecast(np.stack([models[r] for r in rungs]),
+                                     runner.theta, runner.w_test[coord]))
+        return track_errors(*hats, runner.truth["lat"], runner.truth["lon"]), kinds
+
+    @staticmethod
+    def _rule(pair_tr, own_tr, pair_te, own_te, min_size):
+        """Per test storm, the first group with at least ``min_size`` training
+        storms but not all of them: its pair, its union in the coordinate, or
+        else the global group."""
+        rungs = []
+        for p, a in zip(pair_te, own_te):
+            if min_size <= np.sum(pair_tr == p) < len(pair_tr):
+                rungs.append(("pair", p))
+            elif min_size <= np.sum(own_tr == a) < len(own_tr):
+                rungs.append(("union", a))
+            else:
+                rungs.append(("global", 0))
+        return rungs
 
     def test_cells_equal_independent_fits(self, small_dataset, monkeypatch):
         # the engine seeds every k of a coordinate at once and solves the
@@ -305,16 +322,38 @@ class TestEngine:
         runner.clustered_errors(1, 3)
         assert calls == {"kmeans_fit": 5, "solve_fof": 5}
         monkeypatch.undo()
+        served = {}
         for k_lat in range(1, 5):
             for k_lon in range(1, 4):
-                np.testing.assert_array_equal(
-                    runner.clustered_errors(k_lat, k_lon),
-                    self._reference_errors(runner, k_lat, k_lon))
+                expected, served[k_lat, k_lon] = self._reference_errors(runner, k_lat,
+                                                                        k_lon)
+                np.testing.assert_array_equal(runner.clustered_errors(k_lat, k_lon),
+                                              expected)
+        # every kind of model serves some test storm, and cell (1, 1) only the
+        # global one
+        assert set().union(*served.values()) == {"pair", "union", "global"}
+        assert served[1, 1] == {"global"}
         # a k beyond the grid is clustered on request, and k > n refused
         np.testing.assert_array_equal(runner.clustered_errors(6, 2),
-                                      self._reference_errors(runner, 6, 2))
+                                      self._reference_errors(runner, 6, 2)[0])
         with pytest.raises(ValueError, match="exceeds sample count"):
             runner.kmeans_for("lon", len(train) + 1)
+
+    def test_group_of_min_size_gets_its_own_model(self, small_dataset):
+        lat, lon = small_dataset
+        config = ExperimentConfig(n_repetitions=1, k_lat_max=3, k_lon_max=3,
+                                  min_cluster_size=13)
+        train, test = train_test_split(lat.n_storms, 0.8, seed=6)
+        runner = SplitRunner(lat, lon, train, test, config, kmeans_seed=6)
+        # on this split a lat cluster of k = 3, and a pair of cell (3, 2),
+        # hold exactly min_cluster_size training storms and serve test storms
+        lat_tr, lat_te, _ = runner.kmeans_for("lat", 3)
+        lon_tr, lon_te, _ = runner.kmeans_for("lon", 2)
+        assert 13 in np.bincount(lat_tr)[lat_te]
+        assert 13 in np.bincount(lat_tr * 2 + lon_tr)[lat_te * 2 + lon_te]
+        for k_lon in (1, 2, 3):
+            np.testing.assert_array_equal(runner.clustered_errors(3, k_lon),
+                                          self._reference_errors(runner, 3, k_lon)[0])
 
     def test_rank_deficient_group_raises(self, small_dataset):
         lat, lon = small_dataset
@@ -323,47 +362,6 @@ class TestEngine:
         runner = SplitRunner(lat, lon, train, test, config)
         with pytest.raises(SingularityError, match="ridge"):
             runner.clustered_errors(3, 3)
-
-    def test_ladder_follows_the_rule(self):
-        rng = np.random.default_rng(21)
-        k_lat, k_lon, min_size = 3, 4, 10
-        n_pairs = k_lat * k_lon
-
-        def draw(n):
-            return (rng.choice(k_lat, size=n, p=[0.7, 0.25, 0.05]),
-                    rng.choice(k_lon, size=n, p=[0.6, 0.3, 0.05, 0.05]))
-
-        (lat_tr, lon_tr), (lat_te, lon_te) = draw(120), draw(60)
-        pair_tr, pair_te = lat_tr * k_lon + lon_tr, lat_te * k_lon + lon_te
-        for own_tr, own_te, k in ((lat_tr, lat_te, k_lat), (lon_tr, lon_te, k_lon)):
-            member, rungs = ladder(pair_tr, own_tr, pair_te, own_te, n_pairs, k,
-                                   min_size)
-            expected = self._rule(pair_tr, own_tr, pair_te, own_te, n_pairs, k,
-                                  min_size)
-            assert rungs.tolist() == expected
-            kinds = {0 if r < n_pairs else 1 if r < n_pairs + k else 2 for r in expected}
-            assert kinds == {0, 1, 2}
-            np.testing.assert_array_equal(
-                member, np.stack([pair_tr, n_pairs + own_tr,
-                                  np.full_like(pair_tr, n_pairs + k)]))
-        # with one cluster per coordinate, the pair and the union hold every
-        # training storm: they are the global group
-        ones_tr, ones_te = np.zeros(120, int), np.zeros(60, int)
-        _, rungs = ladder(ones_tr, ones_tr, ones_te, ones_te, 1, 1, min_size)
-        assert rungs.tolist() == self._rule(ones_tr, ones_tr, ones_te, ones_te, 1, 1,
-                                            min_size) == [2] * 60
-
-    @staticmethod
-    def _rule(pair_tr, own_tr, pair_te, own_te, n_pairs, k, min_size):
-        expected = []
-        for p, a in zip(pair_te, own_te):
-            if min_size <= np.sum(pair_tr == p) < len(pair_tr):
-                expected.append(p)
-            elif min_size <= np.sum(own_tr == a) < len(own_tr):
-                expected.append(n_pairs + a)
-            else:
-                expected.append(n_pairs + k)
-        return expected
 
 
 class TestGeoJSON:
