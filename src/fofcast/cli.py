@@ -20,7 +20,7 @@ from . import __version__
 from .errors import (FofcastError, SchemaError, ShapeError, SingularityError,
                      StormLookupError)
 from .experiment import (ExperimentConfig, SplitRunner, forecasts_to_geojson,
-                         length_study, repeated_simulation)
+                         length_study, repeated_simulation, split_workers)
 from .ingest import (DatasetMatrix, build_matrices, extract_tail,
                      filter_min_length, parse_csv, parse_rsmc, time_grid,
                      train_test_split)
@@ -136,7 +136,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     windows = [extract_tail(s, args.total_len, args.predictor_len) for s in kept]
     lat, lon = build_matrices(windows)
     # the time grid assumes 6-hourly steps; count, not refuse, the others
-    steps = np.diff([w.times for w in windows], axis=1)
+    irregular = int(np.any(np.diff([w.times for w in windows], axis=1) != 6 * 3600,
+                           axis=1).sum())
     t_window = time.perf_counter()
     args.out.mkdir(parents=True, exist_ok=True)
     _write_matrix_csv(args.out / "lat.csv", lat)
@@ -145,14 +146,14 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         "total_len": args.total_len, "predictor_len": args.predictor_len,
         "min_len": args.min_len, "n_storms": lat.n_storms,
         "source_format": args.format, "source_path": str(args.input),
+        "irregular_windows": irregular,
     }, indent=2))
     t_write = time.perf_counter()
     _write_manifest(args.out, "ingest", args,
                     {"parse": t_parse - t0, "window": t_window - t_parse,
                      "write": t_write - t_window, "total": t_write - t0},
                     counts={"storms": len(storms), "records": sum(map(len, storms)),
-                            "windows": len(windows), "irregular_windows":
-                            int(np.any(steps != 6 * 3600, axis=1).sum())})
+                            "windows": len(windows), "irregular_windows": irregular})
     print(f"ingested {lat.n_storms} storms "
           f"(L={args.total_len}, P={args.predictor_len}) -> {args.out}")
     return 0
@@ -224,12 +225,20 @@ def cmd_predict(args: argparse.Namespace) -> int:
 def cmd_grid(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     lat, lon, meta = _load_dataset(args.data)
+    irregular = _read_json(args.data / "dataset.json", lambda d: d.get("irregular_windows"))
     config = _grid_config_from_args(args, meta)
+    t_load = time.perf_counter()
     report = repeated_simulation(lat, lon, config)
+    t_splits = time.perf_counter()
     args.out.mkdir(parents=True, exist_ok=True)
     (args.out / "grid.csv").write_text(report.to_csv())
     (args.out / "report.json").write_text(report.to_json())
-    _write_manifest(args.out, "grid", args, {"total": time.perf_counter() - t0})
+    t_write = time.perf_counter()
+    _write_manifest(args.out, "grid", args,
+                    {"load": t_load - t0, "splits": t_splits - t_load,
+                     "write": t_write - t_splits, "total": t_write - t0},
+                    workers=split_workers(config.n_repetitions),
+                    counts={"irregular_windows": irregular})
     k_lat, k_lon = report.best_pair
     print(f"global mean error: {report.global_mean:.2f} km")
     print(f"best pair: k_lat={k_lat}, k_lon={k_lon} "
@@ -243,11 +252,13 @@ def cmd_length_study(args: argparse.Namespace) -> int:
         print(f"error: input file not found: {args.input}", file=sys.stderr)
         return 2
     storms = _load_storms(args.input, args.format)
+    t_load = time.perf_counter()
     config = _grid_config_from_args(args, {
         "total_len": args.lengths[0],
         "predictor_len": args.lengths[0] - args.response_len})
     entries = length_study(storms, config, lengths=args.lengths,
                            response_len=args.response_len)
+    t_splits = time.perf_counter()
     args.out.mkdir(parents=True, exist_ok=True)
     summary = []
     for e in entries:
@@ -264,8 +275,11 @@ def cmd_length_study(args: argparse.Namespace) -> int:
               f"best {e.report.best_error:.2f} km at k_lat={e.report.best_pair[0]}, "
               f"k_lon={e.report.best_pair[1]}")
     (args.out / "length_study.json").write_text(json.dumps(summary, indent=2))
+    t_write = time.perf_counter()
     _write_manifest(args.out, "length-study", args,
-                    {"total": time.perf_counter() - t0})
+                    {"load": t_load - t0, "splits": t_splits - t_load,
+                     "write": t_write - t_splits, "total": t_write - t0},
+                    workers=split_workers(len(entries) * config.n_repetitions))
     return 0
 
 

@@ -8,9 +8,11 @@ repeated simulations with derived seeds, and the trajectory-length study.
 
 from __future__ import annotations
 
+import functools
 import json
+import os
 from dataclasses import asdict, dataclass, field, replace
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -280,45 +282,65 @@ def _best_cell(cell_means: np.ndarray) -> tuple[tuple[int, int], float]:
     return (int(i) + 1, int(j) + 1), float(cell_means[i, j])
 
 
+def _split_row(lat_mat: DatasetMatrix, lon_mat: DatasetMatrix,
+               config: ExperimentConfig, rep: int) -> dict:
+    """The trace of repetition ``rep``: its seed, grid cells and global error."""
+    seed_r = config.seed + rep
+    runner = SplitRunner(lat_mat, lon_mat, *train_test_split(
+        lat_mat.n_storms, config.ratio, seed_r), config, kmeans_seed=seed_r)
+    cells = [[float(runner.clustered_errors(i, j).mean())
+              for j in range(1, config.k_lon_max + 1)]
+             for i in range(1, config.k_lat_max + 1)]
+    return {"repetition": rep, "seed": seed_r,
+            "global_error": float(runner.global_errors().mean()), "cells": cells}
+
+
+@functools.cache
+def _threaded() -> bool:
+    """Whether this process ran other threads when first asked, before any pool ran."""
+    return len(os.listdir("/proc/self/task")) > 1
+
+
+def split_workers(n_splits: int) -> int:
+    """Processes for ``n_splits`` splits: one per CPU in the affinity mask, at most
+    one per split; 1 without affinity or /proc, or with other threads, since forking
+    is unsafe then and each worker's multi-threaded BLAS would contend for the CPUs."""
+    try:
+        return 1 if _threaded() else min(n_splits, len(os.sched_getaffinity(0)))
+    except (AttributeError, OSError):
+        return 1
+
+
+def _reports(cases: list[tuple]) -> Iterator[ExperimentReport]:
+    """The report of each (lat_mat, lon_mat, config); all splits share one pool."""
+    tasks = [(*case, rep) for case in cases for rep in range(case[2].n_repetitions)]
+    traces = map(_split_row, *zip(*tasks))
+    if (workers := split_workers(len(tasks))) > 1:
+        # imported here, as importing them costs set-up time
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(workers, multiprocessing.get_context("fork")) as pool:
+            traces = iter(list(pool.map(_split_row, *zip(*tasks))))
+    for lat_mat, _, config in cases:
+        rep_traces = [next(traces) for _ in range(config.n_repetitions)]
+        # the global error rides as one more column, so that it is averaged
+        # in the same order as the cells and cell (1,1) stays equal to it
+        stack = np.array([np.append(t["cells"], t["global_error"]) for t in rep_traces])
+        means, stds = stack.mean(axis=0), stack.std(axis=0)
+        cell_means = means[:-1].reshape(config.k_lat_max, config.k_lon_max)
+        best_pair, best_error = _best_cell(cell_means)
+        yield ExperimentReport(
+            config=config, n_storms=lat_mat.n_storms, cell_means=cell_means,
+            cell_stds=stds[:-1].reshape(cell_means.shape), global_mean=float(means[-1]),
+            global_std=float(stds[-1]), best_pair=best_pair, best_error=best_error,
+            repetition_traces=rep_traces)
+
+
 def repeated_simulation(lat_mat: DatasetMatrix, lon_mat: DatasetMatrix,
                         config: ExperimentConfig) -> ExperimentReport:
     """Every (k_lat, k_lon) cell and the global evaluation on the split of
     each derived-seed repetition, averaged over the repetitions."""
-    n = lat_mat.n_storms
-    shape = (config.k_lat_max, config.k_lon_max)
-    rows = []
-    traces = []
-    for rep in range(config.n_repetitions):
-        seed_r = config.seed + rep
-        train_idx, test_idx = train_test_split(n, config.ratio, seed_r)
-        runner = SplitRunner(lat_mat, lon_mat, train_idx, test_idx, config,
-                             kmeans_seed=seed_r)
-        cells = np.empty(shape)
-        for i in range(config.k_lat_max):
-            for j in range(config.k_lon_max):
-                cells[i, j] = runner.clustered_errors(i + 1, j + 1).mean()
-        global_error = float(runner.global_errors().mean())
-        # freed now, this split's caches are gone before the next split's are built
-        del runner
-        # the global error rides as one more column, so that it is averaged
-        # in the same order as the cells and cell (1,1) stays equal to it
-        rows.append(np.append(cells.ravel(), global_error))
-        traces.append({
-            "repetition": rep, "seed": seed_r,
-            "global_error": global_error,
-            "cells": cells.tolist(),
-        })
-    stack = np.stack(rows)
-    means, stds = stack.mean(axis=0), stack.std(axis=0)
-    cell_means = means[:-1].reshape(shape)
-    best_pair, best_error = _best_cell(cell_means)
-    return ExperimentReport(
-        config=config, n_storms=n,
-        cell_means=cell_means, cell_stds=stds[:-1].reshape(shape),
-        global_mean=float(means[-1]), global_std=float(stds[-1]),
-        best_pair=best_pair, best_error=best_error,
-        repetition_traces=traces,
-    )
+    return next(_reports([(lat_mat, lon_mat, config)]))
 
 
 @dataclass(frozen=True)
@@ -338,20 +360,13 @@ def length_study(storms: Sequence[StormRecordSet], config: ExperimentConfig,
     at least T records, and every window length L <= T is evaluated on that
     fixed subset (window = last L points, predictor = L - response_len).
     """
-    entries = []
-    for threshold in lengths:
-        subset = filter_min_length(storms, threshold)
-        for L in lengths:
-            if L > threshold:
-                continue
-            cfg = replace(config, total_len=L, predictor_len=L - response_len)
-            windows = [extract_tail(s, L, L - response_len) for s in subset]
-            lat_mat, lon_mat = build_matrices(windows)
-            report = repeated_simulation(lat_mat, lon_mat, cfg)
-            entries.append(LengthStudyEntry(
-                min_records=threshold, data_size=len(subset),
-                total_len=L, report=report))
-    return entries
+    layout = [(t, L) for t in lengths for L in lengths if L <= t]
+    subsets = {t: filter_min_length(storms, t) for t in lengths}
+    cases = [(*build_matrices([extract_tail(s, L, L - response_len) for s in subsets[t]]),
+              replace(config, total_len=L, predictor_len=L - response_len))
+             for t, L in layout]
+    return [LengthStudyEntry(t, len(subsets[t]), L, report)
+            for (t, L), report in zip(layout, _reports(cases))]
 
 
 def forecasts_to_geojson(storm_ids: Sequence[str], lat: np.ndarray, lon: np.ndarray,

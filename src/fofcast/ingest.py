@@ -337,7 +337,8 @@ def time_grid(total_len: int) -> np.ndarray:
 
 def build_matrices(windows: Sequence[StormRecordSet]
                    ) -> tuple[DatasetMatrix, DatasetMatrix]:
-    """Assemble (lat, lon) p x n matrices, one column per window of equal length."""
+    """Assemble (lat, lon) p x n matrices, one column per window of equal length;
+    a window's longitudes may leave [0, 360) where its track crosses 0/360."""
     if not windows:
         raise ShapeError("no windows to assemble")
     L = len(windows[0])
@@ -349,7 +350,7 @@ def build_matrices(windows: Sequence[StormRecordSet]
     # would keep the memory pages of all of them mapped
     ids = tuple(w.storm_id.encode().decode() for w in windows)
     lat = np.column_stack([w.lats for w in windows])
-    lon = np.column_stack([w.lons for w in windows])
+    lon = np.unwrap(np.column_stack([w.lons for w in windows]), period=360.0, axis=0)
     return (DatasetMatrix(values=lat, time_grid=grid, storm_ids=ids),
             DatasetMatrix(values=lon, time_grid=grid, storm_ids=ids))
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from fofcast import ExperimentConfig, StormRecordSet, train_test_split, write_csv
+from fofcast import experiment
 from fofcast.cli import _load_dataset, main
 from fofcast.experiment import SplitRunner
 from fofcast.ingest import StormRecord
@@ -134,6 +135,32 @@ class TestIngest:
         assert manifest["counts"] == {"storms": 3, "records": 120, "windows": 3,
                                       "irregular_windows": 1}
         assert set(manifest["timings_s"]) == {"parse", "window", "write", "total"}
+        meta = json.loads((tmp_path / "o" / "dataset.json").read_text())
+        assert meta["irregular_windows"] == 1
+        code = main(["grid", "--data", str(tmp_path / "o"), "--out", str(tmp_path / "g"),
+                     "--k-lat", "1", "--k-lon", "1", "--reps", "1"])
+        assert code == 0
+        manifest = json.loads((tmp_path / "g" / "grid_manifest.json").read_text())
+        assert manifest["counts"] == {"irregular_windows": 1}
+
+    def test_track_across_greenwich(self, tmp_path):
+        start = datetime(2012, 8, 1)
+        storms = [StormRecordSet.from_records(sid, "CLI", [
+            StormRecord(time=start + timedelta(hours=6 * j), grade=4, lat=15.0 + 0.2 * j,
+                        lon=lon0 + step * j) for j in range(32)])
+            for sid, lon0, step in (("E", -10.0, 0.7), ("W", 10.0, -0.7),
+                                    ("P", 140.0, -0.3))]
+        buf = io.StringIO()
+        write_csv(storms, buf)
+        (tmp_path / "g.csv").write_text(buf.getvalue())
+        assert main(["ingest", "--format", "csv", "--input", str(tmp_path / "g.csv"),
+                     "--out", str(tmp_path / "o")]) == 0
+        lon = np.loadtxt(tmp_path / "o" / "lon.csv", delimiter=",", skiprows=1)
+        # each window is continuous from its first longitude, which is in [0, 360)
+        np.testing.assert_allclose(lon, [[350.0, 10.0, 140.0]]
+                                   + np.arange(32)[:, None] * [0.7, -0.7, -0.3],
+                                   rtol=0, atol=1e-9)
+        np.testing.assert_array_equal(lon[:, 2], storms[2].lons)
 
 
 class TestPredict:
@@ -191,6 +218,39 @@ class TestGrid:
             outs.append((out / "grid.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_workers_write_the_same_files(self, ingested, tmp_path, monkeypatch):
+        outs = []
+        for n in (1, 2):
+            monkeypatch.setattr(experiment, "split_workers",
+                                lambda n_splits, n=n: min(n_splits, n))
+            out = tmp_path / str(n)
+            assert main(["grid", "--data", str(ingested), "--out", str(out),
+                         "--k-lat", "3", "--k-lon", "2", "--reps", "3"]) == 0
+            outs.append([(out / f).read_bytes() for f in ("grid.csv", "report.json")])
+        assert outs[0] == outs[1]
+
+    def test_worker_singularity_exits_3(self, ingested, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(experiment, "split_workers", lambda n_splits: n_splits)
+        code = main(["grid", "--data", str(ingested), "--out", str(tmp_path / "g"),
+                     "--ridge", "0", "--min-cluster-size", "2", "--reps", "2"])
+        assert code == 3
+        assert "ridge" in capsys.readouterr().err
+
+    def test_manifest(self, ingested, tmp_path, monkeypatch):
+        # a dataset ingested before dataset.json held the irregular window count
+        data = shutil.copytree(ingested, tmp_path / "data")
+        meta = json.loads((data / "dataset.json").read_text())
+        del meta["irregular_windows"]
+        (data / "dataset.json").write_text(json.dumps(meta))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        monkeypatch.setattr(experiment, "_threaded", lambda: False)
+        assert main(["grid", "--data", str(data), "--out", str(tmp_path / "g"),
+                     "--k-lat", "1", "--k-lon", "1", "--reps", "2"]) == 0
+        manifest = json.loads((tmp_path / "g" / "grid_manifest.json").read_text())
+        assert manifest["workers"] == 2
+        assert manifest["counts"] == {"irregular_windows": None}
+        assert set(manifest["timings_s"]) == {"load", "splits", "write", "total"}
+
     def test_min_cluster_size_zero(self, ingested, tmp_path, capsys):
         code = main(["grid", "--data", str(ingested), "--out", str(tmp_path / "g"),
                      "--min-cluster-size", "0"])
@@ -219,6 +279,9 @@ class TestExportAndLengthStudy:
         summary = json.loads((out / "length_study.json").read_text())
         assert len(summary) == 3  # 32 on both subsets, 40 on the >=40 subset
         assert {e["total_len"] for e in summary} == {32, 40}
+        manifest = json.loads((out / "length-study_manifest.json").read_text())
+        assert manifest["workers"] == experiment.split_workers(3)
+        assert set(manifest["timings_s"]) == {"load", "splits", "write", "total"}
 
 
 def test_help_lists_defaults(capsys):

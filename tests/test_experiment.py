@@ -1,3 +1,9 @@
+import concurrent.futures
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +12,7 @@ from hypothesis import strategies as st
 from fofcast import (ExperimentConfig, fit_coefficients, fit_fof,
                      forecasts_to_geojson, haversine, length_study,
                      repeated_simulation, time_grid, train_test_split)
+from fofcast import experiment
 from fofcast.errors import SingularityError
 from fofcast.clustering import assign_batch, kmeans_fit
 from fofcast.experiment import (EARTH_RADIUS_KM, SplitRunner, _best_cell, fittable,
@@ -392,7 +399,8 @@ class TestGeoJSON:
 
 
 class TestLengthStudy:
-    def _storms(self, n=40, max_len=48):
+    @staticmethod
+    def _storms(n=40, max_len=48):
         rng = np.random.default_rng(12)
         storms = []
         for i in range(n):
@@ -429,3 +437,131 @@ def test_report_csv_format(small_dataset):
     assert len(lines) == 3
     first_cell = lines[1].split(",")[1]
     assert first_cell == f"{report.cell_means[0, 0]:.2f}"
+
+
+def _force_workers(monkeypatch, n):
+    monkeypatch.setattr(experiment, "split_workers", lambda n_splits: min(n_splits, n))
+
+
+class TestSplitPool:
+    """The splits run in forked worker processes where there are CPUs for them."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The worker counts of the process pools started from now on."""
+        started = []
+
+        class Counted(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, *args, **kwargs):
+                started.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+        return started
+
+    def test_pool_equals_in_process(self, small_dataset, monkeypatch, pools):
+        lat, lon = small_dataset
+        config = ExperimentConfig(n_repetitions=3, k_lat_max=3, k_lon_max=2, seed=7)
+        outputs = []
+        for n in (1, 2):
+            _force_workers(monkeypatch, n)
+            report = repeated_simulation(lat, lon, config)
+            outputs.append(report.to_json() + report.to_csv())
+        assert pools == [2]
+        assert outputs[0] == outputs[1]
+
+    def test_length_study_pool_equals_in_process(self, monkeypatch, pools):
+        storms = TestLengthStudy._storms()
+        config = ExperimentConfig(n_repetitions=2, k_lat_max=1, k_lon_max=1)
+        outputs = []
+        for n in (1, 2):
+            _force_workers(monkeypatch, n)
+            outputs.append([(e.min_records, e.data_size, e.total_len,
+                             e.report.to_json(), e.report.to_csv())
+                            for e in length_study(storms, config, lengths=(32, 40, 48))])
+        assert pools == [2]          # one pool for the 12 splits of the 6 entries
+        assert outputs[0] == outputs[1]
+
+    def test_worker_error_reaches_caller(self, small_dataset, monkeypatch, pools):
+        lat, lon = small_dataset
+        config = ExperimentConfig(n_repetitions=2, ridge=0.0, min_cluster_size=2,
+                                  k_lat_max=3, k_lon_max=3)
+        messages = []
+        for n in (1, 2):
+            _force_workers(monkeypatch, n)
+            with pytest.raises(SingularityError, match="ridge") as exc:
+                repeated_simulation(lat, lon, config)
+            messages.append(str(exc.value))
+        assert pools == [2]
+        assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize("reps, cpus, forks", [(1, {0, 1}, False), (3, {0}, False),
+                                                   (2, {0, 1}, True)])
+    def test_no_fork_for_one_split_or_one_cpu(self, small_dataset, monkeypatch,
+                                              reps, cpus, forks):
+        def forbidden(*args, **kwargs):
+            raise RuntimeError("forked")
+
+        monkeypatch.setattr(experiment, "_threaded", lambda: False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", forbidden)
+        lat, lon = small_dataset
+        config = ExperimentConfig(n_repetitions=reps, k_lat_max=2, k_lon_max=1)
+        if forks:
+            with pytest.raises(RuntimeError, match="forked"):
+                repeated_simulation(lat, lon, config)
+        else:
+            assert len(repeated_simulation(lat, lon, config).repetition_traces) == reps
+
+    def test_split_workers(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        monkeypatch.setattr(experiment, "_threaded", lambda: False)
+        assert [experiment.split_workers(n) for n in (1, 2, 5)] == [1, 2, 3]
+        # forking a process with other threads is unsafe
+        monkeypatch.setattr(experiment, "_threaded", lambda: True)
+        assert experiment.split_workers(5) == 1
+        monkeypatch.setattr(experiment, "_threaded", lambda: False)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert experiment.split_workers(5) == 1
+
+
+def _run_python(code: str) -> str:
+    """stdout of ``code`` in a fresh interpreter with BLAS on one thread."""
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"),
+                                                        str(root / "tests")]),
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_import_loads_no_pool_modules():
+    out = _run_python("import sys, fofcast\n"
+                      "print(sorted(m for m in sys.modules\n"
+                      "             if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    assert out == "[]\n"
+
+
+def test_each_call_forks_right_after_a_pool():
+    # a pool's threads outlive its shutdown by a moment; the next call must
+    # still fork, so the check for other threads is made once, before any pool
+    out = _run_python("""
+import concurrent.futures, os
+from conftest import synthetic_matrices
+from fofcast import ExperimentConfig, experiment, repeated_simulation
+os.sched_getaffinity = lambda pid: {0, 1}
+started = []
+class Counted(concurrent.futures.ProcessPoolExecutor):
+    def __init__(self, *args, **kwargs):
+        started.append(1)
+        super().__init__(*args, **kwargs)
+concurrent.futures.ProcessPoolExecutor = Counted
+lat, lon = synthetic_matrices(n=40, seed=2)
+config = ExperimentConfig(n_repetitions=2, k_lat_max=1, k_lon_max=1)
+for _ in range(3):
+    repeated_simulation(lat, lon, config)
+print(len(started), experiment.split_workers(2))
+""")
+    assert out == "3 2\n"
