@@ -8,14 +8,12 @@ the CLI exactly as one would on real data. Everything lands in --out.
 import argparse
 import io
 import sys
-from datetime import datetime, timedelta
 from pathlib import Path
 
 import numpy as np
 
 from fofcast import StormRecordSet, time_grid, write_csv
 from fofcast.cli import main as cli_main
-from fofcast.ingest import StormRecord
 
 
 def make_storms(n: int, length: int, seed: int) -> list[StormRecordSet]:
@@ -30,13 +28,13 @@ def make_storms(n: int, length: int, seed: int) -> list[StormRecordSet]:
         lon = (rng.uniform(130, 150) - dip * grid
                + (dip + rng.uniform(0, 10)) * grid**2
                + rng.normal(0, 0.15, length))
-        start = datetime(2015, 6, 1) + timedelta(days=3 * i)
-        records = tuple(
-            StormRecord(time=start + timedelta(hours=6 * j), grade=5,
-                        lat=float(lat[j]), lon=float(lon[j]))
-            for j in range(length))
-        storms.append(StormRecordSet.from_records(storm_id=f"D{i:04d}", name="DEMO",
-                                                  records=records))
+        # every 6 h from 3 i days after 2015-06-01, in seconds since 1970
+        times = (np.datetime64("2015-06-01", "s").astype(np.int64)
+                 + 3600 * (72 * i + 6 * np.arange(length)))
+        optional = np.full((length, 7), np.nan)   # grade 5, no other optional field
+        optional[:, 0] = 5
+        storms.append(StormRecordSet(f"D{i:04d}", "DEMO", times, lat, lon, optional,
+                                     np.zeros(length, bool)))
     return storms
 
 

@@ -8,7 +8,7 @@ from .clustering import KMeansModel, assign_batch, kmeans_fit, kmeans_seeds
 from .experiment import (ExperimentConfig, ExperimentReport,
                          forecasts_to_geojson, haversine, length_study,
                          repeated_simulation)
-from .ingest import (DatasetMatrix, StormRecord, StormRecordSet, build_matrices,
-                     extract_tail, filter_min_length, parse_csv, parse_rsmc,
-                     time_grid, train_test_split, write_csv)
+from .ingest import (DatasetMatrix, StormRecordSet, build_matrices, extract_tail,
+                     filter_min_length, parse_csv, parse_rsmc, time_grid,
+                     train_test_split, write_csv)
 from .regression import FoFModel, fit_fof, predict_trajectory

@@ -56,9 +56,9 @@ def _write_matrix_csv(path: Path, matrix: DatasetMatrix) -> None:
 
 def _read_matrix_csv(path: Path, total_len: int) -> DatasetMatrix:
     """The matrix under the storm-id header of ``path``, or a SchemaError naming it."""
-    with path.open() as fh:
-        rows = list(csv.reader(fh))
     try:
+        with path.open() as fh:
+            rows = list(csv.reader(fh))
         if not rows:
             raise ValueError("no header of storm ids")
         ids = tuple(rows[0])
@@ -68,7 +68,7 @@ def _read_matrix_csv(path: Path, total_len: int) -> DatasetMatrix:
             raise ValueError("a value is not finite")
         return DatasetMatrix(values=values.reshape(len(rows) - 1, len(ids)),
                              time_grid=time_grid(total_len), storm_ids=ids)
-    except (ValueError, ShapeError) as exc:
+    except (csv.Error, ValueError, ShapeError) as exc:
         raise SchemaError(f"{path}: {exc}") from exc
 
 

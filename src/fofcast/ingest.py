@@ -32,29 +32,11 @@ RSMC_WIDTH = 72
 BLANK = np.isin(np.arange(256), list(b"\x00\t "))
 
 
-@dataclass(frozen=True)
-class StormRecord:
-    """One 6-hourly best-track observation: a row of a StormRecordSet."""
-
-    time: datetime
-    grade: int | None
-    lat: float
-    lon: float
-    central_pressure: float | None = None
-    max_wind: float | None = None
-    # (dir of longest 50kt radius, longest 50kt, shortest 50kt is folded in
-    # below) -- four optional radii fields in nautical miles
-    radius_long_50kt: float | None = None
-    radius_short_50kt: float | None = None
-    radius_long_30kt: float | None = None
-    radius_short_30kt: float | None = None
-    landfall: bool = False
-
-
 @dataclass(frozen=True, eq=False)
 class StormRecordSet:
     """All observations of one storm in time order, as columns: int64 ``times`` (s
-    since 1970), lat, lon, StormRecord's optional fields (NaN if absent), landfall."""
+    since 1970), lat, lon, the optional fields (grade, central pressure, max wind,
+    longest and shortest 50 kt and 30 kt radii; NaN if absent) and landfall marks."""
 
     storm_id: str
     name: str
@@ -66,27 +48,6 @@ class StormRecordSet:
 
     def __len__(self) -> int:
         return len(self.times)
-
-    @classmethod
-    def from_records(cls, storm_id: str, name: str,
-                     records: Sequence[StormRecord]) -> StormRecordSet:
-        """The storm of ``records``, whose times must strictly increase."""
-        times = np.array([r.time for r in records], "datetime64[s]").astype(np.int64)
-        if not records or np.any(np.diff(times) <= 0):
-            raise ValidationError(f"storm {storm_id}: no records or times not increasing")
-        # the fields after time: grade, lat, lon, six optional floats, landfall
-        table = np.array([list(vars(r).values())[1:] for r in records], dtype=float)
-        return cls(storm_id, name, times, table[:, 1], table[:, 2],
-                   table[:, [0, 3, 4, 5, 6, 7, 8]], table[:, 9] == 1)
-
-    @property
-    def records(self) -> tuple[StormRecord, ...]:
-        """The observations as rows, built on each call."""
-        rows = zip(self.times.astype("datetime64[s]").tolist(), self.lats.tolist(),
-                   self.lons.tolist(), self.optional.tolist(), self.landfall.tolist())
-        return tuple(StormRecord(t, None if math.isnan(g) else int(g), lat, lon,
-                                 *(None if math.isnan(v) else v for v in rest), landfall=mark)
-                     for t, lat, lon, (g, *rest), mark in rows)
 
 
 @dataclass(frozen=True)
@@ -235,73 +196,77 @@ CSV_OPTIONAL = ("grade", "pressure", "wind")
 
 
 def parse_csv(stream: TextIO | str) -> list[StormRecordSet]:
-    """Parse the CSV interchange format (storm_id,time,lat,lon[,extras]);
-    longitudes in [-180, 0) are wrapped into [0, 360)."""
+    """Parse the CSV interchange format (storm_id,time,lat,lon[,grade,pressure,
+    wind,name]); longitudes in [-180, 0) are wrapped into [0, 360). Each
+    storm's rows are put in time order; a storm's first row gives its name."""
     if isinstance(stream, str):
         stream = io.StringIO(stream, newline="")   # csv reads the line ends itself
     reader = csv.DictReader(stream)
-    if reader.fieldnames is None:
-        return []
-    missing = [c for c in CSV_REQUIRED if c not in reader.fieldnames]
-    if missing:
-        raise SchemaError(f"missing required columns: {', '.join(missing)}", line_no=1)
-
-    by_storm: dict[str, list[tuple[StormRecord, int]]] = {}
+    # storm id -> rows of (line number, time, lat, lon, grade, pressure, wind)
+    by_storm: dict[str, list[tuple]] = {}
     names: dict[str, str] = {}
-    for row in reader:
-        sid = row["storm_id"]
-        try:
-            # a short row leaves its last fields None
-            absent = [c for c in CSV_REQUIRED if row[c] is None]
-            if absent:
-                raise ValidationError(f"missing fields: {', '.join(absent)}")
-            lat, lon = float(row["lat"]), float(row["lon"])
-            if not (-90.0 <= lat <= 90.0 and -180.0 <= lon < 360.0):
-                raise ValidationError(f"latitude {lat} outside [-90, 90] or "
-                                      f"longitude {lon} outside [-180, 360)")
-            rec = StormRecord(
-                time=datetime.strptime(row["time"], TIME_FORMAT),
-                grade=int(row["grade"]) if row.get("grade") else None,
-                lat=lat,
-                lon=lon % 360.0,
-                central_pressure=float(row["pressure"]) if row.get("pressure") else None,
-                max_wind=float(row["wind"]) if row.get("wind") else None,
-            )
-        except (ValueError, ValidationError) as exc:
-            raise ValidationError(f"storm {sid}: {exc}", line_no=reader.line_num) from exc
-        by_storm.setdefault(sid, []).append((rec, reader.line_num))
-        names.setdefault(sid, row.get("name", "") or "")
+    try:
+        if reader.fieldnames is None:
+            return []
+        missing = [c for c in CSV_REQUIRED if c not in reader.fieldnames]
+        if missing:
+            raise SchemaError(f"missing required columns: {', '.join(missing)}", line_no=1)
+        for row in reader:
+            sid = row["storm_id"]
+            try:
+                # a short row leaves its last fields None
+                absent = [c for c in CSV_REQUIRED if row[c] is None]
+                if absent:
+                    raise ValidationError(f"missing fields: {', '.join(absent)}")
+                lat, lon = float(row["lat"]), float(row["lon"])
+                if not (-90.0 <= lat <= 90.0 and -180.0 <= lon < 360.0):
+                    raise ValidationError(f"latitude {lat} outside [-90, 90] or "
+                                          f"longitude {lon} outside [-180, 360)")
+                values = (reader.line_num, datetime.strptime(row["time"], TIME_FORMAT),
+                          lat, lon % 360.0,
+                          float(int(row["grade"])) if row.get("grade") else math.nan,
+                          *(float(row[c]) if row.get(c) else math.nan
+                            for c in ("pressure", "wind")))
+            except (ValueError, OverflowError, ValidationError) as exc:
+                raise ValidationError(f"storm {sid}: {exc}", line_no=reader.line_num) from exc
+            by_storm.setdefault(sid, []).append(values)
+            names.setdefault(sid, row.get("name") or "")
+    except csv.Error as exc:   # the reader counts the lines of whole records only
+        raise ParseError(str(exc), line_no=reader.line_num + 1) from exc
 
     storms = []
     for sid, rows in by_storm.items():
-        ordered = sorted(rows, key=lambda row: row[0].time)
-        for (a, _), (b, line_no) in zip(ordered, ordered[1:]):
-            if a.time == b.time:
-                raise ValidationError(f"storm {sid}: duplicate timestamps",
-                                      line_no=line_no)
-        if ordered != rows:
+        line_nos, times, *columns = zip(*rows)
+        times = np.array(times, "datetime64[s]").astype(np.int64)
+        order = np.argsort(times, kind="stable")
+        duplicates = np.flatnonzero(np.diff(times[order]) == 0)
+        if duplicates.size:
+            raise ValidationError(f"storm {sid}: duplicate timestamps",
+                                  line_no=line_nos[order[duplicates[0] + 1]])
+        if np.any(order != np.arange(len(rows))):
             warnings.warn(f"storm {sid}: rows out of time order, sorting",
                           stacklevel=2)
-        storms.append(StormRecordSet.from_records(sid, names[sid],
-                                                  [rec for rec, _ in ordered]))
+        lats, lons, *extras = np.array(columns)[:, order]
+        optional = np.full((len(rows), len(RSMC_OPTIONAL)), np.nan)
+        optional[:, :3] = np.transpose(extras)
+        storms.append(StormRecordSet(sid, names[sid], times[order], lats, lons, optional,
+                                     np.zeros(len(rows), bool)))
     return storms
 
 
 def write_csv(storms: Iterable[StormRecordSet], stream: TextIO) -> None:
-    """Write storms in the CSV interchange format (round-trips with parse_csv)."""
+    """Write storms in the CSV interchange format, which parse_csv reads back
+    bit for bit; the radii and landfall marks have no column and are dropped."""
     writer = csv.writer(stream)
-    writer.writerow(list(CSV_REQUIRED) + list(CSV_OPTIONAL))
+    writer.writerow(CSV_REQUIRED + CSV_OPTIONAL + ("name",))
     for storm in storms:
-        for r in storm.records:
-            writer.writerow([
-                storm.storm_id,
-                r.time.strftime(TIME_FORMAT),
-                repr(r.lat),
-                repr(r.lon),
-                "" if r.grade is None else r.grade,
-                "" if r.central_pressure is None else repr(r.central_pressure),
-                "" if r.max_wind is None else repr(r.max_wind),
-            ])
+        rows = zip(storm.times.astype("datetime64[s]").tolist(), storm.lats.tolist(),
+                   storm.lons.tolist(), storm.optional[:, :3].tolist())
+        for time, lat, lon, (grade, *extras) in rows:
+            writer.writerow([storm.storm_id, time.strftime(TIME_FORMAT), repr(lat), repr(lon),
+                             "" if math.isnan(grade) else int(grade),
+                             *("" if math.isnan(v) else repr(v) for v in extras),
+                             storm.name])
 
 
 def filter_min_length(storms: Sequence[StormRecordSet],

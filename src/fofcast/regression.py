@@ -49,10 +49,14 @@ class FoFModel:
 
     @staticmethod
     def from_dict(d: dict) -> "FoFModel":
+        """The model of ``to_dict``'s fields; ValueError if a number is not finite."""
+        coefficients = np.array(d["coefficients"], dtype=float)
+        center = np.array(d["center"], dtype=float)
+        if not (np.isfinite(coefficients).all() and np.isfinite(center).all()):
+            raise ValueError("a coefficient or centre value is not finite")
         return FoFModel(predictor_basis=BasisSystem.from_dict(d["predictor_basis"]),
                         response_basis=BasisSystem.from_dict(d["response_basis"]),
-                        coefficients=np.array(d["coefficients"], dtype=float),
-                        center=np.array(d["center"], dtype=float))
+                        coefficients=coefficients, center=center)
 
 
 def design(Z: np.ndarray, center: np.ndarray | float) -> np.ndarray:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fofcast import DatasetMatrix, time_grid
+from fofcast import DatasetMatrix, StormRecordSet, time_grid
 
 ARCHIVE_ENV = "FOFCAST_RSMC_ARCHIVE"
 
@@ -27,6 +27,20 @@ def archive_path() -> Path | None:
 requires_archive = pytest.mark.skipif(
     archive_path() is None,
     reason=f"RSMC best-track archive not available (set {ARCHIVE_ENV})")
+
+
+def make_storm(storm_id: str, lats, lons, hours=None,
+               start: datetime = datetime(2005, 7, 1), name: str = "T",
+               grade: int = 5) -> StormRecordSet:
+    """A storm observed at ``hours`` after ``start`` (6-hourly by default),
+    with one grade throughout and no other optional field."""
+    n = len(lats)
+    hours = 6 * np.arange(n) if hours is None else np.asarray(hours)
+    times = np.datetime64(start, "s").astype(np.int64) + 3600 * hours
+    optional = np.full((n, 7), np.nan)
+    optional[:, 0] = grade
+    return StormRecordSet(storm_id, name, times, np.array(lats, float),
+                          np.array(lons, float), optional, np.zeros(n, bool))
 
 
 def rsmc_header(storm_id: str, n_lines: int, name: str = "TEST") -> str:

@@ -9,30 +9,23 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fofcast import ExperimentConfig, StormRecordSet, train_test_split, write_csv
+from fofcast import ExperimentConfig, train_test_split, write_csv
 from fofcast import experiment
 from fofcast.cli import _load_dataset, main
 from fofcast.experiment import SplitRunner
-from fofcast.ingest import StormRecord
 
-from conftest import rsmc_data_line, rsmc_header, synthetic_tracks
+from conftest import make_storm, rsmc_data_line, rsmc_header, synthetic_tracks
 
-from datetime import datetime, timedelta
+from datetime import datetime
 
 
 @pytest.fixture(scope="module")
 def csv_input(tmp_path_factory):
     """A CSV best-track file with 40 synthetic storms of 40 records each."""
     lat_v, lon_v = synthetic_tracks(n=40, L=40, seed=20, noise=0.1)
-    storms = []
-    for i in range(40):
-        start = datetime(2012, 8, 1)
-        records = tuple(
-            StormRecord(time=start + timedelta(hours=6 * j), grade=4,
-                        lat=float(lat_v[j, i]), lon=float(lon_v[j, i]))
-            for j in range(40))
-        storms.append(StormRecordSet.from_records(storm_id=f"C{i:03d}", name="CLI",
-                                                  records=records))
+    storms = [make_storm(f"C{i:03d}", lat_v[:, i], lon_v[:, i],
+                         start=datetime(2012, 8, 1), name="CLI", grade=4)
+              for i in range(40)]
     buf = io.StringIO()
     write_csv(storms, buf)
     path = tmp_path_factory.mktemp("input") / "storms.csv"
@@ -107,6 +100,10 @@ class TestIngest:
         ("csv", "storm_id,time,lon\nA,2005-07-01 00:00:00,140.0\n", 1),      # SchemaError
         ("csv", "storm_id,time,lat,lon\nA,2005-07-01 00:00:00,15.0,140.0\n"
          "A,2005-07-01 06:00:00,-95.0,140.0\n", 3),                          # ValidationError
+        # a field past the csv module's field limit: ParseError
+        pytest.param("csv", "storm_id,time,lat,lon\nA,2005-07-01 00:00:00,15.0,140.0\n"
+                     "A,2005-07-01 06:00:00,15.5,139.0," + "x" * 140_000 + "\n", 3,
+                     id="csv-overlong-field"),
     ])
     def test_typed_input_errors_exit_2(self, tmp_path, capsys, fmt, text, line_no):
         path = tmp_path / "bad.txt"
@@ -117,13 +114,12 @@ class TestIngest:
         assert f"error: line {line_no}: " in capsys.readouterr().err
 
     def test_irregular_cadence_is_counted(self, tmp_path, capsys):
-        start = datetime(2012, 8, 1)
-        storms = []
-        for i, gap in enumerate((0, 7, 0)):   # storm C001 pauses a week mid-window
-            hours = [6 * j + 24 * gap * (j >= 20) for j in range(40)]
-            storms.append(StormRecordSet.from_records(f"C{i:03d}", "CLI", [
-                StormRecord(time=start + timedelta(hours=h), grade=4, lat=15.0 + 0.2 * j,
-                            lon=140.0 - 0.3 * j) for j, h in enumerate(hours)]))
+        j = np.arange(40)
+        # storm C001 pauses a week mid-window
+        storms = [make_storm(f"C{i:03d}", 15.0 + 0.2 * j, 140.0 - 0.3 * j,
+                             hours=6 * j + 24 * gap * (j >= 20),
+                             start=datetime(2012, 8, 1), name="CLI", grade=4)
+                  for i, gap in enumerate((0, 7, 0))]
         buf = io.StringIO()
         write_csv(storms, buf)
         (tmp_path / "gap.csv").write_text(buf.getvalue())
@@ -144,12 +140,11 @@ class TestIngest:
         assert manifest["counts"] == {"irregular_windows": 1}
 
     def test_track_across_greenwich(self, tmp_path):
-        start = datetime(2012, 8, 1)
-        storms = [StormRecordSet.from_records(sid, "CLI", [
-            StormRecord(time=start + timedelta(hours=6 * j), grade=4, lat=15.0 + 0.2 * j,
-                        lon=lon0 + step * j) for j in range(32)])
-            for sid, lon0, step in (("E", -10.0, 0.7), ("W", 10.0, -0.7),
-                                    ("P", 140.0, -0.3))]
+        j = np.arange(32)
+        storms = [make_storm(sid, 15.0 + 0.2 * j, lon0 + step * j,
+                             start=datetime(2012, 8, 1), name="CLI", grade=4)
+                  for sid, lon0, step in (("E", -10.0, 0.7), ("W", 10.0, -0.7),
+                                          ("P", 140.0, -0.3))]
         buf = io.StringIO()
         write_csv(storms, buf)
         (tmp_path / "g.csv").write_text(buf.getvalue())
@@ -370,16 +365,24 @@ class TestShippedModelIsScored:
 class TestInputFiles:
     """Missing or mismatched inputs end in a typed error naming the file."""
 
-    def test_model_without_a_key(self, ingested, fitted, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["predict", "export"])
+    @pytest.mark.parametrize("damage, message", [
+        (lambda model: model.pop("coefficients"), "coefficients"),
+        (lambda model: model["coefficients"][2].__setitem__(1, float("nan")), "not finite"),
+        (lambda model: model["center"].__setitem__(0, float("inf")), "not finite"),
+    ], ids=["no-coefficients", "nan-coefficient", "inf-center"])
+    def test_model_without_a_key(self, ingested, fitted, tmp_path, capsys, command,
+                                 damage, message):
         models = shutil.copytree(fitted, tmp_path / "models")
         model = json.loads((models / "lat_model.json").read_text())
-        del model["coefficients"]
+        damage(model)
         (models / "lat_model.json").write_text(json.dumps(model))
-        code = main(["predict", "--data", str(ingested), "--models", str(models),
+        code = main([command, "--data", str(ingested), "--models", str(models),
                      "--out", str(tmp_path / "fc.geojson")])
         assert code == 2
         err = capsys.readouterr().err
-        assert "lat_model.json" in err and "coefficients" in err
+        assert "lat_model.json" in err and message in err
+        assert not (tmp_path / "fc.geojson").exists()
 
     def test_dataset_without_predictor_len(self, ingested, tmp_path, capsys):
         data = shutil.copytree(ingested, tmp_path / "data")
@@ -421,8 +424,10 @@ class TestInputFiles:
         lambda rows: rows[:-1],                                  # dropped row
         lambda rows: rows[:5] + ["nan," + rows[5].split(",", 1)[1]] + rows[6:],
         lambda rows: rows[:5] + ["inf," + rows[5].split(",", 1)[1]] + rows[6:],
+        # a cell past the csv module's field limit
+        lambda rows: rows[:5] + ["1" * 140_000 + "," + rows[5].split(",", 1)[1]] + rows[6:],
     ], ids=["empty", "non-numeric", "ragged", "blank-line", "dropped-row", "nan",
-            "inf"])
+            "inf", "overlong-cell"])
     def test_damaged_matrix_file(self, ingested, fitted, tmp_path, capsys, damage):
         data = shutil.copytree(ingested, tmp_path / "data")
         rows = (data / "lat.csv").read_text().splitlines()

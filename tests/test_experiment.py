@@ -17,12 +17,11 @@ from fofcast.errors import SingularityError
 from fofcast.clustering import assign_batch, kmeans_fit
 from fofcast.experiment import (EARTH_RADIUS_KM, SplitRunner, _best_cell, fittable,
                                 track_errors)
-from fofcast.ingest import StormRecord, StormRecordSet
 from fofcast.regression import fof_forecast
 
-from conftest import synthetic_matrices, two_regime_matrices
+from conftest import make_storm, synthetic_matrices, two_regime_matrices
 
-from datetime import datetime, timedelta
+from datetime import datetime
 
 
 def law_of_cosines_km(p1, p2) -> float:
@@ -405,14 +404,11 @@ class TestLengthStudy:
         storms = []
         for i in range(n):
             length = int(rng.integers(32, max_len + 1))
-            start = datetime(2010, 6, 1)
-            records = tuple(
-                StormRecord(time=start + timedelta(hours=6 * j), grade=5,
-                            lat=10 + 0.3 * j + rng.normal(0, 0.1),
-                            lon=150 - 0.2 * j + rng.normal(0, 0.1))
-                for j in range(length))
-            storms.append(StormRecordSet.from_records(storm_id=f"L{i}", name="",
-                                                      records=records))
+            j = np.arange(length)
+            noise = rng.normal(0, 0.1, (length, 2))   # lat, lon noise per record
+            storms.append(make_storm(f"L{i}", 10 + 0.3 * j + noise[:, 0],
+                                     150 - 0.2 * j + noise[:, 1],
+                                     start=datetime(2010, 6, 1), name=""))
         return storms
 
     def test_lower_triangular_layout(self):

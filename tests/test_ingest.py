@@ -1,7 +1,8 @@
+import csv
 import io
+import math
 import warnings
-from dataclasses import astuple
-from datetime import datetime, timedelta
+from datetime import datetime
 
 import numpy as np
 import pytest
@@ -11,21 +12,36 @@ from hypothesis import strategies as st
 from fofcast import (build_matrices, extract_tail, filter_min_length,
                      parse_csv, parse_rsmc, train_test_split, write_csv)
 from fofcast.errors import LengthError, ParseError, SchemaError, ShapeError, ValidationError
-from fofcast.ingest import StormRecord, StormRecordSet
+from fofcast.ingest import TIME_FORMAT
 
-from conftest import make_rsmc_storm, mixed_rsmc_text, rsmc_data_line, rsmc_header
-
-
-def _records(n, start=datetime(2005, 7, 1)):
-    return tuple(
-        StormRecord(time=start + timedelta(hours=6 * i), grade=5,
-                    lat=15.0 + 0.3 * i, lon=140.0 - 0.1 * i)
-        for i in range(n))
+from conftest import (make_rsmc_storm, make_storm, mixed_rsmc_text, rsmc_data_line,
+                      rsmc_header)
 
 
-def _storm(storm_id, n):
-    return StormRecordSet.from_records(storm_id=storm_id, name="T",
-                                       records=_records(n))
+def _storm(storm_id, n, name="T"):
+    i = np.arange(n)
+    return make_storm(storm_id, 15.0 + 0.3 * i, 140.0 - 0.1 * i, name=name)
+
+
+def _varied_storms():
+    """Three storms with a blank grade, pressures, winds and a name that the
+    CSV format must quote; storm C is longer than the 16 rows NumPy's unstable
+    sorts order by insertion, which is stable."""
+    storms = [_storm("A", 3), _storm("B", 2, name='KAI, "TAK"'), _storm("C", 20, name="")]
+    storms[0].optional[1, 0] = np.nan
+    storms[2].optional[:4, 1:3] = [[990.0, 35.0], [985.5, np.nan], [np.nan, 40.0],
+                                   [980.0, 45.0]]
+    return storms
+
+
+def record_rows(storm) -> list[tuple]:
+    """A storm's columns as rows of Python values: time, grade, lat, lon, the
+    six other optional fields (None where absent) and the landfall mark."""
+    columns = zip(storm.times.astype("datetime64[s]").tolist(), storm.lats.tolist(),
+                  storm.lons.tolist(), storm.optional.tolist(), storm.landfall.tolist())
+    return [(t, None if math.isnan(g) else int(g), lat, lon,
+             *(None if math.isnan(v) else v for v in rest), mark)
+            for t, lat, lon, (g, *rest), mark in columns]
 
 
 class TestParseRsmc:
@@ -45,18 +61,17 @@ class TestParseRsmc:
         new = make_rsmc_storm("2301", [15.0, 15.5], [140.0, 139.0],
                               start=datetime(2023, 7, 1))
         storms = parse_rsmc(old + new)
-        assert storms[0].records[0].time.year == 1951
-        assert storms[1].records[0].time.year == 2023
+        assert storms[0].times.astype("datetime64[s]")[0] == np.datetime64("1951-07-01")
+        assert storms[1].times.astype("datetime64[s]")[0] == np.datetime64("2023-07-01")
 
     def test_absent_fields(self):
         line = rsmc_data_line(datetime(2005, 7, 1), 15.0, 140.0,
                               pressure=990, wind=0)
         text = rsmc_header("0501", 2) + "\n" + line + "\n" + rsmc_data_line(
             datetime(2005, 7, 1, 6), 15.2, 139.8) + "\n"
-        storm = parse_rsmc(text)[0]
-        assert storm.records[0].max_wind is None
-        assert storm.records[0].central_pressure == 990
-        assert storm.records[0].radius_long_50kt is None
+        grade, pressure, wind, radius_long_50kt = parse_rsmc(text)[0].optional[0, :4]
+        assert grade == 5 and pressure == 990
+        assert np.isnan(wind) and np.isnan(radius_long_50kt)
 
     def test_empty_stream(self):
         assert parse_rsmc("") == []
@@ -101,7 +116,7 @@ class TestParseRsmc:
 
 
 def reference_data_line(line: str) -> tuple:
-    """The StormRecord fields of one RSMC data line, read field by field with
+    """The ``record_rows`` fields of one RSMC data line, read field by field with
     Python's int() and float(): the per-line reference for the columnar parse.
     ValueError or IndexError on a malformed line."""
     def optional(token: str) -> float | None:
@@ -156,19 +171,61 @@ def reference_parse(text: str) -> list[tuple[str, str, list[tuple]]]:
     return storms
 
 
+def reference_parse_csv(text: str) -> list[tuple[str, str, list[tuple]]]:
+    """(storm id, name, record fields) per storm of the CSV interchange format,
+    read row by row and each storm's rows sorted by time, or the error at the
+    line of the first fault: the per-row reference for the columnar parse."""
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    try:
+        if reader.fieldnames is None:
+            return []
+        if any(c not in reader.fieldnames for c in ("storm_id", "time", "lat", "lon")):
+            raise SchemaError("missing required columns", line_no=1)
+        by_storm, names = {}, {}
+        for row in reader:
+            sid = row["storm_id"]
+            try:
+                if any(row[c] is None for c in ("storm_id", "time", "lat", "lon")):
+                    raise ValidationError("missing fields")
+                lat, lon = float(row["lat"]), float(row["lon"])
+                if not (-90.0 <= lat <= 90.0 and -180.0 <= lon < 360.0):
+                    raise ValidationError("position out of range")
+                rec = (datetime.strptime(row["time"], TIME_FORMAT),
+                       int(row["grade"]) if row.get("grade") else None, lat, lon % 360.0,
+                       float(row["pressure"]) if row.get("pressure") else None,
+                       float(row["wind"]) if row.get("wind") else None,
+                       None, None, None, None, False)
+            except (ValueError, ValidationError) as exc:
+                raise ValidationError(f"storm {sid}: {exc}", line_no=reader.line_num) from exc
+            by_storm.setdefault(sid, []).append((rec, reader.line_num))
+            names.setdefault(sid, row.get("name", "") or "")
+    except csv.Error as exc:
+        raise ParseError(str(exc), line_no=reader.line_num + 1) from exc
+    storms = []
+    for sid, rows in by_storm.items():
+        ordered = sorted(rows, key=lambda row: row[0][0])
+        for (a, _), (b, line_no) in zip(ordered, ordered[1:]):
+            if a[0] == b[0]:
+                raise ValidationError(f"storm {sid}: duplicate timestamps", line_no=line_no)
+        if ordered != rows:
+            warnings.warn(f"storm {sid}: rows out of time order, sorting")
+        storms.append((sid, names[sid], [rec for rec, _ in ordered]))
+    return storms
+
+
 def outcome(parse, text: str):
     """What ``parse`` makes of ``text``: each storm's id, name and record
-    fields (as repr, so floats compare bit for bit), or the error's type and
-    line number."""
+    fields (as repr, so floats compare bit for bit) and the warnings, or the
+    error's type and line number."""
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")   # out-of-order CSV rows are sorted
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             storms = parse(text)
     except (ParseError, SchemaError, ValidationError) as exc:
         return type(exc), exc.line_no
-    if parse is reference_parse:
-        return repr(storms)
-    return repr([(s.storm_id, s.name, [astuple(r) for r in s.records]) for s in storms])
+    if parse not in (reference_parse, reference_parse_csv):
+        storms = [(s.storm_id, s.name, record_rows(s)) for s in storms]
+    return repr(storms), [str(w.message) for w in caught]
 
 
 def mutants(text: str):
@@ -190,6 +247,22 @@ THREE_STORMS = (make_rsmc_storm("0501", [15.0, 15.5, 16.2], [140.0, 139.5, 139.1
                                   start=datetime(2005, 8, 30, 12)))
 
 
+def _csv_texts() -> tuple[str, str, str]:
+    """write_csv's text of ``_varied_storms``; the same with two mid-track rows
+    of storm C swapped; and with all rows shuffled, so that the storms
+    interleave and their rows are out of time order."""
+    buf = io.StringIO()
+    write_csv(_varied_storms(), buf)
+    header, *rows = buf.getvalue().splitlines(keepends=True)
+    swapped = rows[:10] + rows[11:12] + rows[10:11] + rows[12:]
+    shuffled = np.random.default_rng(0).permutation(len(rows))
+    return (buf.getvalue(), header + "".join(swapped),
+            header + "".join(rows[k] for k in shuffled))
+
+
+CSV_TEXTS = _csv_texts()
+
+
 class TestColumnarRsmc:
     def test_every_column_matches_the_line_by_line_reference(self):
         text = mixed_rsmc_text()
@@ -197,9 +270,9 @@ class TestColumnarRsmc:
         reference = reference_parse(text)
         assert [(s.storm_id, s.name) for s in storms] == [r[:2] for r in reference]
         for storm, (_, _, rows) in zip(storms, reference):
-            assert repr([astuple(r) for r in storm.records]) == repr(rows)
+            assert repr(record_rows(storm)) == repr(rows)
         # the mix reaches every optional part of the layout
-        fields = [f for s in storms for r in s.records for f in astuple(r)]
+        fields = [f for s in storms for r in record_rows(s) for f in r]
         assert None in fields and True in fields and 0 in fields
         assert storms[0].lats.flags.writeable is False
 
@@ -208,7 +281,7 @@ class TestColumnarRsmc:
     def test_damaged_text_parses_or_names_its_line(self, data):
         text = data.draw(mutants(THREE_STORMS))
         got = outcome(parse_rsmc, text)
-        if isinstance(got, tuple):
+        if isinstance(got[0], type):
             assert got[0] is ParseError and got[1] is not None
         if text.isascii():   # a non-ASCII data line is a fault the reference may accept
             assert got == outcome(reference_parse, text)
@@ -242,16 +315,16 @@ class TestColumnarRsmc:
 
 class TestParseCsv:
     def test_round_trip(self):
-        storms = [_storm("A", 5), _storm("B", 3)]
+        storms = _varied_storms()
         buf = io.StringIO()
         write_csv(storms, buf)
         reparsed = parse_csv(buf.getvalue())
-        assert len(reparsed) == 2
+        assert [(s.storm_id, s.name) for s in reparsed] == [(s.storm_id, s.name)
+                                                            for s in storms]
         for orig, back in zip(storms, reparsed):
-            assert back.storm_id == orig.storm_id
-            np.testing.assert_array_equal(back.lats, orig.lats)
-            np.testing.assert_array_equal(back.lons, orig.lons)
-            assert [r.time for r in back.records] == [r.time for r in orig.records]
+            for field in ("times", "lats", "lons", "optional"):
+                a, b = getattr(orig, field), getattr(back, field)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
 
     def test_missing_column(self):
         with pytest.raises(SchemaError, match="lon"):
@@ -283,10 +356,14 @@ class TestParseCsv:
         ("A,2005-07-01 00:00:00,15.0,140.0\nA,2005-07-01 06:00:00,15.5", ValidationError),
         ("A,2005-07-01 00:00:00,15.0,140.0\nA,2005-07-01 06:00:00,15.5,360.0", ValidationError),
         ("A,2005-07-01 00:00:00,15.0,140.0\nA,2005-07-01 00:00:00,15.5,139.0", ValidationError),
+        pytest.param("A,2005-07-01 00:00:00,15.0,140.0\nA,2005-07-01 06:00:00,15.5,139.0,"
+                     + "9" * 400, ValidationError, id="grade-beyond-any-float"),
+        pytest.param("A,2005-07-01 00:00:00,15.0,140.0\nA,2005-07-01 06:00:00,15.5,139.0,"
+                     + "x" * 140_000, ParseError, id="field-past-the-csv-limit"),
     ])
     def test_row_errors_carry_line_no(self, row, error):
         with pytest.raises(error) as info:
-            parse_csv("storm_id,time,lat,lon\n" + row + "\n")
+            parse_csv("storm_id,time,lat,lon,grade\n" + row + "\n")
         assert info.value.line_no == 3
         assert str(info.value).startswith("line 3: ")
 
@@ -308,14 +385,19 @@ class TestParseCsv:
         with pytest.raises(ValidationError, match="longitude -180.5"):
             parse_csv("storm_id,time,lat,lon\nA,2005-07-01 00:00:00,15.0,-180.5\n")
 
+    def test_overlong_header_field_is_line_1(self):
+        # past the csv module's field limit
+        with pytest.raises(ParseError, match="field limit") as info:
+            parse_csv("storm_id,time,lat,lon," + "x" * 140_000 + "\n")
+        assert info.value.line_no == 1
+
     @given(st.data())
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     def test_damaged_text_parses_or_names_its_line(self, data):
-        buf = io.StringIO()
-        write_csv([_storm("A", 3), _storm("B", 2), _storm("C", 4)], buf)
-        got = outcome(parse_csv, data.draw(mutants(buf.getvalue())))
-        if isinstance(got, tuple):
-            assert got[0] in (ParseError, SchemaError, ValidationError)
+        text = data.draw(st.sampled_from(CSV_TEXTS).flatmap(mutants))
+        got = outcome(parse_csv, text)
+        assert got == outcome(reference_parse_csv, text)
+        if isinstance(got[0], type):
             assert got[1] is not None
 
 
