@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Full reproduction protocol on the RSMC Tokyo best-track archive.
 
-Runs the complete experiment: parse the archive, filter to >=32 records,
-window to the last 32 points (24 predictor + 8 response), then average a
-10x10 cluster-pair grid search and the single global model over 10
-repeated train/test splits. Optionally runs the length/data-size study.
+Drives the ``fofcast`` CLI: ``ingest`` filters the archive to storms of
+>= 32 records and windows each to its last 32 points (24 predictor + 8
+response), ``grid`` averages a 10x10 cluster-pair grid search and the single
+global model over --reps repeated train/test splits, and, with
+--with-length-study, ``length-study`` runs the length/data-size study.
+Outputs land in --out/dataset, --out/grid and --out/length_study.
 
 Expect a long runtime for the full protocol (a 10x10 grid over ~900
 training storms, times 10 repetitions).
@@ -14,9 +16,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from fofcast import (ExperimentConfig, build_matrices, extract_tail,
-                     filter_min_length, length_study, parse_rsmc,
-                     repeated_simulation)
+from fofcast.cli import main as cli_main
 
 
 def main() -> int:
@@ -29,33 +29,22 @@ def main() -> int:
     parser.add_argument("--with-length-study", action="store_true")
     args = parser.parse_args()
 
-    storms = parse_rsmc(args.archive.read_text())
-    n_records = sum(len(s) for s in storms)
-    print(f"parsed {len(storms)} storms, {n_records} records")
-    subset = filter_min_length(storms, 32)
-    print(f"{len(subset)} storms with >= 32 records")
-
-    config = ExperimentConfig(seed=args.seed, n_repetitions=args.reps)
-    windows = [extract_tail(s, 32, 24) for s in subset]
-    lat, lon = build_matrices(windows)
-    report = repeated_simulation(lat, lon, config)
-
-    args.out.mkdir(parents=True, exist_ok=True)
-    (args.out / "grid.csv").write_text(report.to_csv())
-    (args.out / "report.json").write_text(report.to_json())
-    print(f"global model:    {report.global_mean:.2f} km "
-          f"(std {report.global_std:.2f})")
-    k_lat, k_lon = report.best_pair
-    print(f"best clustered:  {report.best_error:.2f} km "
-          f"at k_lat={k_lat}, k_lon={k_lon}")
-
+    seed_reps = ["--seed", str(args.seed), "--reps", str(args.reps)]
+    steps = [
+        ["ingest", "--input", str(args.archive), "--min-len", "32",
+         "--total-len", "32", "--predictor-len", "24",
+         "--out", str(args.out / "dataset")],
+        ["grid", "--data", str(args.out / "dataset"),
+         "--out", str(args.out / "grid"), *seed_reps],
+    ]
     if args.with_length_study:
-        entries = length_study(storms, config)
-        for e in entries:
-            name = f"length_{e.total_len}_minrec_{e.min_records}"
-            (args.out / f"{name}.csv").write_text(e.report.to_csv())
-            print(f"size {e.data_size:5d} L={e.total_len}: "
-                  f"best {e.report.best_error:.2f} km")
+        steps.append(["length-study", "--input", str(args.archive),
+                      "--out", str(args.out / "length_study"), *seed_reps])
+    for step in steps:
+        print(f"\n$ fofcast {' '.join(step)}")
+        code = cli_main(step)
+        if code != 0:
+            return code
     return 0
 
 

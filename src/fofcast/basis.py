@@ -53,17 +53,6 @@ class BasisSystem:
             np.full(self.order, lo), np.asarray(self.knots), np.full(self.order, hi)
         ])
 
-    def to_dict(self) -> dict:
-        return {"kind": "bspline", "K": self.K, "domain": list(self.domain),
-                "order": self.order, "knots": list(self.knots)}
-
-    @staticmethod
-    def from_dict(d: dict) -> "BasisSystem":
-        if d["kind"] != "bspline":
-            raise ShapeError(f"unknown basis kind {d['kind']!r}")
-        return BasisSystem(K=d["K"], domain=tuple(d["domain"]),
-                           order=d["order"], knots=tuple(d["knots"]))
-
 
 def bspline_basis(K: int, domain: tuple[float, float],
                   order: int = 4) -> BasisSystem:

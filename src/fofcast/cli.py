@@ -20,7 +20,8 @@ from . import __version__
 from .errors import (FofcastError, SchemaError, ShapeError, SingularityError,
                      StormLookupError)
 from .experiment import (ExperimentConfig, SplitRunner, forecasts_to_geojson,
-                         length_study, repeated_simulation, split_workers)
+                         length_study, make_bases, repeated_simulation,
+                         split_workers)
 from .ingest import (DatasetMatrix, build_matrices, extract_tail,
                      filter_min_length, parse_csv, parse_rsmc, time_grid,
                      train_test_split)
@@ -61,13 +62,15 @@ def _read_matrix_csv(path: Path, total_len: int) -> DatasetMatrix:
             rows = list(csv.reader(fh))
         if not rows:
             raise ValueError("no header of storm ids")
+        if len(rows) - 1 != total_len:
+            raise ValueError(f"{len(rows) - 1} rows of values for a window of "
+                             f"{total_len}")
         ids = tuple(rows[0])
         # ragged rows fail in np.array, rows unlike the header in the reshape
         values = np.array([[float(v) for v in row] for row in rows[1:]])
         if not np.isfinite(values).all():
             raise ValueError("a value is not finite")
-        return DatasetMatrix(values=values.reshape(len(rows) - 1, len(ids)),
-                             time_grid=time_grid(total_len), storm_ids=ids)
+        return DatasetMatrix(values=values.reshape(total_len, len(ids)), storm_ids=ids)
     except (csv.Error, ValueError, ShapeError) as exc:
         raise SchemaError(f"{path}: {exc}") from exc
 
@@ -89,12 +92,22 @@ def _window(d: dict) -> dict:
     return shape
 
 
-def _split(d: dict) -> tuple[dict, list]:
-    """The window shape and the test storm ids of the split a model was fitted on."""
+def _model(d: dict) -> tuple[dict, list, FoFModel, FoFModel]:
+    """The window shape, the test storm ids and the lat and lon models of a
+    model.json; its bases follow from the window and K_t, K_s."""
     ids = d["test_ids"]
     if not isinstance(ids, list) or not all(isinstance(sid, str) for sid in ids):
         raise ValueError("test_ids must be a list of storm ids")
-    return _window(d), ids
+    window = _window(d)
+    bases = make_bases(ExperimentConfig(**window, K_t=int(d["K_t"]), K_s=int(d["K_s"])))
+    models = []
+    for coord in ("lat", "lon"):
+        coefficients, center = (np.array(d[coord][key], dtype=float)
+                                for key in ("coefficients", "center"))
+        if not (np.isfinite(coefficients).all() and np.isfinite(center).all()):
+            raise ValueError(f"a {coord} coefficient or centre value is not finite")
+        models.append(FoFModel(*bases, coefficients, center))
+    return window, ids, *models
 
 
 def _load_dataset(data_dir: Path) -> tuple[DatasetMatrix, DatasetMatrix, dict]:
@@ -126,9 +139,6 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     if args.predictor_len >= args.total_len:
         print("error: --predictor-len must be smaller than --total-len",
               file=sys.stderr)
-        return 2
-    if not args.input.exists():
-        print(f"error: input file not found: {args.input}", file=sys.stderr)
         return 2
     storms = _load_storms(args.input, args.format)
     t_parse = time.perf_counter()
@@ -166,16 +176,16 @@ def cmd_fit(args: argparse.Namespace) -> int:
     train_idx, test_idx = train_test_split(lat.n_storms, config.ratio,
                                            config.seed)
     runner = SplitRunner(lat, lon, train_idx, test_idx, config)
-    args.out.mkdir(parents=True, exist_ok=True)
+    saved = {**meta, "K_t": config.K_t, "K_s": config.K_s,
+             "seed": config.seed, "ratio": config.ratio,
+             "train_ids": [lat.storm_ids[i] for i in train_idx],
+             "test_ids": [lat.storm_ids[i] for i in test_idx]}
     for coord in ("lat", "lon"):
         model = runner.fit_coordinate(coord)
-        (args.out / f"{coord}_model.json").write_text(json.dumps(model.to_dict()))
-    (args.out / "split.json").write_text(json.dumps({
-        "seed": config.seed, "ratio": config.ratio,
-        "train_ids": [lat.storm_ids[i] for i in train_idx],
-        "test_ids": [lat.storm_ids[i] for i in test_idx],
-        "total_len": meta["total_len"], "predictor_len": meta["predictor_len"],
-    }))
+        saved[coord] = {"coefficients": model.coefficients.tolist(),
+                        "center": model.center.tolist()}
+    args.out.mkdir(parents=True, exist_ok=True)
+    (args.out / "model.json").write_text(json.dumps(saved))
     _write_manifest(args.out, "fit", args, {"total": time.perf_counter() - t0})
     print(f"fitted global lat/lon models on {len(train_idx)} training storms "
           f"-> {args.out}")
@@ -188,12 +198,11 @@ def _write_forecasts(args: argparse.Namespace, command: str, select,
     ids and the dataset's ids; write GeoJSON."""
     t0 = time.perf_counter()
     lat, lon, meta = _load_dataset(args.data)
-    window, test_ids = _read_json(args.models / "split.json", _split)
+    window, test_ids, lat_model, lon_model = _read_json(args.models / "model.json",
+                                                        _model)
     if window != meta:
-        raise SchemaError(f"{args.models / 'split.json'}: models fitted on windows "
+        raise SchemaError(f"{args.models / 'model.json'}: models fitted on windows "
                           f"{window}, {args.data / 'dataset.json'} holds {meta}")
-    lat_model, lon_model = (_read_json(args.models / f"{coord}_model.json",
-                                       FoFModel.from_dict) for coord in ("lat", "lon"))
     ids = select(test_ids, lat.storm_ids)
     index = {sid: j for j, sid in enumerate(lat.storm_ids)}
     unknown = [sid for sid in ids if sid not in index]
@@ -202,7 +211,7 @@ def _write_forecasts(args: argparse.Namespace, command: str, select,
                                f"available: {', '.join(sorted(index))}")
     cols = [index[sid] for sid in ids]
     lat_obs, lon_obs = lat.values[:, cols], lon.values[:, cols]
-    grid = lat.time_grid
+    grid = time_grid(meta["total_len"])
     P = meta["predictor_len"]
     lat_hat, lon_hat = predict_trajectory(lat_model, lon_model, lat_obs[:P],
                                           lon_obs[:P], grid[:P], grid[P:])
@@ -248,9 +257,6 @@ def cmd_grid(args: argparse.Namespace) -> int:
 
 def cmd_length_study(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    if not args.input.exists():
-        print(f"error: input file not found: {args.input}", file=sys.stderr)
-        return 2
     storms = _load_storms(args.input, args.format)
     t_load = time.perf_counter()
     config = _grid_config_from_args(args, {

@@ -20,7 +20,7 @@ from .basis import basis_matrix, bspline_basis, fit_bundle, gram_matrix
 from .clustering import assign_batch, kmeans_fit, kmeans_seeds
 from .errors import ShapeError
 from .ingest import (DatasetMatrix, StormRecordSet, build_matrices, extract_tail,
-                     filter_min_length, train_test_split)
+                     filter_min_length, time_grid, train_test_split)
 from .regression import FoFModel, design, fof_forecast, fof_statistics, solve_fof
 # not called here: perfbench/spans.py traces the one-model fit by this name
 from .regression import fit_fof  # noqa: F401
@@ -113,12 +113,13 @@ class ExperimentReport:
         return "\n".join(lines) + "\n"
 
 
-def make_bases(config: ExperimentConfig,
-               time_grid: np.ndarray) -> tuple:
-    """Predictor and response B-spline bases over their index sub-domains."""
+def make_bases(config: ExperimentConfig) -> tuple:
+    """Predictor and response B-spline bases over their sub-domains of the
+    window's time grid."""
     P = config.predictor_len
-    predictor_domain = (float(time_grid[0]), float(time_grid[P - 1]))
-    response_domain = (float(time_grid[P]), float(time_grid[-1]))
+    grid = time_grid(config.total_len)
+    predictor_domain = (float(grid[0]), float(grid[P - 1]))
+    response_domain = (float(grid[P]), float(grid[-1]))
     return (bspline_basis(config.K_t, predictor_domain),
             bspline_basis(config.K_s, response_domain))
 
@@ -154,10 +155,10 @@ class SplitRunner:
         self.kmeans_seed = config.seed if kmeans_seed is None else kmeans_seed
         self.train_idx = np.asarray(train_idx)
         self.test_idx = np.asarray(test_idx)
-        grid = lat_mat.time_grid
+        grid = time_grid(L)
         self.predictor_grid = grid[:P]
         self.response_grid = grid[P:]
-        self.predictor_basis, self.response_basis = make_bases(config, grid)
+        self.predictor_basis, self.response_basis = make_bases(config)
         self.gram = gram_matrix(self.predictor_basis)
         self.theta = basis_matrix(self.response_basis, self.response_grid)
         self.eig = np.linalg.eigh(self.theta.T @ self.theta)
@@ -169,8 +170,7 @@ class SplitRunner:
             self.test_segments[coord] = v[:P, self.test_idx].T.copy()
             coeffs = fit_bundle(
                 self.predictor_basis, self.predictor_grid,
-                DatasetMatrix(values=v[:P], time_grid=self.predictor_grid,
-                              storm_ids=lat_mat.storm_ids),
+                DatasetMatrix(values=v[:P], storm_ids=lat_mat.storm_ids),
                 ridge=config.curve_ridge)
             self.truth[coord] = v[P:, self.test_idx]
             # the engine centres the regressors on the training mean, so its

@@ -52,20 +52,15 @@ class StormRecordSet:
 
 @dataclass(frozen=True)
 class DatasetMatrix:
-    """p x n value matrix: rows are time points, columns are storms."""
+    """p x n value matrix: rows are the points of ``time_grid(p)``, columns
+    are storms."""
 
     values: np.ndarray
-    time_grid: np.ndarray
     storm_ids: tuple[str, ...]
 
     def __post_init__(self):
-        p, n = self.values.shape
-        if n != len(self.storm_ids):
+        if self.values.shape[1] != len(self.storm_ids):
             raise ShapeError("column count does not match storm id count")
-        if p != len(self.time_grid):
-            raise ShapeError("row count does not match time grid length")
-        if np.any(np.diff(self.time_grid) <= 0):
-            raise ShapeError("time grid must be strictly increasing")
 
     @property
     def n_storms(self) -> int:
@@ -222,8 +217,10 @@ def parse_csv(stream: TextIO | str) -> list[StormRecordSet]:
                 if not (-90.0 <= lat <= 90.0 and -180.0 <= lon < 360.0):
                     raise ValidationError(f"latitude {lat} outside [-90, 90] or "
                                           f"longitude {lon} outside [-180, 360)")
+                # a tiny negative longitude wraps to 360.0 by rounding; the
+                # second % takes that to 0.0
                 values = (reader.line_num, datetime.strptime(row["time"], TIME_FORMAT),
-                          lat, lon % 360.0,
+                          lat, lon % 360.0 % 360.0,
                           float(int(row["grade"])) if row.get("grade") else math.nan,
                           *(float(row[c]) if row.get(c) else math.nan
                             for c in ("pressure", "wind")))
@@ -263,7 +260,7 @@ def write_csv(storms: Iterable[StormRecordSet], stream: TextIO) -> None:
         rows = zip(storm.times.astype("datetime64[s]").tolist(), storm.lats.tolist(),
                    storm.lons.tolist(), storm.optional[:, :3].tolist())
         for time, lat, lon, (grade, *extras) in rows:
-            writer.writerow([storm.storm_id, time.strftime(TIME_FORMAT), repr(lat), repr(lon),
+            writer.writerow([storm.storm_id, time.isoformat(" "), repr(lat), repr(lon),
                              "" if math.isnan(grade) else int(grade),
                              *("" if math.isnan(v) else repr(v) for v in extras),
                              storm.name])
@@ -310,14 +307,13 @@ def build_matrices(windows: Sequence[StormRecordSet]
     for w in windows:
         if len(w) != L:
             raise ShapeError(f"window {w.storm_id} has {len(w)} records, expected {L}")
-    grid = time_grid(L)
     # copies, because the parsed ids lie among the freed parse objects and
     # would keep the memory pages of all of them mapped
     ids = tuple(w.storm_id.encode().decode() for w in windows)
     lat = np.column_stack([w.lats for w in windows])
     lon = np.unwrap(np.column_stack([w.lons for w in windows]), period=360.0, axis=0)
-    return (DatasetMatrix(values=lat, time_grid=grid, storm_ids=ids),
-            DatasetMatrix(values=lon, time_grid=grid, storm_ids=ids))
+    return (DatasetMatrix(values=lat, storm_ids=ids),
+            DatasetMatrix(values=lon, storm_ids=ids))
 
 
 def train_test_split(n: int, ratio: float,

@@ -41,23 +41,6 @@ class FoFModel:
         if self.center.shape != (K_t,):
             raise ShapeError("centre length does not match predictor basis")
 
-    def to_dict(self) -> dict:
-        return {"predictor_basis": self.predictor_basis.to_dict(),
-                "response_basis": self.response_basis.to_dict(),
-                "coefficients": self.coefficients.tolist(),
-                "center": self.center.tolist()}
-
-    @staticmethod
-    def from_dict(d: dict) -> "FoFModel":
-        """The model of ``to_dict``'s fields; ValueError if a number is not finite."""
-        coefficients = np.array(d["coefficients"], dtype=float)
-        center = np.array(d["center"], dtype=float)
-        if not (np.isfinite(coefficients).all() and np.isfinite(center).all()):
-            raise ValueError("a coefficient or centre value is not finite")
-        return FoFModel(predictor_basis=BasisSystem.from_dict(d["predictor_basis"]),
-                        response_basis=BasisSystem.from_dict(d["response_basis"]),
-                        coefficients=coefficients, center=center)
-
 
 def design(Z: np.ndarray, center: np.ndarray | float) -> np.ndarray:
     """Regressors w = [1; z - center] for the columns z = J c of Z. Centring

@@ -118,10 +118,9 @@ def synthetic_tracks(n: int, L: int = 32, seed: int = 0,
 def synthetic_matrices(n: int, L: int = 32, seed: int = 0,
                        noise: float = 0.0) -> tuple[DatasetMatrix, DatasetMatrix]:
     lat_v, lon_v = synthetic_tracks(n, L, seed, noise)
-    grid = time_grid(L)
     ids = tuple(f"S{i:04d}" for i in range(n))
-    return (DatasetMatrix(values=lat_v, time_grid=grid, storm_ids=ids),
-            DatasetMatrix(values=lon_v, time_grid=grid, storm_ids=ids))
+    return (DatasetMatrix(values=lat_v, storm_ids=ids),
+            DatasetMatrix(values=lon_v, storm_ids=ids))
 
 
 def two_regime_matrices(n: int = 100, L: int = 32, seed: int = 7
@@ -132,7 +131,6 @@ def two_regime_matrices(n: int = 100, L: int = 32, seed: int = 7
     k-means), and the response offset differs between regimes.
     """
     rng = np.random.default_rng(seed)
-    grid = time_grid(L)
     ids = tuple(f"R{i:04d}" for i in range(n))
     lat_cols, lon_cols = [], []
     for i in range(n):
@@ -144,7 +142,5 @@ def two_regime_matrices(n: int = 100, L: int = 32, seed: int = 7
         lon[24:] += -10.0 if regime == 0 else 25.0
         lat_cols.append(lat)
         lon_cols.append(lon)
-    return (DatasetMatrix(values=np.array(lat_cols).T, time_grid=grid,
-                          storm_ids=ids),
-            DatasetMatrix(values=np.array(lon_cols).T, time_grid=grid,
-                          storm_ids=ids))
+    return (DatasetMatrix(values=np.array(lat_cols).T, storm_ids=ids),
+            DatasetMatrix(values=np.array(lon_cols).T, storm_ids=ids))

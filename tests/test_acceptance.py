@@ -105,7 +105,7 @@ class TestCriterion6SyntheticOracles:
         n, L, P = 400, 32, 24
         config = ExperimentConfig(n_repetitions=1)
         grid = time_grid(L)
-        pred_basis, resp_basis = make_bases(config, grid)
+        pred_basis, resp_basis = make_bases(config)
         rng = np.random.default_rng(60)
         J = gram_matrix(pred_basis)
         Theta = basis_matrix(resp_basis, grid[P:])
@@ -119,16 +119,13 @@ class TestCriterion6SyntheticOracles:
             values = np.vstack([Phi @ C, Theta @ (a[:, None] + B @ (J @ C))])
             return values
 
-        lat = DatasetMatrix(values=coordinate(20.0, 0.3), time_grid=grid,
-                            storm_ids=ids)
-        lon = DatasetMatrix(values=coordinate(140.0, 0.3), time_grid=grid,
-                            storm_ids=ids)
+        lat = DatasetMatrix(values=coordinate(20.0, 0.3), storm_ids=ids)
+        lon = DatasetMatrix(values=coordinate(140.0, 0.3), storm_ids=ids)
         train_idx, test_idx = train_test_split(n, 0.8, seed=0)
 
         for coord_mat in (lat, lon):
             x_train = DatasetMatrix(
                 values=coord_mat.values[:P, train_idx],
-                time_grid=grid[:P],
                 storm_ids=tuple(ids[i] for i in train_idx))
             from fofcast import fit_bundle
             X = fit_bundle(pred_basis, grid[:P], x_train)
@@ -138,7 +135,7 @@ class TestCriterion6SyntheticOracles:
                 J @ X, model.center))
             train_rms = np.sqrt(np.mean((train_pred - y_train) ** 2))
             x_test = DatasetMatrix(
-                values=coord_mat.values[:P, test_idx], time_grid=grid[:P],
+                values=coord_mat.values[:P, test_idx],
                 storm_ids=tuple(ids[i] for i in test_idx))
             X_test = fit_bundle(pred_basis, grid[:P], x_test)
             test_pred = fof_forecast(model.coefficients, Theta, design(

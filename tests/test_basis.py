@@ -140,8 +140,7 @@ class TestFit:
         basis = bspline_basis(12, (0.0, 1.0))
         grid = np.linspace(0, 1, 24)
         values = rng.normal(size=(24, 7))
-        mat = DatasetMatrix(values=values, time_grid=grid,
-                            storm_ids=tuple(f"S{i}" for i in range(7)))
+        mat = DatasetMatrix(values=values, storm_ids=tuple(f"S{i}" for i in range(7)))
         coeffs = fit_bundle(basis, grid, mat)
         assert coeffs.shape == (12, 7)
         for j in range(7):
@@ -251,16 +250,6 @@ class TestGram:
 
 
 class TestSerialization:
-    def test_basis_dict_keeps_the_stored_format(self):
-        basis = bspline_basis(8, (0.0, 0.74))
-        # the layout model files have always been written in
-        stored = {"kind": "bspline", "K": 8, "domain": [0.0, 0.74], "order": 4,
-                  "knots": list(basis.knots)}
-        assert basis.to_dict() == stored
-        assert BasisSystem.from_dict(stored) == basis
-        with pytest.raises(ShapeError, match="fourier"):
-            BasisSystem.from_dict({**stored, "kind": "fourier"})
-
     def test_bad_shapes_rejected(self):
         basis = bspline_basis(8, (0.0, 1.0))
         with pytest.raises(ShapeError):

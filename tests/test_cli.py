@@ -14,7 +14,8 @@ from fofcast import experiment
 from fofcast.cli import _load_dataset, main
 from fofcast.experiment import SplitRunner
 
-from conftest import make_storm, rsmc_data_line, rsmc_header, synthetic_tracks
+from conftest import (make_rsmc_storm, make_storm, rsmc_data_line, rsmc_header,
+                      synthetic_tracks)
 
 from datetime import datetime
 
@@ -60,12 +61,6 @@ class TestIngest:
         assert len(lat_rows) == 33  # id row + 32 time rows
         assert len(lat_rows[0].split(",")) == 40
         assert (ingested / "ingest_manifest.json").exists()
-
-    def test_missing_input(self, tmp_path, capsys):
-        code = main(["ingest", "--format", "csv", "--input",
-                     str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o")])
-        assert code == 2
-        assert "nope.csv" in capsys.readouterr().err
 
     def test_bad_pressure_field(self, tmp_path, capsys):
         line = rsmc_data_line(datetime(2005, 7, 1, 6), 15.5, 139.5)
@@ -156,6 +151,15 @@ class TestIngest:
                                    + np.arange(32)[:, None] * [0.7, -0.7, -0.3],
                                    rtol=0, atol=1e-9)
         np.testing.assert_array_equal(lon[:, 2], storms[2].lons)
+
+
+@pytest.mark.parametrize("command", ["ingest", "length-study"])
+def test_missing_input(tmp_path, capsys, command):
+    code = main([command, "--format", "csv", "--input", str(tmp_path / "nope.csv"),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert str(tmp_path / "nope.csv") in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 class TestPredict:
@@ -260,7 +264,7 @@ class TestExportAndLengthStudy:
                      str(fitted), "--out", str(out)])
         assert code == 0
         doc = json.loads(out.read_text())
-        split = json.loads((fitted / "split.json").read_text())
+        split = json.loads((fitted / "model.json").read_text())
         assert len(doc["features"]) == 3 * len(split["test_ids"])
         assert [f["properties"]["storm_id"] for f in doc["features"][::3]] == \
             split["test_ids"]
@@ -342,8 +346,11 @@ class TestShippedModelIsScored:
         return SplitRunner(lat, lon, train, test, config)
 
     def test_saved_model_is_the_global_model(self, fitted, runner):
+        assert sorted(p.name for p in fitted.iterdir()) == ["fit_manifest.json",
+                                                            "model.json"]
+        model = json.loads((fitted / "model.json").read_text())
         for coord in ("lat", "lon"):
-            saved = json.loads((fitted / f"{coord}_model.json").read_text())
+            saved = model[coord]
             np.testing.assert_array_equal(np.array(saved["coefficients"]),
                                           runner.global_coeffs[coord][0])
             np.testing.assert_array_equal(np.array(saved["center"]), runner.center[coord])
@@ -367,21 +374,40 @@ class TestInputFiles:
 
     @pytest.mark.parametrize("command", ["predict", "export"])
     @pytest.mark.parametrize("damage, message", [
-        (lambda model: model.pop("coefficients"), "coefficients"),
-        (lambda model: model["coefficients"][2].__setitem__(1, float("nan")), "not finite"),
-        (lambda model: model["center"].__setitem__(0, float("inf")), "not finite"),
-    ], ids=["no-coefficients", "nan-coefficient", "inf-center"])
+        (lambda model: model.pop("lat"), "'lat'"),
+        (lambda model: model["lat"]["coefficients"][2].__setitem__(1, float("nan")),
+         "not finite"),
+        (lambda model: model["lat"]["center"].__setitem__(0, float("inf")), "not finite"),
+        (lambda model: model.__setitem__("K_t", 30), "K_t=30 exceeds the 24 predictor"),
+        (lambda model: model.__setitem__("test_ids", "C001"), "test_ids must be a list"),
+    ], ids=["no-lat", "nan-coefficient", "inf-center", "k-t-above-p", "test-ids-string"])
     def test_model_without_a_key(self, ingested, fitted, tmp_path, capsys, command,
                                  damage, message):
         models = shutil.copytree(fitted, tmp_path / "models")
-        model = json.loads((models / "lat_model.json").read_text())
+        model = json.loads((models / "model.json").read_text())
         damage(model)
-        (models / "lat_model.json").write_text(json.dumps(model))
+        (models / "model.json").write_text(json.dumps(model))
         code = main([command, "--data", str(ingested), "--models", str(models),
                      "--out", str(tmp_path / "fc.geojson")])
         assert code == 2
         err = capsys.readouterr().err
-        assert "lat_model.json" in err and message in err
+        assert "model.json" in err and message in err
+        assert not (tmp_path / "fc.geojson").exists()
+
+    def test_model_directory_of_an_earlier_version(self, ingested, fitted, tmp_path,
+                                                   capsys):
+        # earlier versions wrote the split and each coordinate's model apart
+        models = tmp_path / "models"
+        models.mkdir()
+        model = json.loads((fitted / "model.json").read_text())
+        (models / "split.json").write_text(json.dumps(
+            {k: v for k, v in model.items() if k not in ("lat", "lon")}))
+        for coord in ("lat", "lon"):
+            (models / f"{coord}_model.json").write_text(json.dumps(model[coord]))
+        code = main(["export", "--data", str(ingested), "--models", str(models),
+                     "--out", str(tmp_path / "fc.geojson")])
+        assert code == 2
+        assert str(models / "model.json") in capsys.readouterr().err
         assert not (tmp_path / "fc.geojson").exists()
 
     def test_dataset_without_predictor_len(self, ingested, tmp_path, capsys):
@@ -414,7 +440,7 @@ class TestInputFiles:
         code = main(["export", "--data", str(data), "--models", str(fitted),
                      "--out", str(tmp_path / "x.geojson")])
         assert code == 2
-        assert "split.json" in capsys.readouterr().err
+        assert "model.json" in capsys.readouterr().err
 
     @pytest.mark.parametrize("damage", [
         lambda rows: [],                                         # empty file
@@ -468,3 +494,23 @@ def test_synthetic_demo_runs_and_repeats(tmp_path):
         assert done.returncode == 0, done.stderr
         runs.append([(tmp_path / name / f).read_bytes() for f in outputs])
     assert runs[0] == runs[1]
+
+
+def test_reproduce_tables_runs(tmp_path):
+    """The reproduction script drives ingest, grid and length-study."""
+    root = Path(__file__).resolve().parents[1]
+    lat, lon = synthetic_tracks(n=40, L=48, seed=21, noise=0.1)
+    archive = tmp_path / "bst.txt"
+    archive.write_text("".join(make_rsmc_storm(f"{i:04d}", lat[:, i], lon[:, i])
+                               for i in range(40)))
+    done = subprocess.run([sys.executable, str(root / "scripts/reproduce_tables.py"),
+                           str(archive), "--out", str(tmp_path / "r"), "--reps", "1",
+                           "--with-length-study"],
+                          env={**os.environ, "PYTHONPATH": str(root / "src")},
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    report = json.loads((tmp_path / "r" / "grid" / "report.json").read_text())
+    assert report["n_storms"] == 40 and np.shape(report["cell_means"]) == (10, 10)
+    summary = json.loads((tmp_path / "r" / "length_study" / "length_study.json").read_text())
+    assert [(e["min_records"], e["total_len"]) for e in summary] == [
+        (32, 32), (40, 32), (40, 40), (48, 32), (48, 40), (48, 48)]

@@ -1,4 +1,3 @@
-import json
 
 import numpy as np
 import pytest
@@ -231,16 +230,6 @@ class TestPredict:
         lhs = predict_one(model, c1 + c2)
         rhs = predict_one(model, c1) + predict_one(model, c2) - alpha_values
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
-
-
-def test_model_serialization_round_trip():
-    X, Y, *_ = synthetic_fof(20, seed=15)
-    model = fit(X, Y, ridge=1e-8, response_basis=bspline_basis(4, (0.7, 1.0)))
-    back = FoFModel.from_dict(json.loads(json.dumps(model.to_dict())))
-    assert back.predictor_basis == model.predictor_basis
-    assert back.response_basis == model.response_basis
-    np.testing.assert_array_equal(back.coefficients, model.coefficients)
-    np.testing.assert_array_equal(back.center, model.center)
 
 
 class TestTrajectory:
