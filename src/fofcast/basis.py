@@ -2,7 +2,7 @@
 
 A discrete series observed on a grid is represented as a smooth curve
 x(t) = sum_k c_k * phi_k(t) over a B-spline basis; coefficients come from
-(optionally ridge-stabilized) least squares.
+least squares.
 """
 
 from __future__ import annotations
@@ -103,8 +103,8 @@ def basis_matrix(basis: BasisSystem, grid: Sequence[float]) -> np.ndarray:
 
 
 def fit_coefficients(basis: BasisSystem, grid: Sequence[float],
-                     observations, ridge: float = 0.0) -> np.ndarray:
-    """Least-squares curve representation: solve (Phi'Phi + ridge I) C = Phi'X.
+                     observations) -> np.ndarray:
+    """Least-squares curve representation: solve Phi'Phi C = Phi'X.
 
     ``observations`` holds p values of one series or a p x n matrix of n
     series on the same grid; the coefficients come back as K or K x n, all
@@ -115,25 +115,22 @@ def fit_coefficients(basis: BasisSystem, grid: Sequence[float],
     if grid.ndim != 1 or X.shape[:1] != grid.shape or X.ndim > 2:
         raise ShapeError("observations must have one row per grid point")
     Phi = basis_matrix(basis, grid)
-    A = Phi.T @ Phi
-    if ridge > 0:
-        A = A + ridge * np.eye(A.shape[0])
     rhs = Phi.T @ X.reshape(len(grid), -1)
     try:
-        L = np.linalg.cholesky(A)
+        L = np.linalg.cholesky(Phi.T @ Phi)
     except np.linalg.LinAlgError as exc:
         raise SingularityError(
-            "normal equations are rank deficient; use ridge > 0 or a "
-            "smaller basis dimension") from exc
+            "normal equations are rank deficient; use a smaller basis "
+            "dimension or more grid points") from exc
     coeffs = np.linalg.solve(L.T, np.linalg.solve(L, rhs))
     return coeffs if X.ndim == 2 else coeffs[:, 0]
 
 
 def fit_bundle(basis: BasisSystem, grid: Sequence[float],
-               matrix, ridge: float = 0.0) -> np.ndarray:
+               matrix) -> np.ndarray:
     """K x n coefficients of the columns of a DatasetMatrix, from a single
     factorization."""
-    return fit_coefficients(basis, grid, matrix.values, ridge)
+    return fit_coefficients(basis, grid, matrix.values)
 
 
 def gram_matrix(basis: BasisSystem) -> np.ndarray:

@@ -25,7 +25,7 @@ from .experiment import (ExperimentConfig, SplitRunner, forecasts_to_geojson,
 from .ingest import (DatasetMatrix, build_matrices, extract_tail,
                      filter_min_length, parse_csv, parse_rsmc, time_grid,
                      train_test_split)
-from .regression import FoFModel, predict_trajectory
+from .regression import predict_trajectory
 
 
 def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace,
@@ -84,30 +84,41 @@ def _read_json(path: Path, parse):
         raise SchemaError(f"{path}: missing or ill-shaped field: {exc}") from exc
 
 
+def _int(d: dict, key: str) -> int:
+    """The JSON integer under ``key``; a float, a string or a boolean is refused."""
+    if type(d[key]) is not int:
+        raise ValueError(f"{key} must be an integer, got {d[key]!r}")
+    return d[key]
+
+
 def _window(d: dict) -> dict:
     """The window shape a dataset was cut, or a model fitted, with."""
-    shape = {"total_len": int(d["total_len"]), "predictor_len": int(d["predictor_len"])}
+    shape = {key: _int(d, key) for key in ("total_len", "predictor_len")}
     if not 0 < shape["predictor_len"] < shape["total_len"]:
         raise ValueError(f"need 0 < predictor_len < total_len, got {shape}")
     return shape
 
 
-def _model(d: dict) -> tuple[dict, list, FoFModel, FoFModel]:
-    """The window shape, the test storm ids and the lat and lon models of a
-    model.json; its bases follow from the window and K_t, K_s."""
+def _model(d: dict) -> tuple:
+    """The window shape, test storm ids, bases (from the window and K_t, K_s)
+    and lat and lon (coefficients, center) models of a model.json."""
     ids = d["test_ids"]
     if not isinstance(ids, list) or not all(isinstance(sid, str) for sid in ids):
         raise ValueError("test_ids must be a list of storm ids")
     window = _window(d)
-    bases = make_bases(ExperimentConfig(**window, K_t=int(d["K_t"]), K_s=int(d["K_s"])))
+    K_t, K_s = _int(d, "K_t"), _int(d, "K_s")
+    bases = make_bases(ExperimentConfig(**window, K_t=K_t, K_s=K_s))
     models = []
     for coord in ("lat", "lon"):
         coefficients, center = (np.array(d[coord][key], dtype=float)
                                 for key in ("coefficients", "center"))
         if not (np.isfinite(coefficients).all() and np.isfinite(center).all()):
             raise ValueError(f"a {coord} coefficient or centre value is not finite")
-        models.append(FoFModel(*bases, coefficients, center))
-    return window, ids, *models
+        if coefficients.shape != (K_s, 1 + K_t) or center.shape != (K_t,):
+            raise ShapeError(f"{coord} coefficients or centre do not match "
+                             f"K_t={K_t}, K_s={K_s}")
+        models.append((coefficients, center))
+    return window, ids, bases, *models
 
 
 def _load_dataset(data_dir: Path) -> tuple[DatasetMatrix, DatasetMatrix, dict]:
@@ -181,9 +192,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
              "train_ids": [lat.storm_ids[i] for i in train_idx],
              "test_ids": [lat.storm_ids[i] for i in test_idx]}
     for coord in ("lat", "lon"):
-        model = runner.fit_coordinate(coord)
-        saved[coord] = {"coefficients": model.coefficients.tolist(),
-                        "center": model.center.tolist()}
+        coefficients, center = runner.fit_coordinate(coord)
+        saved[coord] = {"coefficients": coefficients.tolist(), "center": center.tolist()}
     args.out.mkdir(parents=True, exist_ok=True)
     (args.out / "model.json").write_text(json.dumps(saved))
     _write_manifest(args.out, "fit", args, {"total": time.perf_counter() - t0})
@@ -198,8 +208,7 @@ def _write_forecasts(args: argparse.Namespace, command: str, select,
     ids and the dataset's ids; write GeoJSON."""
     t0 = time.perf_counter()
     lat, lon, meta = _load_dataset(args.data)
-    window, test_ids, lat_model, lon_model = _read_json(args.models / "model.json",
-                                                        _model)
+    window, test_ids, bases, *models = _read_json(args.models / "model.json", _model)
     if window != meta:
         raise SchemaError(f"{args.models / 'model.json'}: models fitted on windows "
                           f"{window}, {args.data / 'dataset.json'} holds {meta}")
@@ -211,10 +220,9 @@ def _write_forecasts(args: argparse.Namespace, command: str, select,
                                f"available: {', '.join(sorted(index))}")
     cols = [index[sid] for sid in ids]
     lat_obs, lon_obs = lat.values[:, cols], lon.values[:, cols]
-    grid = time_grid(meta["total_len"])
     P = meta["predictor_len"]
-    lat_hat, lon_hat = predict_trajectory(lat_model, lon_model, lat_obs[:P],
-                                          lon_obs[:P], grid[:P], grid[P:])
+    lat_hat, lon_hat = predict_trajectory(*bases, *models, lat_obs[:P], lon_obs[:P],
+                                          time_grid(meta["total_len"]))
     geojson = forecasts_to_geojson(ids, lat_obs, lon_obs, lat_hat, lon_hat,
                                    include_truth=include_truth)
     args.out.parent.mkdir(parents=True, exist_ok=True)

@@ -21,7 +21,7 @@ from .clustering import assign_batch, kmeans_fit, kmeans_seeds
 from .errors import ShapeError
 from .ingest import (DatasetMatrix, StormRecordSet, build_matrices, extract_tail,
                      filter_min_length, time_grid, train_test_split)
-from .regression import FoFModel, design, fof_forecast, fof_statistics, solve_fof
+from .regression import design, fof_forecast, fof_statistics, solve_fof
 # not called here: perfbench/spans.py traces the one-model fit by this name
 from .regression import fit_fof  # noqa: F401
 
@@ -51,27 +51,23 @@ class ExperimentConfig:
     K_t: int = 12
     K_s: int = 6
     ridge: float = 1e-8
-    curve_ridge: float = 0.0
     k_lat_max: int = 10
     k_lon_max: int = 10
     n_repetitions: int = 10
     min_cluster_size: int = 15
-    kmeans_max_iter: int = 100
-    kmeans_restarts: int = 10
 
     def __post_init__(self):
         if not 0 < self.predictor_len < self.total_len:
             raise ValueError("need 0 < predictor_len < total_len")
         # more basis functions than points leave a curve or model undetermined
-        if self.K_t > self.predictor_len and self.curve_ridge == 0:
+        if self.K_t > self.predictor_len:
             raise ValueError(f"K_t={self.K_t} exceeds the {self.predictor_len} "
                              f"predictor points")
         if self.K_s > self.total_len - self.predictor_len:
             raise ValueError(f"K_s={self.K_s} exceeds the "
                              f"{self.total_len - self.predictor_len} response points")
         for name, low in (("k_lat_max", 1), ("k_lon_max", 1), ("n_repetitions", 1),
-                          ("min_cluster_size", 1), ("kmeans_max_iter", 0),
-                          ("kmeans_restarts", 1), ("ridge", 0), ("curve_ridge", 0)):
+                          ("min_cluster_size", 1), ("ridge", 0)):
             if not getattr(self, name) >= low:     # refuses NaN as well
                 raise ValueError(f"{name} must be >= {low}")
 
@@ -144,7 +140,7 @@ class SplitRunner:
 
     def __init__(self, lat_mat: DatasetMatrix, lon_mat: DatasetMatrix,
                  train_idx: np.ndarray, test_idx: np.ndarray,
-                 config: ExperimentConfig, kmeans_seed: int | None = None):
+                 config: ExperimentConfig):
         if lat_mat.values.shape != lon_mat.values.shape:
             raise ShapeError("lat and lon matrices must have equal shape")
         L, _ = lat_mat.values.shape
@@ -152,7 +148,6 @@ class SplitRunner:
             raise ShapeError(f"matrix has {L} rows, config expects {config.total_len}")
         P = config.predictor_len
         self.config = config
-        self.kmeans_seed = config.seed if kmeans_seed is None else kmeans_seed
         self.train_idx = np.asarray(train_idx)
         self.test_idx = np.asarray(test_idx)
         grid = time_grid(L)
@@ -170,8 +165,7 @@ class SplitRunner:
             self.test_segments[coord] = v[:P, self.test_idx].T.copy()
             coeffs = fit_bundle(
                 self.predictor_basis, self.predictor_grid,
-                DatasetMatrix(values=v[:P], storm_ids=lat_mat.storm_ids),
-                ridge=config.curve_ridge)
+                DatasetMatrix(values=v[:P], storm_ids=lat_mat.storm_ids))
             self.truth[coord] = v[P:, self.test_idx]
             # the engine centres the regressors on the training mean, so its
             # intercepts are a + B z_mean
@@ -184,10 +178,9 @@ class SplitRunner:
                                            config.ridge) for c, st in self.stats.items()}
         self._kmeans_cache: dict = {}
 
-    def fit_coordinate(self, coord: str) -> FoFModel:
-        """The global model of a coordinate, as the engine solved it."""
-        return FoFModel(self.predictor_basis, self.response_basis,
-                        self.global_coeffs[coord][0], self.center[coord])
+    def fit_coordinate(self, coord: str) -> tuple[np.ndarray, np.ndarray]:
+        """The global (coefficients, center) model of a coordinate, as solved."""
+        return self.global_coeffs[coord][0], self.center[coord]
 
     def group_models(self, parts: Sequence[tuple[str, np.ndarray]]) -> np.ndarray:
         """Coefficients (G x K_s x (1 + K_t)) of the groups of training storms
@@ -230,14 +223,11 @@ class SplitRunner:
         points = self.train_segments[coord]
         k_max = {"lat": self.config.k_lat_max, "lon": self.config.k_lon_max}[coord]
         k_top = max(k, min(k_max, len(points)))
-        seeds = kmeans_seeds(points, k_top, self.kmeans_seed,
-                             self.config.kmeans_restarts)
+        seeds = kmeans_seeds(points, k_top, self.config.seed)
         todo = [j for j in range(2, k_top + 1) if (coord, j) not in self._kmeans_cache]
         fits, parts = [], []
         for j in todo:
-            model = kmeans_fit(points, j, seed=self.kmeans_seed,
-                               max_iter=self.config.kmeans_max_iter,
-                               n_restarts=self.config.kmeans_restarts, init=seeds)
+            model = kmeans_fit(points, j, init=seeds)
             train = assign_batch(model, points)
             own = np.flatnonzero(fittable(np.bincount(train, minlength=j),
                                           self.config.min_cluster_size, len(train)))
@@ -287,7 +277,7 @@ def _split_row(lat_mat: DatasetMatrix, lon_mat: DatasetMatrix,
     """The trace of repetition ``rep``: its seed, grid cells and global error."""
     seed_r = config.seed + rep
     runner = SplitRunner(lat_mat, lon_mat, *train_test_split(
-        lat_mat.n_storms, config.ratio, seed_r), config, kmeans_seed=seed_r)
+        lat_mat.n_storms, config.ratio, seed_r), replace(config, seed=seed_r))
     cells = [[float(runner.clustered_errors(i, j).mean())
               for j in range(1, config.k_lon_max + 1)]
              for i in range(1, config.k_lat_max + 1)]

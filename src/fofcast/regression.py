@@ -13,33 +13,12 @@ squares against the raw response grid values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .basis import BasisSystem, basis_matrix, fit_coefficients, gram_matrix
 from .errors import ShapeError, SingularityError
-
-
-@dataclass(frozen=True)
-class FoFModel:
-    """Fitted function-on-function regression model, in the form the grid
-    engine solves and scores: the forecast of a predictor curve c is
-    theta' C w with w = ``design(J c, center)``, J the predictor basis's
-    Gram matrix."""
-
-    predictor_basis: BasisSystem
-    response_basis: BasisSystem
-    coefficients: np.ndarray          # K_s x (1 + K_t), C = [a | B]
-    center: np.ndarray                # length K_t, training mean of J c
-
-    def __post_init__(self):
-        K_s, K_t = self.response_basis.K, self.predictor_basis.K
-        if self.coefficients.shape != (K_s, 1 + K_t):
-            raise ShapeError("coefficient shape does not match basis dimensions")
-        if self.center.shape != (K_t,):
-            raise ShapeError("centre length does not match predictor basis")
 
 
 def design(Z: np.ndarray, center: np.ndarray | float) -> np.ndarray:
@@ -90,9 +69,10 @@ def solve_fof(stats: np.ndarray, eig: tuple[np.ndarray, np.ndarray],
 
 def fit_fof(predictor_basis: BasisSystem, X: np.ndarray, response_basis: BasisSystem,
             response_grid: Sequence[float], Y: np.ndarray,
-            ridge: float = 1e-8) -> FoFModel:
-    """One model from the K_t x n predictor coefficients X and the q x n
-    responses Y observed on ``response_grid``.
+            ridge: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+    """One model, its coefficients C = [a | B] (K_s x (1 + K_t)) and centre
+    z_mean, from the K_t x n predictor coefficients X and the q x n responses
+    Y observed on ``response_grid``.
 
     Minimizes sum_ij (y_i(s_j) - theta(s_j)'a - theta(s_j)'B J c_i)^2
     + ridge * ||B||_F^2 over (a, B): ``solve_fof`` with one group. The
@@ -107,10 +87,8 @@ def fit_fof(predictor_basis: BasisSystem, X: np.ndarray, response_basis: BasisSy
     Z = gram_matrix(predictor_basis) @ X
     z_mean = Z.mean(axis=1)
     stats = fof_statistics(design(Z, z_mean), Theta.T @ Y)
-    C = solve_fof(stats.sum(axis=0, keepdims=True), np.linalg.eigh(Theta.T @ Theta),
-                  ridge)[0]
-    return FoFModel(predictor_basis=predictor_basis, response_basis=response_basis,
-                    coefficients=C, center=z_mean)
+    return solve_fof(stats.sum(axis=0, keepdims=True), np.linalg.eigh(Theta.T @ Theta),
+                     ridge)[0], z_mean
 
 
 def fof_forecast(coefficients: np.ndarray, theta: np.ndarray,
@@ -121,17 +99,17 @@ def fof_forecast(coefficients: np.ndarray, theta: np.ndarray,
     return theta @ (coefficients @ W.T[:, :, None])[:, :, 0].T
 
 
-def predict_trajectory(lat_model: FoFModel, lon_model: FoFModel,
-                       lat_predictor: np.ndarray, lon_predictor: np.ndarray,
-                       predictor_grid: Sequence[float],
-                       response_grid: Sequence[float]) -> tuple[np.ndarray, ...]:
-    """Forecast storms from their P x n predictor segments: q x n latitude
-    and longitude forecasts, each from one curve fit of all the columns and
-    the forecast expression the grid engine scores."""
-    hats = []
-    for model, segments in ((lat_model, lat_predictor), (lon_model, lon_predictor)):
-        coeffs = fit_coefficients(model.predictor_basis, predictor_grid, segments)
-        hats.append(fof_forecast(
-            model.coefficients, basis_matrix(model.response_basis, response_grid),
-            design(gram_matrix(model.predictor_basis) @ coeffs, model.center)))
-    return tuple(hats)
+def predict_trajectory(predictor_basis: BasisSystem, response_basis: BasisSystem,
+                       lat_model: tuple, lon_model: tuple, lat_predictor: np.ndarray,
+                       lon_predictor: np.ndarray, grid: Sequence[float]
+                       ) -> tuple[np.ndarray, ...]:
+    """q x n latitude and longitude forecasts of the (coefficients, center)
+    models for P x n predictor segments on ``grid[:P]``, the window's time grid:
+    one curve fit of all the columns and the forecast the grid engine scores."""
+    P = len(lat_predictor)
+    theta, gram = basis_matrix(response_basis, grid[P:]), gram_matrix(predictor_basis)
+    return tuple(
+        fof_forecast(C, theta, design(
+            gram @ fit_coefficients(predictor_basis, grid[:P], segments), center))
+        for (C, center), segments in ((lat_model, lat_predictor),
+                                      (lon_model, lon_predictor)))

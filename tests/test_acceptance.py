@@ -130,16 +130,15 @@ class TestCriterion6SyntheticOracles:
             from fofcast import fit_bundle
             X = fit_bundle(pred_basis, grid[:P], x_train)
             y_train = coord_mat.values[P:, train_idx]
-            model = fit_fof(pred_basis, X, resp_basis, grid[P:], y_train, ridge=0.0)
-            train_pred = fof_forecast(model.coefficients, Theta, design(
-                J @ X, model.center))
+            coefficients, center = fit_fof(pred_basis, X, resp_basis, grid[P:],
+                                           y_train, ridge=0.0)
+            train_pred = fof_forecast(coefficients, Theta, design(J @ X, center))
             train_rms = np.sqrt(np.mean((train_pred - y_train) ** 2))
             x_test = DatasetMatrix(
                 values=coord_mat.values[:P, test_idx],
                 storm_ids=tuple(ids[i] for i in test_idx))
             X_test = fit_bundle(pred_basis, grid[:P], x_test)
-            test_pred = fof_forecast(model.coefficients, Theta, design(
-                J @ X_test, model.center))
+            test_pred = fof_forecast(coefficients, Theta, design(J @ X_test, center))
             test_rms = np.sqrt(np.mean(
                 (test_pred - coord_mat.values[P:, test_idx]) ** 2))
             assert train_rms < 1e-6, train_rms

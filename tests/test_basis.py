@@ -150,9 +150,8 @@ class TestFit:
     def test_singular_without_ridge(self):
         basis = bspline_basis(12, (0.0, 1.0))
         grid = np.linspace(0, 1, 5)  # fewer points than basis functions
-        with pytest.raises(SingularityError, match="ridge"):
+        with pytest.raises(SingularityError, match="rank deficient"):
             fit_coefficients(basis, grid, np.zeros(5))
-        fit_coefficients(basis, grid, np.zeros(5), ridge=1e-6)
 
     def test_projection_orthogonality(self):
         rng = np.random.default_rng(7)

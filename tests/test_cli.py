@@ -336,35 +336,44 @@ def test_fit_solves_each_coordinate_once(ingested, tmp_path, monkeypatch):
 
 class TestShippedModelIsScored:
     """``fit`` saves the grid engine's global models, and ``export`` scores
-    them as ``grid`` does."""
+    them as ``grid`` does, at the default basis sizes and at others."""
 
-    @pytest.fixture(scope="class")
-    def runner(self, ingested):
+    @pytest.fixture(scope="class", params=[
+        ([], {}),
+        (["--k-t", "8", "--k-s", "4", "--ridge", "1e-3"], {"K_t": 8, "K_s": 4, "ridge": 1e-3}),
+    ], ids=["defaults", "kt8-ks4-ridge"])
+    def shipped(self, request, ingested, tmp_path_factory):
+        """The model flags, the directory ``fit`` wrote with them, and the
+        runner of the matching config."""
+        flags, settings = request.param
+        models = tmp_path_factory.mktemp("models")
+        assert main(["fit", "--data", str(ingested), "--out", str(models), *flags]) == 0
         lat, lon, _ = _load_dataset(ingested)
-        config = ExperimentConfig(total_len=32, predictor_len=24)
+        config = ExperimentConfig(total_len=32, predictor_len=24, **settings)
         train, test = train_test_split(lat.n_storms, config.ratio, config.seed)
-        return SplitRunner(lat, lon, train, test, config)
+        return flags, models, SplitRunner(lat, lon, train, test, config)
 
-    def test_saved_model_is_the_global_model(self, fitted, runner):
-        assert sorted(p.name for p in fitted.iterdir()) == ["fit_manifest.json",
+    def test_saved_model_is_the_global_model(self, shipped):
+        _, models, runner = shipped
+        assert sorted(p.name for p in models.iterdir()) == ["fit_manifest.json",
                                                             "model.json"]
-        model = json.loads((fitted / "model.json").read_text())
+        model = json.loads((models / "model.json").read_text())
         for coord in ("lat", "lon"):
             saved = model[coord]
             np.testing.assert_array_equal(np.array(saved["coefficients"]),
                                           runner.global_coeffs[coord][0])
             np.testing.assert_array_equal(np.array(saved["center"]), runner.center[coord])
 
-    def test_export_errors_are_the_global_errors(self, ingested, fitted, runner,
-                                                 tmp_path):
+    def test_export_errors_are_the_global_errors(self, ingested, shipped, tmp_path):
+        flags, models, runner = shipped
         out = tmp_path / "export.geojson"
-        assert main(["export", "--data", str(ingested), "--models", str(fitted),
+        assert main(["export", "--data", str(ingested), "--models", str(models),
                      "--out", str(out)]) == 0
         features = json.loads(out.read_text())["features"]
         errors = np.array([f["properties"]["avg_dist_km"] for f in features[2::3]])
         np.testing.assert_allclose(errors, runner.global_errors(), rtol=0, atol=1e-9)
         assert main(["grid", "--data", str(ingested), "--out", str(tmp_path / "g"),
-                     "--k-lat", "1", "--k-lon", "1", "--reps", "1"]) == 0
+                     "--k-lat", "1", "--k-lon", "1", "--reps", "1", *flags]) == 0
         report = json.loads((tmp_path / "g" / "report.json").read_text())
         assert abs(errors.mean() - report["global_mean"]) <= 1e-9
 
@@ -380,7 +389,12 @@ class TestInputFiles:
         (lambda model: model["lat"]["center"].__setitem__(0, float("inf")), "not finite"),
         (lambda model: model.__setitem__("K_t", 30), "K_t=30 exceeds the 24 predictor"),
         (lambda model: model.__setitem__("test_ids", "C001"), "test_ids must be a list"),
-    ], ids=["no-lat", "nan-coefficient", "inf-center", "k-t-above-p", "test-ids-string"])
+        (lambda model: model.__setitem__("K_t", 12.9), "K_t must be an integer, got 12.9"),
+        (lambda model: model.__setitem__("K_s", "6"), "K_s must be an integer, got '6'"),
+        (lambda model: model["lat"]["coefficients"].pop(), "lat coefficients or centre"),
+        (lambda model: model["lon"]["center"].pop(), "lon coefficients or centre"),
+    ], ids=["no-lat", "nan-coefficient", "inf-center", "k-t-above-p", "test-ids-string",
+            "fractional-k-t", "string-k-s", "lat-row-dropped", "lon-center-short"])
     def test_model_without_a_key(self, ingested, fitted, tmp_path, capsys, command,
                                  damage, message):
         models = shutil.copytree(fitted, tmp_path / "models")
@@ -410,15 +424,25 @@ class TestInputFiles:
         assert str(models / "model.json") in capsys.readouterr().err
         assert not (tmp_path / "fc.geojson").exists()
 
-    def test_dataset_without_predictor_len(self, ingested, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["fit", "predict", "export"])
+    @pytest.mark.parametrize("damage", [
+        lambda meta: meta.pop("predictor_len"),
+        lambda meta: meta.__setitem__("predictor_len", 24.7),
+        lambda meta: meta.__setitem__("predictor_len", True),
+    ], ids=["missing", "fractional", "boolean"])
+    def test_dataset_without_predictor_len(self, ingested, fitted, tmp_path, capsys,
+                                           command, damage):
         data = shutil.copytree(ingested, tmp_path / "data")
         meta = json.loads((data / "dataset.json").read_text())
-        del meta["predictor_len"]
+        damage(meta)
         (data / "dataset.json").write_text(json.dumps(meta))
-        code = main(["fit", "--data", str(data), "--out", str(tmp_path / "m")])
+        out = tmp_path / ("m" if command == "fit" else "fc.geojson")
+        flags = [] if command == "fit" else ["--models", str(fitted)]
+        code = main([command, "--data", str(data), *flags, "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
         assert "dataset.json" in err and "predictor_len" in err
+        assert not out.exists()
 
     def test_export_on_fewer_storms(self, ingested, fitted, tmp_path, capsys):
         # as if re-ingested with a larger --min-len: the first 10 storms stay
@@ -481,8 +505,9 @@ class TestInputFiles:
 
 
 def test_synthetic_demo_runs_and_repeats(tmp_path):
-    """README's entry point runs end to end, and a second run writes the same
-    grid table, report and forecasts byte for byte."""
+    """README's entry point runs end to end, writes the known grid table, and
+    a second run writes the same grid table, report and forecasts byte for
+    byte."""
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     outputs = ("grid/grid.csv", "grid/report.json", "forecasts.geojson")
@@ -494,6 +519,11 @@ def test_synthetic_demo_runs_and_repeats(tmp_path):
         assert done.returncode == 0, done.stderr
         runs.append([(tmp_path / name / f).read_bytes() for f in outputs])
     assert runs[0] == runs[1]
+    # pinned, so that a change that moves a cell by 0.005 km fails here
+    assert runs[0][0].decode() == ("k_lon\\k_lat,1,2,3\n"
+                                   "1,29.78,32.31,50.15\n"
+                                   "2,32.10,58.80,58.55\n"
+                                   "3,34.16,68.32,110.39\n")
 
 
 def test_reproduce_tables_runs(tmp_path):

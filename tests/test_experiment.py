@@ -2,6 +2,7 @@ import concurrent.futures
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -94,12 +95,8 @@ class TestBestCell:
         assert pair == (1, 2)  # (k_lat=1, k_lon=2) beats (2, 1) lexicographically
 
 
-@pytest.mark.parametrize("field, value", [("min_cluster_size", 0),
-                                          ("kmeans_restarts", 0), ("ridge", -1e-8),
+@pytest.mark.parametrize("field, value", [("min_cluster_size", 0), ("ridge", -1e-8),
                                           ("ridge", float("nan")),
-                                          ("curve_ridge", -1.0),
-                                          ("curve_ridge", float("nan")),
-                                          ("kmeans_max_iter", -5),
                                           ("K_t", 25), ("K_s", 9)])
 def test_config_rejects(field, value):
     with pytest.raises(ValueError, match=field):
@@ -108,9 +105,8 @@ def test_config_rejects(field, value):
 
 def test_config_bases_fit_their_points():
     ExperimentConfig(K_t=24, K_s=8)
-    ExperimentConfig(kmeans_max_iter=0)
-    # a curve ridge determines curves of more coefficients than points
-    ExperimentConfig(K_t=30, curve_ridge=1e-6)
+    # the bound is the window's own predictor length
+    ExperimentConfig(total_len=40, predictor_len=30, K_t=30)
 
 
 def runner_cells(runner, config):
@@ -155,7 +151,7 @@ class TestEvaluation:
                                   seed=4)
         rep = repeated_simulation(lat, lon, config)
         train, test = train_test_split(lat.n_storms, 0.8, seed=4)
-        runner = SplitRunner(lat, lon, train, test, config, kmeans_seed=4)
+        runner = SplitRunner(lat, lon, train, test, replace(config, seed=4))
         np.testing.assert_array_equal(rep.cell_means, runner_cells(runner, config))
         assert rep.global_mean == runner.global_errors().mean()
         np.testing.assert_array_equal(rep.cell_stds, 0.0)
@@ -245,12 +241,12 @@ class TestEngine:
             z_mean = runner.center[coord]
             W = runner.w_test[coord]
             for members, C in zip(groups, coeffs):
-                model = fit_fof(runner.predictor_basis, X[:, members],
-                                runner.response_basis, runner.response_grid,
-                                Y[:, members], ridge=config.ridge)
+                own_C, own_center = fit_fof(runner.predictor_basis, X[:, members],
+                                            runner.response_basis, runner.response_grid,
+                                            Y[:, members], ridge=config.ridge)
                 # W moved from the engine's centre to the model's own
-                expected = fof_forecast(model.coefficients, runner.theta,
-                                        W + np.r_[0.0, z_mean - model.center][:, None])
+                expected = fof_forecast(own_C, runner.theta,
+                                        W + np.r_[0.0, z_mean - own_center][:, None])
                 np.testing.assert_allclose(fof_forecast(C, runner.theta, W), expected,
                                            rtol=1e-9)
 
@@ -263,9 +259,7 @@ class TestEngine:
         config = runner.config
         clusters = {}
         for coord, k in (("lat", k_lat), ("lon", k_lon)):
-            model = kmeans_fit(runner.train_segments[coord], k, seed=runner.kmeans_seed,
-                               max_iter=config.kmeans_max_iter,
-                               n_restarts=config.kmeans_restarts)
+            model = kmeans_fit(runner.train_segments[coord], k, seed=runner.config.seed)
             clusters[coord] = (assign_batch(model, runner.train_segments[coord]),
                                assign_batch(model, runner.test_segments[coord]))
         (lat_tr, lat_te), (lon_tr, lon_te) = clusters["lat"], clusters["lon"]
@@ -310,7 +304,7 @@ class TestEngine:
         lat, lon = small_dataset
         config = ExperimentConfig(n_repetitions=1, k_lat_max=4, k_lon_max=3)
         train, test = train_test_split(lat.n_storms, 0.8, seed=6)
-        runner = SplitRunner(lat, lon, train, test, config, kmeans_seed=6)
+        runner = SplitRunner(lat, lon, train, test, replace(config, seed=6))
         calls = {"kmeans_fit": 0, "solve_fof": 0}
 
         def counted(name, f):
@@ -350,7 +344,7 @@ class TestEngine:
         config = ExperimentConfig(n_repetitions=1, k_lat_max=3, k_lon_max=3,
                                   min_cluster_size=13)
         train, test = train_test_split(lat.n_storms, 0.8, seed=6)
-        runner = SplitRunner(lat, lon, train, test, config, kmeans_seed=6)
+        runner = SplitRunner(lat, lon, train, test, replace(config, seed=6))
         # on this split a lat cluster of k = 3, and a pair of cell (3, 2),
         # hold exactly min_cluster_size training storms and serve test storms
         lat_tr, lat_te, _ = runner.kmeans_for("lat", 3)

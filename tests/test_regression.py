@@ -6,8 +6,7 @@ from fofcast import (basis_matrix, bspline_basis, fit_fof, gram_matrix,
                      predict_trajectory)
 from fofcast.errors import ShapeError, SingularityError
 from fofcast.ingest import time_grid
-from fofcast.regression import (FoFModel, design, fof_forecast, fof_statistics,
-                                solve_fof)
+from fofcast.regression import design, fof_forecast, fof_statistics, solve_fof
 
 
 PRED_BASIS = bspline_basis(5, (0.0, 0.6))
@@ -29,22 +28,25 @@ def synthetic_fof(n, seed=0, noise=0.0):
     return C, Y, a_true, B_true, J
 
 
-def fit(C, Y, ridge, response_basis=RESP_BASIS):
+def fit(C, Y, ridge):
     """``fit_fof`` on predictor coefficients C and responses Y on RESP_GRID."""
-    return fit_fof(PRED_BASIS, C, response_basis, RESP_GRID, Y, ridge=ridge)
+    return fit_fof(PRED_BASIS, C, RESP_BASIS, RESP_GRID, Y, ridge=ridge)
 
 
 def forecast(model, C):
-    """q x n forecasts of a model for the predictor coefficient columns C,
-    by the expression ``predict_trajectory`` applies after its curve fit."""
-    return fof_forecast(model.coefficients, basis_matrix(model.response_basis, RESP_GRID),
-                        design(gram_matrix(model.predictor_basis) @ C, model.center))
+    """q x n forecasts of a (coefficients, center) model for the predictor
+    coefficient columns C, by the expression ``predict_trajectory`` applies
+    after its curve fit."""
+    coefficients, center = model
+    return fof_forecast(coefficients, basis_matrix(RESP_BASIS, RESP_GRID),
+                        design(gram_matrix(PRED_BASIS) @ C, center))
 
 
 def uncentred(model):
     """Intercept a and surface B of yhat = theta'(a + B J c)."""
-    B = model.coefficients[:, 1:]
-    return model.coefficients[:, 0] - B @ model.center, B
+    coefficients, center = model
+    B = coefficients[:, 1:]
+    return coefficients[:, 0] - B @ center, B
 
 
 class TestFit:
@@ -73,7 +75,7 @@ class TestFit:
                                    atol=1e-3)
         weak = fit(C, Y, ridge=1.0)
         strong = fit(C, Y, ridge=1e6)
-        strong_B, weak_B = strong.coefficients[:, 1:], weak.coefficients[:, 1:]
+        strong_B, weak_B = strong[0][:, 1:], weak[0][:, 1:]
         assert np.linalg.norm(strong_B) < 1e-3 * max(np.linalg.norm(weak_B), 1e-12) + 1e-9
 
     def test_single_sample_singular(self):
@@ -187,9 +189,7 @@ def test_solve_fof_is_independent_of_the_batch():
 class TestPredict:
     def _model(self, a, B):
         # regressors centred on 0: a is the intercept of yhat = theta'(a + B J c)
-        return FoFModel(predictor_basis=PRED_BASIS, response_basis=RESP_BASIS,
-                        coefficients=np.column_stack([a, B]),
-                        center=np.zeros(PRED_BASIS.K))
+        return np.column_stack([a, B]), np.zeros(PRED_BASIS.K)
 
     def test_zero_surface_returns_intercept(self):
         rng = np.random.default_rng(9)
@@ -234,8 +234,8 @@ class TestPredict:
 
 class TestTrajectory:
     grid = time_grid(32)
-    pred_basis = bspline_basis(12, (float(grid[0]), float(grid[23])))
-    resp_basis = bspline_basis(6, (float(grid[24]), float(grid[31])))
+    bases = (bspline_basis(12, (float(grid[0]), float(grid[23]))),
+             bspline_basis(6, (float(grid[24]), float(grid[31]))))
 
     def _predictors(self, n, seed=13):
         """P x n latitude and longitude predictor segments."""
@@ -246,23 +246,19 @@ class TestTrajectory:
 
     def _model(self, B, seed=14):
         rng = np.random.default_rng(seed)
-        return FoFModel(predictor_basis=self.pred_basis,
-                        response_basis=self.resp_basis,
-                        coefficients=np.column_stack([rng.normal(size=6), B]),
-                        center=np.zeros(12))
+        return np.column_stack([rng.normal(size=6), B]), np.zeros(12)
 
     def test_forecast_point_count(self):
         grid = self.grid
         model = self._model(np.zeros((6, 12)))
         lat, lon = self._predictors(4)
-        lat_hat, lon_hat = predict_trajectory(model, model, lat, lon, grid[:24],
-                                              grid[24:])
+        lat_hat, lon_hat = predict_trajectory(*self.bases, model, model, lat, lon, grid)
         assert lat_hat.shape == lon_hat.shape == (8, 4)
         # intercept-only models give every storm the same forecast
         assert np.all(lat_hat == lat_hat[:, :1]) and np.all(lon_hat == lon_hat[:, :1])
         # forecasts do not depend on position within the batch
-        again = predict_trajectory(model, model, lat[:, ::-1], lon[:, ::-1],
-                                   grid[:24], grid[24:])
+        again = predict_trajectory(*self.bases, model, model, lat[:, ::-1],
+                                   lon[:, ::-1], grid)
         np.testing.assert_array_equal(again[0][:, 1], lat_hat[:, 2])
         np.testing.assert_array_equal(again[1][:, 1], lon_hat[:, 2])
 
@@ -272,10 +268,10 @@ class TestTrajectory:
         lon_model = self._model(np.random.default_rng(16).normal(size=(6, 12)),
                                 seed=17)
         lat, lon = self._predictors(4)
-        batch = predict_trajectory(lat_model, lon_model, lat, lon, grid[:24], grid[24:])
+        batch = predict_trajectory(*self.bases, lat_model, lon_model, lat, lon, grid)
         for j in range(4):
-            alone = predict_trajectory(lat_model, lon_model, lat[:, [j]],
-                                       lon[:, [j]], grid[:24], grid[24:])
+            alone = predict_trajectory(*self.bases, lat_model, lon_model, lat[:, [j]],
+                                       lon[:, [j]], grid)
             # a one-column product runs another BLAS kernel, so the last
             # bits may differ
             for a, b in zip(alone, batch):
