@@ -31,10 +31,7 @@ def make_storms(n: int, length: int, seed: int) -> list[StormRecordSet]:
         # every 6 h from 3 i days after 2015-06-01, in seconds since 1970
         times = (np.datetime64("2015-06-01", "s").astype(np.int64)
                  + 3600 * (72 * i + 6 * np.arange(length)))
-        optional = np.full((length, 7), np.nan)   # grade 5, no other optional field
-        optional[:, 0] = 5
-        storms.append(StormRecordSet(f"D{i:04d}", "DEMO", times, lat, lon, optional,
-                                     np.zeros(length, bool)))
+        storms.append(StormRecordSet(f"D{i:04d}", "DEMO", times, lat, lon))
     return storms
 
 

@@ -1,10 +1,9 @@
 """Best-track ingestion: parsing, filtering, windowing, matrix assembly.
 
 Storms come either from RSMC Tokyo fixed-width best-track files or from a
-portable CSV interchange format, and are held as columns. Downstream
-modeling only consumes the lat/lon series; the remaining best-track
-variables are parsed and kept but never enter the models. Checked at
-ingest: latitudes lie in [-90, 90]; longitudes in [0, 360), into which CSV
+portable CSV interchange format, and are held as columns. A storm is its
+track: only each record's time, lat and lon are read. Checked at ingest:
+latitudes lie in [-90, 90]; longitudes in [0, 360), into which CSV
 longitudes in [-180, 0) are wrapped; times strictly increase per storm.
 The models assume 6-hourly steps, which ``fofcast ingest`` counts, not checks.
 """
@@ -13,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 import warnings
 from dataclasses import dataclass
 from datetime import datetime
@@ -24,27 +22,20 @@ import numpy as np
 from .errors import LengthError, ParseError, SchemaError, ShapeError, ValidationError
 
 TIME_FORMAT = "%Y-%m-%d %H:%M:%S"
-# columns [start, stop) of the optional fields (grade, pressure, wind, four
-# radii) in an RSMC data line; the landfall mark '#' is column 71, the last read
-RSMC_OPTIONAL = ((13, 14), (24, 28), (33, 36), (42, 46), (47, 51), (53, 57), (58, 62))
-RSMC_WIDTH = 72
-# bytes that leave an optional field blank: NUL pads a short line
-BLANK = np.isin(np.arange(256), list(b"\x00\t "))
+# an RSMC data line is read up to the end of its lon field, columns 19-22
+RSMC_WIDTH = 23
 
 
 @dataclass(frozen=True, eq=False)
 class StormRecordSet:
     """All observations of one storm in time order, as columns: int64 ``times`` (s
-    since 1970), lat, lon, the optional fields (grade, central pressure, max wind,
-    longest and shortest 50 kt and 30 kt radii; NaN if absent) and landfall marks."""
+    since 1970), lat and lon."""
 
     storm_id: str
     name: str
     times: np.ndarray
     lats: np.ndarray
     lons: np.ndarray
-    optional: np.ndarray
-    landfall: np.ndarray
 
     def __len__(self) -> int:
         return len(self.times)
@@ -82,14 +73,14 @@ def _rsmc_header(line: str, line_no: int) -> tuple[str, int, str]:
 
 
 def _columns(lines: list[str], offsets: list[int]) -> tuple[np.ndarray, ...]:
-    """times, lat, lon, optional fields and landfall marks of the RSMC data lines of
-    storms that start at ``offsets``, or ValueError; NumPy converts each field of
-    all lines at once as Python's int() and float() would."""
+    """times, lat and lon of the RSMC data lines of storms that start at
+    ``offsets``, or ValueError; NumPy converts each field of all lines at once
+    as Python's int() would."""
     cells = np.array(lines, f"S{RSMC_WIDTH}").view(np.uint8).reshape(len(lines), RSMC_WIDTH)
 
-    def number(start, stop, dtype=np.int64, rows=slice(None)):
-        field = np.ascontiguousarray(cells[rows, start:stop])
-        return field.view(f"S{stop - start}").ravel().astype(dtype)
+    def number(start, stop):
+        field = np.ascontiguousarray(cells[:, start:stop])
+        return field.view(f"S{stop - start}").ravel().astype(np.int64)
 
     yy, month, day, hour = (number(a, a + 2) for a in (0, 2, 4, 6))
     # the archive spans 1951-2023
@@ -107,16 +98,7 @@ def _columns(lines: list[str], offsets: list[int]) -> tuple[np.ndarray, ...]:
     lat, lon = number(15, 18) / 10.0, number(19, 23) / 10.0
     if not np.all((np.abs(lat) <= 90.0) & (lon >= 0.0) & (lon < 360.0)):
         raise ValueError("latitude outside [-90, 90] or longitude outside [0, 360)")
-    # str.strip() drops a unit separator from an optional field; float() refuses it
-    cells[cells == 0x1f] = ord(" ")
-    optional = np.full((len(lines), len(RSMC_OPTIONAL)), np.nan)
-    for j, (a, b) in enumerate(RSMC_OPTIONAL):
-        present = ~BLANK[cells[:, a:b]].all(axis=1)
-        values = number(a, b, np.float64, present)
-        if j:   # RSMC writes 0 for "no analysis"; a grade of 0 is a grade
-            values[values == 0] = np.nan
-        optional[present, j] = values
-    return times, lat, lon, optional, cells[:, RSMC_WIDTH - 1] == ord("#")
+    return times, lat, lon
 
 
 def _first_fault(data: list[str], offsets: list[int], blocks: list[tuple],
@@ -149,10 +131,11 @@ def parse_rsmc(stream: TextIO | str) -> list[StormRecordSet]:
     """Parse an RSMC Tokyo best-track file into storm record sets.
 
     Header lines begin with indicator 66666 and declare how many data lines
-    follow; data lines are fixed-width (yymmddhh, indicator, grade, lat*10,
-    lon*10, pressure, wind, radii, landfall marker). The headers are read
-    one by one, the data lines of all storms at once. The first fault in
-    file order raises ParseError with its line number.
+    follow. Of the fixed-width data lines only yymmddhh (columns 0-7), lat*10
+    (15-17) and lon*10 (19-22) are read; the rest (grade, pressure, wind,
+    radii, '#' mark) must be ASCII but is not checked. The headers are
+    read one by one, the data lines of all storms at once. The first fault
+    in file order raises ParseError with its line number.
     """
     text = stream if isinstance(stream, str) else stream.read()
     # split in place: a StringIO copy of the text takes 4 bytes a character
@@ -187,17 +170,16 @@ def parse_rsmc(stream: TextIO | str) -> list[StormRecordSet]:
 
 
 CSV_REQUIRED = ("storm_id", "time", "lat", "lon")
-CSV_OPTIONAL = ("grade", "pressure", "wind")
 
 
 def parse_csv(stream: TextIO | str) -> list[StormRecordSet]:
-    """Parse the CSV interchange format (storm_id,time,lat,lon[,grade,pressure,
-    wind,name]); longitudes in [-180, 0) are wrapped into [0, 360). Each
+    """Parse the CSV interchange format (storm_id,time,lat,lon[,name], other
+    columns ignored); longitudes in [-180, 0) are wrapped into [0, 360). Each
     storm's rows are put in time order; a storm's first row gives its name."""
     if isinstance(stream, str):
         stream = io.StringIO(stream, newline="")   # csv reads the line ends itself
     reader = csv.DictReader(stream)
-    # storm id -> rows of (line number, time, lat, lon, grade, pressure, wind)
+    # storm id -> rows of (line number, time, lat, lon)
     by_storm: dict[str, list[tuple]] = {}
     names: dict[str, str] = {}
     try:
@@ -220,10 +202,7 @@ def parse_csv(stream: TextIO | str) -> list[StormRecordSet]:
                 # a tiny negative longitude wraps to 360.0 by rounding; the
                 # second % takes that to 0.0
                 values = (reader.line_num, datetime.strptime(row["time"], TIME_FORMAT),
-                          lat, lon % 360.0 % 360.0,
-                          float(int(row["grade"])) if row.get("grade") else math.nan,
-                          *(float(row[c]) if row.get(c) else math.nan
-                            for c in ("pressure", "wind")))
+                          lat, lon % 360.0 % 360.0)
             except (ValueError, OverflowError, ValidationError) as exc:
                 raise ValidationError(f"storm {sid}: {exc}", line_no=reader.line_num) from exc
             by_storm.setdefault(sid, []).append(values)
@@ -233,7 +212,7 @@ def parse_csv(stream: TextIO | str) -> list[StormRecordSet]:
 
     storms = []
     for sid, rows in by_storm.items():
-        line_nos, times, *columns = zip(*rows)
+        line_nos, times, lats, lons = zip(*rows)
         times = np.array(times, "datetime64[s]").astype(np.int64)
         order = np.argsort(times, kind="stable")
         duplicates = np.flatnonzero(np.diff(times[order]) == 0)
@@ -243,26 +222,19 @@ def parse_csv(stream: TextIO | str) -> list[StormRecordSet]:
         if np.any(order != np.arange(len(rows))):
             warnings.warn(f"storm {sid}: rows out of time order, sorting",
                           stacklevel=2)
-        lats, lons, *extras = np.array(columns)[:, order]
-        optional = np.full((len(rows), len(RSMC_OPTIONAL)), np.nan)
-        optional[:, :3] = np.transpose(extras)
-        storms.append(StormRecordSet(sid, names[sid], times[order], lats, lons, optional,
-                                     np.zeros(len(rows), bool)))
+        lats, lons = np.array([lats, lons])[:, order]
+        storms.append(StormRecordSet(sid, names[sid], times[order], lats, lons))
     return storms
 
 
 def write_csv(storms: Iterable[StormRecordSet], stream: TextIO) -> None:
-    """Write storms in the CSV interchange format, which parse_csv reads back
-    bit for bit; the radii and landfall marks have no column and are dropped."""
+    """Write storms in the CSV interchange format, which parse_csv reads back bit for bit."""
     writer = csv.writer(stream)
-    writer.writerow(CSV_REQUIRED + CSV_OPTIONAL + ("name",))
+    writer.writerow(CSV_REQUIRED + ("name",))
     for storm in storms:
-        rows = zip(storm.times.astype("datetime64[s]").tolist(), storm.lats.tolist(),
-                   storm.lons.tolist(), storm.optional[:, :3].tolist())
-        for time, lat, lon, (grade, *extras) in rows:
+        for time, lat, lon in zip(storm.times.astype("datetime64[s]").tolist(),
+                                  storm.lats.tolist(), storm.lons.tolist()):
             writer.writerow([storm.storm_id, time.isoformat(" "), repr(lat), repr(lon),
-                             "" if math.isnan(grade) else int(grade),
-                             *("" if math.isnan(v) else repr(v) for v in extras),
                              storm.name])
 
 
@@ -285,8 +257,7 @@ def extract_tail(storm: StormRecordSet, total_len: int,
         raise LengthError(
             f"storm {storm.storm_id} has {len(storm)} records, "
             f"needs {total_len}")
-    columns = [getattr(storm, f)[-total_len:]
-               for f in ("times", "lats", "lons", "optional", "landfall")]
+    columns = [getattr(storm, f)[-total_len:] for f in ("times", "lats", "lons")]
     for column in columns:
         column.flags.writeable = False
     return StormRecordSet(storm.storm_id, storm.name, *columns)

@@ -30,17 +30,12 @@ requires_archive = pytest.mark.skipif(
 
 
 def make_storm(storm_id: str, lats, lons, hours=None,
-               start: datetime = datetime(2005, 7, 1), name: str = "T",
-               grade: int = 5) -> StormRecordSet:
-    """A storm observed at ``hours`` after ``start`` (6-hourly by default),
-    with one grade throughout and no other optional field."""
-    n = len(lats)
-    hours = 6 * np.arange(n) if hours is None else np.asarray(hours)
+               start: datetime = datetime(2005, 7, 1), name: str = "T") -> StormRecordSet:
+    """A storm observed at ``hours`` after ``start`` (6-hourly by default)."""
+    hours = 6 * np.arange(len(lats)) if hours is None else np.asarray(hours)
     times = np.datetime64(start, "s").astype(np.int64) + 3600 * hours
-    optional = np.full((n, 7), np.nan)
-    optional[:, 0] = grade
     return StormRecordSet(storm_id, name, times, np.array(lats, float),
-                          np.array(lons, float), optional, np.zeros(n, bool))
+                          np.array(lons, float))
 
 
 def rsmc_header(storm_id: str, n_lines: int, name: str = "TEST") -> str:
@@ -50,15 +45,15 @@ def rsmc_header(storm_id: str, n_lines: int, name: str = "TEST") -> str:
 
 def rsmc_data_line(dt: datetime, lat: float, lon: float, grade: int | None = 5,
                    pressure: int = 990, wind: int = 35, radii=None,
-                   landfall: bool = False) -> str:
+                   mark: bool = False) -> str:
     """One data line; ``grade=None`` leaves the grade blank, ``radii`` adds the
-    (long, short) 50 kt and 30 kt radii and ``landfall`` the '#' mark."""
+    (long, short) 50 kt and 30 kt radii and ``mark`` the '#' of column 71."""
     line = (f"{dt:%y%m%d%H} 002 {' ' if grade is None else grade} "
             f"{int(round(lat * 10)):3d} {int(round(lon * 10)):4d} {pressure:4d}     {wind:3d}")
     if radii is not None:
         # each pair of radii follows a one-digit direction code
         line += "     1{:4d} {:4d} 1{:4d} {:4d}".format(*radii)
-    return line.ljust(71) + "#" if landfall else line
+    return line.ljust(71) + "#" if mark else line
 
 
 def make_rsmc_storm(storm_id: str, lats, lons,
@@ -71,10 +66,10 @@ def make_rsmc_storm(storm_id: str, lats, lons,
 
 
 def mixed_rsmc_text() -> str:
-    """Three storms whose data lines vary every optional part of the layout:
-    lines cut short (inside and after the optional fields), blank grades,
-    absent (0) pressure and wind, radii and landfall marks. The tracks cross
-    the equator, a leap day and the pivot of the two-digit years."""
+    """Three storms whose data lines vary every column past the lon field, which
+    the parser skips: lines cut short there, blank grades, absent (0) pressure
+    and wind, radii and '#' marks. The tracks cross the equator, a leap day and
+    the pivot of the two-digit years."""
     starts = (datetime(1951, 7, 1), datetime(2000, 2, 27, 6), datetime(1999, 12, 30, 18))
     cuts = (None, 23, 26, None, 30, 36, 44, 60, None, 65)
     lines = []
@@ -88,7 +83,7 @@ def mixed_rsmc_text() -> str:
                 pressure=0 if i % 5 == 2 else 1012 - 9 * i,
                 wind=0 if i % 3 == 0 else 15 + 7 * i,
                 radii=(30 * i, 20 * i, 60 + 5 * i, 40 + i) if i % 2 else None,
-                landfall=i % 3 == 2)
+                mark=i % 3 == 2)
             lines.append(line[:cuts[(i + s) % len(cuts)]])
     return "\n".join(lines) + "\n"
 

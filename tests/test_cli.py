@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -25,7 +26,7 @@ def csv_input(tmp_path_factory):
     """A CSV best-track file with 40 synthetic storms of 40 records each."""
     lat_v, lon_v = synthetic_tracks(n=40, L=40, seed=20, noise=0.1)
     storms = [make_storm(f"C{i:03d}", lat_v[:, i], lon_v[:, i],
-                         start=datetime(2012, 8, 1), name="CLI", grade=4)
+                         start=datetime(2012, 8, 1), name="CLI")
               for i in range(40)]
     buf = io.StringIO()
     write_csv(storms, buf)
@@ -62,15 +63,23 @@ class TestIngest:
         assert len(lat_rows[0].split(",")) == 40
         assert (ingested / "ingest_manifest.json").exists()
 
-    def test_bad_pressure_field(self, tmp_path, capsys):
-        line = rsmc_data_line(datetime(2005, 7, 1, 6), 15.5, 139.5)
-        path = tmp_path / "bad.txt"
-        path.write_text(rsmc_header("0501", 2) + "\n"
-                        + rsmc_data_line(datetime(2005, 7, 1), 15.0, 140.0) + "\n"
-                        + line[:24] + "ab12" + line[28:] + "\n")
-        code = main(["ingest", "--input", str(path), "--out", str(tmp_path / "o")])
-        assert code == 2
-        assert "line 3" in capsys.readouterr().err
+    def test_bad_pressure_field_parses_bad_position_fails(self, tmp_path, capsys):
+        j = np.arange(32)
+        lines = make_rsmc_storm("0501", 15.0 + 0.2 * j, 140.0 - 0.3 * j).splitlines()
+        line = lines[2]
+
+        def ingest(a):
+            # "ab12" over columns a to a + 3 of line 3
+            lines[2] = line[:a] + "ab12" + line[a + 4:]
+            (tmp_path / "bad.txt").write_text("\n".join(lines) + "\n")
+            return main(["ingest", "--input", str(tmp_path / "bad.txt"),
+                         "--out", str(tmp_path / f"o{a}")])
+
+        assert ingest(24) == 0   # the pressure columns are not read
+        for a in (14, 19):       # the lat field (and the blank before it), the lon field
+            capsys.readouterr()
+            assert ingest(a) == 2
+            assert "error: line 3: " in capsys.readouterr().err
 
     def test_bad_window_config(self, csv_input, tmp_path, capsys):
         code = main(["ingest", "--format", "csv", "--input", str(csv_input),
@@ -113,7 +122,7 @@ class TestIngest:
         # storm C001 pauses a week mid-window
         storms = [make_storm(f"C{i:03d}", 15.0 + 0.2 * j, 140.0 - 0.3 * j,
                              hours=6 * j + 24 * gap * (j >= 20),
-                             start=datetime(2012, 8, 1), name="CLI", grade=4)
+                             start=datetime(2012, 8, 1), name="CLI")
                   for i, gap in enumerate((0, 7, 0))]
         buf = io.StringIO()
         write_csv(storms, buf)
@@ -137,7 +146,7 @@ class TestIngest:
     def test_track_across_greenwich(self, tmp_path):
         j = np.arange(32)
         storms = [make_storm(sid, 15.0 + 0.2 * j, lon0 + step * j,
-                             start=datetime(2012, 8, 1), name="CLI", grade=4)
+                             start=datetime(2012, 8, 1), name="CLI")
                   for sid, lon0, step in (("E", -10.0, 0.7), ("W", 10.0, -0.7),
                                           ("P", 140.0, -0.3))]
         buf = io.StringIO()
@@ -505,12 +514,13 @@ class TestInputFiles:
 
 
 def test_synthetic_demo_runs_and_repeats(tmp_path):
-    """README's entry point runs end to end, writes the known grid table, and
-    a second run writes the same grid table, report and forecasts byte for
-    byte."""
+    """README's entry point runs end to end, writes the known dataset and grid
+    table, and a second run writes the same grid table, report and forecasts
+    byte for byte."""
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    outputs = ("grid/grid.csv", "grid/report.json", "forecasts.geojson")
+    outputs = ("grid/grid.csv", "grid/report.json", "forecasts.geojson",
+               "dataset/lat.csv", "dataset/lon.csv")
     runs = []
     for name in ("a", "b"):
         done = subprocess.run([sys.executable, str(root / "scripts/run_synthetic_demo.py"),
@@ -524,6 +534,9 @@ def test_synthetic_demo_runs_and_repeats(tmp_path):
                                    "1,29.78,32.31,50.15\n"
                                    "2,32.10,58.80,58.55\n"
                                    "3,34.16,68.32,110.39\n")
+    assert [hashlib.sha256(data).hexdigest() for data in runs[0][3:]] == [
+        "e3cf935ac68b461c14b7edd8cc588d3929314decdde443658f023592c474f7f1",
+        "fcbb98679c87af1e341e19c125c75ab2f2875878f5ffc56e6da4345a8c01a62c"]
 
 
 def test_reproduce_tables_runs(tmp_path):

@@ -1,6 +1,5 @@
 import csv
 import io
-import math
 import warnings
 from datetime import datetime
 
@@ -24,24 +23,16 @@ def _storm(storm_id, n, name="T"):
 
 
 def _varied_storms():
-    """Three storms with a blank grade, pressures, winds and a name that the
-    CSV format must quote; storm C is longer than the 16 rows NumPy's unstable
-    sorts order by insertion, which is stable."""
-    storms = [_storm("A", 3), _storm("B", 2, name='KAI, "TAK"'), _storm("C", 20, name="")]
-    storms[0].optional[1, 0] = np.nan
-    storms[2].optional[:4, 1:3] = [[990.0, 35.0], [985.5, np.nan], [np.nan, 40.0],
-                                   [980.0, 45.0]]
-    return storms
+    """Three storms, one with a name that the CSV format must quote; storm C is
+    longer than the 16 rows NumPy's unstable sorts order by insertion, which
+    is stable."""
+    return [_storm("A", 3), _storm("B", 2, name='KAI, "TAK"'), _storm("C", 20, name="")]
 
 
 def record_rows(storm) -> list[tuple]:
-    """A storm's columns as rows of Python values: time, grade, lat, lon, the
-    six other optional fields (None where absent) and the landfall mark."""
-    columns = zip(storm.times.astype("datetime64[s]").tolist(), storm.lats.tolist(),
-                  storm.lons.tolist(), storm.optional.tolist(), storm.landfall.tolist())
-    return [(t, None if math.isnan(g) else int(g), lat, lon,
-             *(None if math.isnan(v) else v for v in rest), mark)
-            for t, lat, lon, (g, *rest), mark in columns]
+    """A storm's columns as rows of Python values: time, lat and lon."""
+    return list(zip(storm.times.astype("datetime64[s]").tolist(), storm.lats.tolist(),
+                    storm.lons.tolist()))
 
 
 class TestParseRsmc:
@@ -63,15 +54,6 @@ class TestParseRsmc:
         storms = parse_rsmc(old + new)
         assert storms[0].times.astype("datetime64[s]")[0] == np.datetime64("1951-07-01")
         assert storms[1].times.astype("datetime64[s]")[0] == np.datetime64("2023-07-01")
-
-    def test_absent_fields(self):
-        line = rsmc_data_line(datetime(2005, 7, 1), 15.0, 140.0,
-                              pressure=990, wind=0)
-        text = rsmc_header("0501", 2) + "\n" + line + "\n" + rsmc_data_line(
-            datetime(2005, 7, 1, 6), 15.2, 139.8) + "\n"
-        grade, pressure, wind, radius_long_50kt = parse_rsmc(text)[0].optional[0, :4]
-        assert grade == 5 and pressure == 990
-        assert np.isnan(wind) and np.isnan(radius_long_50kt)
 
     def test_empty_stream(self):
         assert parse_rsmc("") == []
@@ -96,15 +78,18 @@ class TestParseRsmc:
         with pytest.raises(ParseError, match="line 2"):
             parse_rsmc(text)
 
-    def test_bad_pressure_reports_line(self):
+    def test_bad_pressure_parses_bad_position_reports_line(self):
         line = rsmc_data_line(datetime(2005, 7, 1, 6), 15.5, 139.5)
-        bad = line[:24] + "ab12" + line[28:]
-        text = (rsmc_header("0501", 2) + "\n"
-                + rsmc_data_line(datetime(2005, 7, 1), 15.0, 140.0) + "\n"
-                + bad + "\n")
-        with pytest.raises(ParseError, match="line 3") as info:
-            parse_rsmc(text)
-        assert info.value.line_no == 3
+        head = (rsmc_header("0501", 2) + "\n"
+                + rsmc_data_line(datetime(2005, 7, 1), 15.0, 140.0) + "\n")
+        # the pressure columns 24-27 are not read
+        storms = parse_rsmc(head + line[:24] + "ab12" + line[28:] + "\n")
+        np.testing.assert_array_equal(storms[0].lats, [15.0, 15.5])
+        # the same bytes over the lat field (and the blank before it), then the lon field
+        for a in (14, 19):
+            with pytest.raises(ParseError, match="line 3") as info:
+                parse_rsmc(head + line[:a] + "ab12" + line[a + 4:] + "\n")
+            assert info.value.line_no == 3
 
     def test_record_count_matches_header(self):
         text = "".join(
@@ -117,27 +102,15 @@ class TestParseRsmc:
 
 def reference_data_line(line: str) -> tuple:
     """The ``record_rows`` fields of one RSMC data line, read field by field with
-    Python's int() and float(): the per-line reference for the columnar parse.
-    ValueError or IndexError on a malformed line."""
-    def optional(token: str) -> float | None:
-        token = token.strip()
-        if not token:
-            return None
-        value = float(token)
-        # RSMC writes 0 for "no analysis"
-        return value if value != 0 else None
-
+    Python's int(): the per-line reference for the columnar parse. ValueError
+    on a malformed line."""
     yy = int(line[0:2])
     time = datetime(1900 + yy if yy >= 51 else 2000 + yy,
                     int(line[2:4]), int(line[4:6]), int(line[6:8]))
-    grade = line[13:14].strip()
     lat, lon = int(line[15:18]) / 10.0, int(line[19:23]) / 10.0
     if not (-90.0 <= lat <= 90.0 and 0.0 <= lon < 360.0):
         raise ValueError("position out of range")
-    return (time, int(grade) if grade else None, lat, lon,
-            *(optional(line[a:b]) if len(line) > a else None
-              for a, b in ((24, 28), (33, 36), (42, 46), (47, 51), (53, 57), (58, 62))),
-            len(line) > 71 and line[71] == "#")
+    return time, lat, lon
 
 
 def reference_parse(text: str) -> list[tuple[str, str, list[tuple]]]:
@@ -162,7 +135,7 @@ def reference_parse(text: str) -> list[tuple[str, str, list[tuple]]]:
                 raise ParseError("storm cut short", i + 1)
             try:
                 rows.append(reference_data_line(lines[i + 1 + j]))
-            except (ValueError, IndexError):
+            except ValueError:
                 raise ParseError("data line", i + 2 + j) from None
         if not rows or any(b[0] <= a[0] for a, b in zip(rows, rows[1:])):
             raise ParseError("no rows or times out of order", i + 1)
@@ -190,12 +163,8 @@ def reference_parse_csv(text: str) -> list[tuple[str, str, list[tuple]]]:
                 lat, lon = float(row["lat"]), float(row["lon"])
                 if not (-90.0 <= lat <= 90.0 and -180.0 <= lon < 360.0):
                     raise ValidationError("position out of range")
-                rec = (datetime.strptime(row["time"], TIME_FORMAT),
-                       int(row["grade"]) if row.get("grade") else None, lat,
-                       lon % 360.0 if lon % 360.0 < 360.0 else 0.0,
-                       float(row["pressure"]) if row.get("pressure") else None,
-                       float(row["wind"]) if row.get("wind") else None,
-                       None, None, None, None, False)
+                rec = (datetime.strptime(row["time"], TIME_FORMAT), lat,
+                       lon % 360.0 if lon % 360.0 < 360.0 else 0.0)
             except (ValueError, ValidationError) as exc:
                 raise ValidationError(f"storm {sid}: {exc}", line_no=reader.line_num) from exc
             by_storm.setdefault(sid, []).append((rec, reader.line_num))
@@ -248,17 +217,31 @@ THREE_STORMS = (make_rsmc_storm("0501", [15.0, 15.5, 16.2], [140.0, 139.5, 139.1
                                   start=datetime(2005, 8, 30, 12)))
 
 
-def _csv_texts() -> tuple[str, str, str]:
+def with_old_columns(text: str, pressure=lambda k: f"{990 - k}.5") -> str:
+    """A write_csv ``text`` as the format once written, with grade, pressure
+    (``pressure(k)`` on data row k) and wind columns between lon and name."""
+    header, *rows = csv.reader(io.StringIO(text, newline=""))
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header[:4] + ["grade", "pressure", "wind"] + header[4:])
+    for k, row in enumerate(rows):
+        writer.writerow(row[:4] + ["" if k % 4 == 1 else k % 8, pressure(k), 35 + k]
+                        + row[4:])
+    return buf.getvalue()
+
+
+def _csv_texts() -> tuple[str, ...]:
     """write_csv's text of ``_varied_storms``; the same with two mid-track rows
-    of storm C swapped; and with all rows shuffled, so that the storms
-    interleave and their rows are out of time order."""
+    of storm C swapped; with all rows shuffled, so that the storms interleave
+    and their rows are out of time order; and the first with the columns that
+    the format once had and parse_csv ignores."""
     buf = io.StringIO()
     write_csv(_varied_storms(), buf)
     header, *rows = buf.getvalue().splitlines(keepends=True)
     swapped = rows[:10] + rows[11:12] + rows[10:11] + rows[12:]
     shuffled = np.random.default_rng(0).permutation(len(rows))
     return (buf.getvalue(), header + "".join(swapped),
-            header + "".join(rows[k] for k in shuffled))
+            header + "".join(rows[k] for k in shuffled), with_old_columns(buf.getvalue()))
 
 
 CSV_TEXTS = _csv_texts()
@@ -272,9 +255,6 @@ class TestColumnarRsmc:
         assert [(s.storm_id, s.name) for s in storms] == [r[:2] for r in reference]
         for storm, (_, _, rows) in zip(storms, reference):
             assert repr(record_rows(storm)) == repr(rows)
-        # the mix reaches every optional part of the layout
-        fields = [f for s in storms for r in record_rows(s) for f in r]
-        assert None in fields and True in fields and 0 in fields
         assert storms[0].lats.flags.writeable is False
 
     @given(st.data())
@@ -306,12 +286,17 @@ class TestColumnarRsmc:
 
     def test_nul_and_non_ascii_lines(self):
         line = rsmc_data_line(datetime(2005, 7, 1, 6), 15.5, 139.5)
-        for bad in (line[:27] + "\x00", line[:26] + "٣" + line[27:], line + " é"):
-            text = (rsmc_header("0501", 2) + "\n"
-                    + rsmc_data_line(datetime(2005, 7, 1), 15.0, 140.0) + "\n" + bad + "\n")
+        head = (rsmc_header("0501", 2) + "\n"
+                + rsmc_data_line(datetime(2005, 7, 1), 15.0, 140.0) + "\n")
+        # a NUL in the lat field fails; the whole line is encoded, so a
+        # non-ASCII character fails in a column that is not read too
+        for bad in (line[:16] + "\x00" + line[17:], line[:26] + "٣" + line[27:], line + " é"):
             with pytest.raises(ParseError) as info:
-                parse_rsmc(text)
+                parse_rsmc(head + bad + "\n")
             assert info.value.line_no == 3
+        # a NUL past the lon field, which ends at column 22, is not read
+        storms = parse_rsmc(head + line[:27] + "\x00\n")
+        np.testing.assert_array_equal(storms[0].lons, [140.0, 139.5])
 
 
 class TestParseCsv:
@@ -325,9 +310,16 @@ class TestParseCsv:
         assert [(s.storm_id, s.name) for s in reparsed] == [(s.storm_id, s.name)
                                                             for s in storms]
         for orig, back in zip(storms, reparsed):
-            for field in ("times", "lats", "lons", "optional"):
+            for field in ("times", "lats", "lons"):
                 a, b = getattr(orig, field), getattr(back, field)
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+
+    def test_old_columns_are_ignored(self):
+        # files written with grade, pressure and wind columns still load, whatever
+        # those columns hold
+        damaged = with_old_columns(CSV_TEXTS[0], pressure=lambda k: "ab12" if k % 2 else "")
+        assert "ab12" in damaged
+        assert outcome(parse_csv, damaged) == outcome(parse_csv, CSV_TEXTS[0])
 
     def test_missing_column(self):
         with pytest.raises(SchemaError, match="lon"):
@@ -359,8 +351,8 @@ class TestParseCsv:
         ("A,2005-07-01 00:00:00,15.0,140.0\nA,2005-07-01 06:00:00,15.5", ValidationError),
         ("A,2005-07-01 00:00:00,15.0,140.0\nA,2005-07-01 06:00:00,15.5,360.0", ValidationError),
         ("A,2005-07-01 00:00:00,15.0,140.0\nA,2005-07-01 00:00:00,15.5,139.0", ValidationError),
-        pytest.param("A,2005-07-01 00:00:00,15.0,140.0\nA,2005-07-01 06:00:00,15.5,139.0,"
-                     + "9" * 400, ValidationError, id="grade-beyond-any-float"),
+        pytest.param("A,2005-07-01 00:00:00,15.0,140.0\nA,2005-07-01 06:00:00,"
+                     + "9" * 400 + ",139.0", ValidationError, id="lat-beyond-any-float"),
         pytest.param("A,2005-07-01 00:00:00,15.0,140.0\nA,2005-07-01 06:00:00,15.5,139.0,"
                      + "x" * 140_000, ParseError, id="field-past-the-csv-limit"),
     ])
@@ -428,7 +420,7 @@ class TestFilterAndWindow:
         storm = _storm("A", 50)
         window = extract_tail(storm, 32, 24)
         assert window.storm_id == "A" and len(window) == 32
-        for field in ("times", "lats", "lons", "optional", "landfall"):
+        for field in ("times", "lats", "lons"):
             column = getattr(window, field)
             np.testing.assert_array_equal(column, getattr(storm, field)[18:])
             assert not column.flags.writeable
