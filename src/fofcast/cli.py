@@ -48,26 +48,26 @@ def _load_storms(path: Path, fmt: str):
 
 
 def _write_matrix_csv(path: Path, matrix: DatasetMatrix) -> None:
+    """The storm-id header as csv.writer quotes it, then one row of float
+    reprs per window point, ended as csv.writer ends its rows (CRLF)."""
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(matrix.storm_ids)
-        for row in matrix.values:
-            writer.writerow([repr(float(v)) for v in row])
+        csv.writer(fh).writerow(matrix.storm_ids)
+        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in matrix.values.tolist())
 
 
 def _read_matrix_csv(path: Path, total_len: int) -> DatasetMatrix:
     """The matrix under the storm-id header of ``path``, or a SchemaError naming it."""
     try:
         with path.open() as fh:
-            rows = list(csv.reader(fh))
-        if not rows:
+            header = next(csv.reader(fh), None)
+            rows = fh.read().splitlines()
+        if header is None:
             raise ValueError("no header of storm ids")
-        if len(rows) - 1 != total_len:
-            raise ValueError(f"{len(rows) - 1} rows of values for a window of "
-                             f"{total_len}")
-        ids = tuple(rows[0])
+        if len(rows) != total_len:
+            raise ValueError(f"{len(rows)} rows of values for a window of {total_len}")
+        ids = tuple(header)
         # ragged rows fail in np.array, rows unlike the header in the reshape
-        values = np.array([[float(v) for v in row] for row in rows[1:]])
+        values = np.array([list(map(float, row.split(","))) for row in rows])
         if not np.isfinite(values).all():
             raise ValueError("a value is not finite")
         return DatasetMatrix(values=values.reshape(total_len, len(ids)), storm_ids=ids)
@@ -184,6 +184,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     lat, lon, meta = _load_dataset(args.data)
     config = _config_from_args(args, meta)
+    t_load = time.perf_counter()
     train_idx, test_idx = train_test_split(lat.n_storms, config.ratio,
                                            config.seed)
     runner = SplitRunner(lat, lon, train_idx, test_idx, config)
@@ -194,9 +195,13 @@ def cmd_fit(args: argparse.Namespace) -> int:
     for coord in ("lat", "lon"):
         coefficients, center = runner.fit_coordinate(coord)
         saved[coord] = {"coefficients": coefficients.tolist(), "center": center.tolist()}
+    t_fit = time.perf_counter()
     args.out.mkdir(parents=True, exist_ok=True)
     (args.out / "model.json").write_text(json.dumps(saved))
-    _write_manifest(args.out, "fit", args, {"total": time.perf_counter() - t0})
+    t_write = time.perf_counter()
+    _write_manifest(args.out, "fit", args,
+                    {"load": t_load - t0, "fit": t_fit - t_load,
+                     "write": t_write - t_fit, "total": t_write - t0})
     print(f"fitted global lat/lon models on {len(train_idx)} training storms "
           f"-> {args.out}")
     return 0
@@ -212,6 +217,7 @@ def _write_forecasts(args: argparse.Namespace, command: str, select,
     if window != meta:
         raise SchemaError(f"{args.models / 'model.json'}: models fitted on windows "
                           f"{window}, {args.data / 'dataset.json'} holds {meta}")
+    t_load = time.perf_counter()
     ids = select(test_ids, lat.storm_ids)
     index = {sid: j for j, sid in enumerate(lat.storm_ids)}
     unknown = [sid for sid in ids if sid not in index]
@@ -223,12 +229,17 @@ def _write_forecasts(args: argparse.Namespace, command: str, select,
     P = meta["predictor_len"]
     lat_hat, lon_hat = predict_trajectory(*bases, *models, lat_obs[:P], lon_obs[:P],
                                           time_grid(meta["total_len"]))
+    t_forecast = time.perf_counter()
     geojson = forecasts_to_geojson(ids, lat_obs, lon_obs, lat_hat, lon_hat,
                                    include_truth=include_truth)
+    t_geojson = time.perf_counter()
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(json.dumps(geojson))
+    t_write = time.perf_counter()
     _write_manifest(args.out.parent, command, args,
-                    {"total": time.perf_counter() - t0})
+                    {"load": t_load - t0, "forecast": t_forecast - t_load,
+                     "geojson": t_geojson - t_forecast, "write": t_write - t_geojson,
+                     "total": t_write - t0})
     print(f"wrote {len(ids)} forecasts -> {args.out}")
     return 0
 

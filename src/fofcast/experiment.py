@@ -379,24 +379,20 @@ def forecasts_to_geojson(storm_ids: Sequence[str], lat: np.ndarray, lon: np.ndar
     if include_truth:
         errors = [{"avg_dist_km": e} for e in
                   track_errors(lat_hat, lon_hat, lat[P:], lon[P:]).tolist()]
-    features = []
-    for j, (sid, error) in enumerate(zip(storm_ids, errors)):
-        features.append(_linestring(sid, "observed_predictor", lon[:P, j], lat[:P, j]))
-        if include_truth:
-            features.append(_linestring(sid, "observed_response",
-                                        lon[P:, j], lat[P:, j]))
-        features.append(_linestring(sid, "predicted_response",
-                                    lon_hat[:, j], lat_hat[:, j], **error))
+
+    def positions(seg_lon, seg_lat) -> list:
+        """The n [lon, lat] position lists of a segment's columns."""
+        # whole turns only outside [-180, 180], so in-range positions stay as they are
+        turns = np.where(np.abs(seg_lon) > 180.0, np.floor((seg_lon + 180.0) / 360.0), 0.0)
+        return np.stack([seg_lon - 360.0 * turns, seg_lat], axis=-1).transpose(1, 0, 2).tolist()
+
+    segments = [("observed_predictor", positions(lon[:P], lat[:P]), [{}] * n)]
+    if include_truth:
+        segments.append(("observed_response", positions(lon[P:], lat[P:]), [{}] * n))
+    segments.append(("predicted_response", positions(lon_hat, lat_hat), errors))
+    features = [
+        {"type": "Feature",
+         "geometry": {"type": "LineString", "coordinates": coordinates[j]},
+         "properties": {"storm_id": sid, "segment": segment, **extra[j]}}
+        for j, sid in enumerate(storm_ids) for segment, coordinates, extra in segments]
     return {"type": "FeatureCollection", "features": features}
-
-
-def _linestring(storm_id: str, segment: str, lon, lat, **extra) -> dict:
-    lon = np.asarray(lon, dtype=float)
-    # whole turns only outside [-180, 180], so in-range positions stay as they are
-    turns = np.where(np.abs(lon) > 180.0, np.floor((lon + 180.0) / 360.0), 0.0)
-    coordinates = np.column_stack([lon - 360.0 * turns, lat]).tolist()
-    return {
-        "type": "Feature",
-        "geometry": {"type": "LineString", "coordinates": coordinates},
-        "properties": {"storm_id": storm_id, "segment": segment, **extra},
-    }

@@ -74,13 +74,21 @@ def _rsmc_header(line: str, line_no: int) -> tuple[str, int, str]:
 
 def _columns(lines: list[str], offsets: list[int]) -> tuple[np.ndarray, ...]:
     """times, lat and lon of the RSMC data lines of storms that start at
-    ``offsets``, or ValueError; NumPy converts each field of all lines at once
-    as Python's int() would."""
+    ``offsets``, or ValueError; each field of all lines is read at once as
+    Python's int() would read it."""
     cells = np.array(lines, f"S{RSMC_WIDTH}").view(np.uint8).reshape(len(lines), RSMC_WIDTH)
 
     def number(start, stop):
-        field = np.ascontiguousarray(cells[:, start:stop])
-        return field.view(f"S{stop - start}").ravel().astype(np.int64)
+        digits = cells[:, start:stop] - np.uint8(ord("0"))   # a non-digit wraps to >= 10
+        values = np.zeros(len(lines), np.int64)
+        for c in range(stop - start):
+            values *= 10
+            values += digits[:, c]
+        # signs, blanks and NUL padding: NumPy converts these rows as int() would
+        other = np.flatnonzero((digits >= 10).any(axis=1))
+        field = np.ascontiguousarray(cells[other, start:stop])
+        values[other] = field.view(f"S{stop - start}").ravel().astype(np.int64)
+        return values
 
     yy, month, day, hour = (number(a, a + 2) for a in (0, 2, 4, 6))
     # the archive spans 1951-2023

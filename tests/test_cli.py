@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import io
 import json
@@ -10,9 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fofcast import ExperimentConfig, train_test_split, write_csv
+from fofcast import DatasetMatrix, ExperimentConfig, train_test_split, write_csv
 from fofcast import experiment
-from fofcast.cli import _load_dataset, main
+from fofcast.cli import _load_dataset, _read_matrix_csv, _write_matrix_csv, main
 from fofcast.experiment import SplitRunner
 
 from conftest import (make_rsmc_storm, make_storm, rsmc_data_line, rsmc_header,
@@ -278,6 +279,22 @@ class TestExportAndLengthStudy:
         assert [f["properties"]["storm_id"] for f in doc["features"][::3]] == \
             split["test_ids"]
 
+    @pytest.mark.parametrize("command, stages", [
+        ("fit", {"load", "fit", "write", "total"}),
+        ("predict", {"load", "forecast", "geojson", "write", "total"}),
+        ("export", {"load", "forecast", "geojson", "write", "total"}),
+    ])
+    def test_manifest_stages(self, ingested, fitted, tmp_path, command, stages):
+        out = tmp_path / "m" if command == "fit" else tmp_path / "fc.geojson"
+        models = [] if command == "fit" else ["--models", str(fitted)]
+        assert main([command, "--data", str(ingested), *models, "--out", str(out)]) == 0
+        # fit writes its manifest into --out, predict and export beside the GeoJSON
+        manifest = (out if command == "fit" else out.parent) / f"{command}_manifest.json"
+        timings = json.loads(manifest.read_text())["timings_s"]
+        assert set(timings) == stages
+        total = timings.pop("total")
+        assert min(timings.values()) >= 0 and sum(timings.values()) == pytest.approx(total)
+
     def test_length_study(self, csv_input, tmp_path):
         out = tmp_path / "study"
         code = main(["length-study", "--format", "csv", "--input",
@@ -496,6 +513,22 @@ class TestInputFiles:
         assert code == 2
         assert "lat.csv" in capsys.readouterr().err
 
+    def test_matrix_csv_round_trip(self, tmp_path):
+        """Values come back bit for bit, ids as written, and the file is what
+        csv.writer writes for the same rows."""
+        values = np.array([[-0.0, 5e-324, 1.7976931348623157e308],
+                           [0.1 + 0.2, 1e-7, -1.5]])
+        ids = ("05,01", '05"02', "05 03")
+        path = tmp_path / "m.csv"
+        _write_matrix_csv(path, DatasetMatrix(values=values, storm_ids=ids))
+        back = _read_matrix_csv(path, 2)
+        assert back.storm_ids == ids
+        assert back.values.tobytes() == values.tobytes()
+        buf = io.StringIO()
+        csv.writer(buf).writerows([ids, *([repr(v) for v in row] for row in values.tolist())])
+        assert path.read_bytes() == buf.getvalue().encode()
+        assert path.read_bytes().startswith(b'"05,01","05""02",05 03\r\n-0.0,5e-324,')
+
     @pytest.mark.parametrize("command", ["predict", "export"])
     @pytest.mark.parametrize("change", ["one-column-fewer", "reordered-ids"])
     def test_lon_ids_differ_from_lat(self, ingested, fitted, tmp_path, capsys,
@@ -514,9 +547,9 @@ class TestInputFiles:
 
 
 def test_synthetic_demo_runs_and_repeats(tmp_path):
-    """README's entry point runs end to end, writes the known dataset and grid
-    table, and a second run writes the same grid table, report and forecasts
-    byte for byte."""
+    """README's entry point runs end to end, writes the known dataset, grid
+    table and forecasts, and a second run writes the same grid table, report
+    and forecasts byte for byte."""
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     outputs = ("grid/grid.csv", "grid/report.json", "forecasts.geojson",
@@ -534,7 +567,8 @@ def test_synthetic_demo_runs_and_repeats(tmp_path):
                                    "1,29.78,32.31,50.15\n"
                                    "2,32.10,58.80,58.55\n"
                                    "3,34.16,68.32,110.39\n")
-    assert [hashlib.sha256(data).hexdigest() for data in runs[0][3:]] == [
+    assert [hashlib.sha256(data).hexdigest() for data in runs[0][2:]] == [
+        "cbeaa7474a25a7115f442c375b66d6344f90b2876a9f89061f3cd955cc0083d7",
         "e3cf935ac68b461c14b7edd8cc588d3929314decdde443658f023592c474f7f1",
         "fcbb98679c87af1e341e19c125c75ab2f2875878f5ffc56e6da4345a8c01a62c"]
 

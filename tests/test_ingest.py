@@ -246,6 +246,25 @@ def _csv_texts() -> tuple[str, ...]:
 
 CSV_TEXTS = _csv_texts()
 
+# the (start, stop) columns of a data line's yy, mm, dd, hh, lat and lon fields
+RSMC_FIELDS = ((0, 2), (2, 4), (4, 6), (6, 8), (15, 18), (19, 23))
+
+
+def signed_fields(text: str):
+    """A strategy of ``text`` with some date, lat or lon fields of its data
+    lines redrawn from digits, blanks and signs, which int() may accept."""
+    lines = text.splitlines()
+    rows = [k for k, line in enumerate(lines) if not line.startswith("66666")]
+    field = st.sampled_from(RSMC_FIELDS).flatmap(lambda f: st.tuples(
+        st.just(f), st.text("0123456789 +-", min_size=f[1] - f[0], max_size=f[1] - f[0])))
+
+    def edit(edits):
+        out = list(lines)
+        for k, ((a, b), value) in edits:
+            out[k] = out[k][:a] + value + out[k][b:]
+        return "\n".join(out) + "\n"
+    return st.lists(st.tuples(st.sampled_from(rows), field), min_size=1, max_size=6).map(edit)
+
 
 class TestColumnarRsmc:
     def test_every_column_matches_the_line_by_line_reference(self):
@@ -283,6 +302,28 @@ class TestColumnarRsmc:
             lines[k - 1:k] = [] if edits[k] is None else [edits[k]]
         text = "\n".join(lines) + "\n"
         assert outcome(parse_rsmc, text) == outcome(reference_parse, text) == (ParseError, line_no)
+
+    def test_signed_and_blank_fields_read_as_int_reads_them(self):
+        """Fields that are not all digits take the fallback; they and the
+        plain-digit fields of the same storms read as the line-by-line int()."""
+        def line(date, lat, lon):
+            return f"{date} 002 5 {lat} {lon} 990     35"
+        signed = [line("05070100", "150", "1400"), line("05070106", " 95", "1405"),
+                  line("05070112", "+95", " 950"), line("05070118", "-05", "+950"),
+                  line(" 5070200", "-50", "1395"), line("05+70206", "  5", "   5"),
+                  line("0507 212", "095", "0950"), line("0507031 ", "-0 ", "1   ")]
+        text = (make_rsmc_storm("0501", [15.0, 15.5], [140.0, 139.5])
+                + rsmc_header("0502", len(signed)) + "\n" + "\n".join(signed) + "\n"
+                + make_rsmc_storm("0503", [20.0, 21.0, 22.5], [130.0, 131.0, 133.2]))
+        got = outcome(parse_rsmc, text)
+        assert got == outcome(reference_parse, text)
+        np.testing.assert_array_equal(
+            parse_rsmc(text)[1].lats, [15.0, 9.5, 9.5, -0.5, -5.0, 0.5, 9.5, 0.0])
+
+    @given(signed_fields(THREE_STORMS))
+    @settings(max_examples=300, deadline=None)
+    def test_signed_and_blank_fields_parse_or_name_their_line(self, text):
+        assert outcome(parse_rsmc, text) == outcome(reference_parse, text)
 
     def test_nul_and_non_ascii_lines(self):
         line = rsmc_data_line(datetime(2005, 7, 1, 6), 15.5, 139.5)
