@@ -132,10 +132,11 @@ class SplitRunner:
     Models are group sums of per-storm sufficient statistics, solved in
     batches: the global ones once, the cluster unions of every k once per
     coordinate and, per cell, the pairs of both coordinates that serve a
-    test storm. A cell reads each test storm's model from a table with one
-    row per cluster pair: the pair's own model, else its union's, which is
-    the global one where the union is too small. Cell (1, 1) is served by
-    the global models alone, as is the global evaluation.
+    test storm. A cluster group sums its storms in storm order, so its model
+    is the same in any batch. A cell reads each test storm's model from a
+    table with one row per cluster pair: the pair's own model, else its
+    union's, which is the global one where the union is too small. Cell
+    (1, 1) is served by the global models alone, as is the global evaluation.
     """
 
     def __init__(self, lat_mat: DatasetMatrix, lon_mat: DatasetMatrix,
@@ -159,8 +160,10 @@ class SplitRunner:
         self.eig = np.linalg.eigh(self.theta.T @ self.theta)
 
         self.train_segments, self.test_segments = {}, {}
-        self.stats, self.center, self.w_test, self.truth = {}, {}, {}, {}
-        for coord, v in (("lat", lat_mat.values), ("lon", lon_mat.values)):
+        self.center, self.w_test, self.truth, self.global_coeffs = {}, {}, {}, {}
+        m = 1 + config.K_t
+        self.stats = np.empty((len(self.train_idx), 2, m, m + config.K_s))
+        for c, (coord, v) in enumerate((("lat", lat_mat.values), ("lon", lon_mat.values))):
             self.train_segments[coord] = v[:P, self.train_idx].T.copy()
             self.test_segments[coord] = v[:P, self.test_idx].T.copy()
             coeffs = fit_bundle(
@@ -171,24 +174,24 @@ class SplitRunner:
             # intercepts are a + B z_mean
             z_train = self.gram @ coeffs[:, self.train_idx]
             z_mean = self.center[coord] = z_train.mean(axis=1)
-            self.stats[coord] = fof_statistics(design(z_train, z_mean),
-                                               self.theta.T @ v[P:, self.train_idx])
+            stats = fof_statistics(design(z_train, z_mean),
+                                   self.theta.T @ v[P:, self.train_idx])
+            # the global model sums in the statistics' own layout, as ``fit_fof`` does
+            self.global_coeffs[coord] = solve_fof(stats.sum(axis=0, keepdims=True),
+                                                  self.eig, config.ridge)
+            self.stats[:, c] = stats
             self.w_test[coord] = design(self.gram @ coeffs[:, self.test_idx], z_mean)
-        self.global_coeffs = {c: solve_fof(st.sum(axis=0, keepdims=True), self.eig,
-                                           config.ridge) for c, st in self.stats.items()}
         self._kmeans_cache: dict = {}
 
     def fit_coordinate(self, coord: str) -> tuple[np.ndarray, np.ndarray]:
         """The global (coefficients, center) model of a coordinate, as solved."""
         return self.global_coeffs[coord][0], self.center[coord]
 
-    def group_models(self, parts: Sequence[tuple[str, np.ndarray]]) -> np.ndarray:
-        """Coefficients (G x K_s x (1 + K_t)) of the groups of training storms
-        marked in the rows of each (coordinate, one-hot) part, in order: one
-        group sum per part, one solve for all."""
-        stats = [np.tensordot(onehot.astype(float), self.stats[coord], axes=1)
-                 for coord, onehot in parts]
-        return solve_fof(np.concatenate(stats), self.eig, self.config.ridge)
+    def group_stats(self, labels: np.ndarray, groups: np.ndarray) -> np.ndarray:
+        """G x 2 x m x (m + K_s) statistics, lat first, of the training storms with
+        each label of ``groups``, each summed in storm order: the same in any batch."""
+        return np.array([self.stats[labels == g].sum(axis=0) for g in groups]
+                        ).reshape(len(groups), *self.stats.shape[1:])
 
     def global_errors(self) -> np.ndarray:
         """Cell (1, 1), which the global models serve alone."""
@@ -225,15 +228,17 @@ class SplitRunner:
         k_top = max(k, min(k_max, len(points)))
         seeds = kmeans_seeds(points, k_top, self.config.seed)
         todo = [j for j in range(2, k_top + 1) if (coord, j) not in self._kmeans_cache]
-        fits, parts = [], []
+        fits = []
         for j in todo:
             model = kmeans_fit(points, j, init=seeds)
             train = assign_batch(model, points)
             own = np.flatnonzero(fittable(np.bincount(train, minlength=j),
                                           self.config.min_cluster_size, len(train)))
             fits.append((train, assign_batch(model, self.test_segments[coord]), own))
-            parts.append((coord, train == own[:, None]))
-        solved = np.split(self.group_models(parts),
+        c = ("lat", "lon").index(coord)
+        stats = np.concatenate([self.group_stats(train, own)[:, c]
+                                for train, _, own in fits])
+        solved = np.split(solve_fof(stats, self.eig, self.config.ridge),
                           np.cumsum([len(own) for *_, own in fits])[:-1])
         for j, (train, test, own), models in zip(todo, fits, solved):
             coeffs = np.repeat(self.global_coeffs[coord], j, axis=0)
@@ -251,16 +256,13 @@ class SplitRunner:
         ok = fittable(np.bincount(pair_tr, minlength=k_lat * k_lon),
                       self.config.min_cluster_size, len(pair_tr))
         pairs = np.unique(pair_te[ok[pair_te]])
-        onehot = pair_tr == pairs[:, None]
-        # the pair models of both coordinates are solved here, the unions are
-        # cached rows; the group sums stay one per coordinate, since a GEMM's
-        # rounding depends on its row count and merged sums would move models
-        pair_models = np.split(self.group_models([("lat", onehot), ("lon", onehot)]), 2)
+        # the pair models of both coordinates are solved here, the unions are cached rows
+        pair_models = solve_fof(self.group_stats(pair_tr, pairs), self.eig, self.config.ridge)
         # one model per pair code: the pair's own, else its union's in the coordinate
         codes = np.arange(k_lat * k_lon)
         tables = {"lat": lat_unions[codes // k_lon], "lon": lon_unions[codes % k_lon]}
-        for table, models in zip(tables.values(), pair_models):
-            table[pairs] = models
+        for c, table in enumerate(tables.values()):
+            table[pairs] = pair_models[:, c]
         hats = [fof_forecast(table[pair_te], self.theta, self.w_test[coord])
                 for coord, table in tables.items()]
         return track_errors(*hats, self.truth["lat"], self.truth["lon"])
@@ -274,15 +276,14 @@ def _best_cell(cell_means: np.ndarray) -> tuple[tuple[int, int], float]:
 
 def _split_row(lat_mat: DatasetMatrix, lon_mat: DatasetMatrix,
                config: ExperimentConfig, rep: int) -> dict:
-    """The trace of repetition ``rep``: its seed, grid cells and global error."""
+    """The trace of repetition ``rep``: its seed, grid cells and global error, cell (1, 1)."""
     seed_r = config.seed + rep
     runner = SplitRunner(lat_mat, lon_mat, *train_test_split(
         lat_mat.n_storms, config.ratio, seed_r), replace(config, seed=seed_r))
     cells = [[float(runner.clustered_errors(i, j).mean())
               for j in range(1, config.k_lon_max + 1)]
              for i in range(1, config.k_lat_max + 1)]
-    return {"repetition": rep, "seed": seed_r,
-            "global_error": float(runner.global_errors().mean()), "cells": cells}
+    return {"repetition": rep, "seed": seed_r, "global_error": cells[0][0], "cells": cells}
 
 
 @functools.cache
@@ -313,16 +314,13 @@ def _reports(cases: list[tuple]) -> Iterator[ExperimentReport]:
             traces = iter(list(pool.map(_split_row, *zip(*tasks))))
     for lat_mat, _, config in cases:
         rep_traces = [next(traces) for _ in range(config.n_repetitions)]
-        # the global error rides as one more column, so that it is averaged
-        # in the same order as the cells and cell (1,1) stays equal to it
-        stack = np.array([np.append(t["cells"], t["global_error"]) for t in rep_traces])
-        means, stds = stack.mean(axis=0), stack.std(axis=0)
-        cell_means = means[:-1].reshape(config.k_lat_max, config.k_lon_max)
+        stack = np.array([t["cells"] for t in rep_traces])
+        cell_means, cell_stds = stack.mean(axis=0), stack.std(axis=0)
         best_pair, best_error = _best_cell(cell_means)
         yield ExperimentReport(
             config=config, n_storms=lat_mat.n_storms, cell_means=cell_means,
-            cell_stds=stds[:-1].reshape(cell_means.shape), global_mean=float(means[-1]),
-            global_std=float(stds[-1]), best_pair=best_pair, best_error=best_error,
+            cell_stds=cell_stds, global_mean=float(cell_means[0, 0]),
+            global_std=float(cell_stds[0, 0]), best_pair=best_pair, best_error=best_error,
             repetition_traces=rep_traces)
 
 

@@ -36,7 +36,8 @@ def fof_statistics(W: np.ndarray, U: np.ndarray) -> np.ndarray:
 
 def solve_fof(stats: np.ndarray, eig: tuple[np.ndarray, np.ndarray],
               ridge: float) -> np.ndarray:
-    """C = [a | B] (G x K_s x m) of G models from summed ``fof_statistics``.
+    """C = [a | B] (... x K_s x m) of a batch of models, of any leading
+    shape, from summed ``fof_statistics`` (... x m x (m + K_s)).
 
     With S = sum w w', R = sum u w' and T = Theta'Theta = V diag(lam) V'
     (``eig``, from ``np.linalg.eigh(T)``), the normal equations (S (x) T +
@@ -46,8 +47,8 @@ def solve_fof(stats: np.ndarray, eig: tuple[np.ndarray, np.ndarray],
     Cholesky factor is solved by forward and back substitution.
     """
     lam, V = eig
-    m = stats.shape[1]
-    A = lam[:, None, None] * stats[:, None, :, :m]       # G x K_s x m x m
+    m = stats.shape[-2]
+    A = lam[:, None, None] * stats[..., None, :, :m]     # ... x K_s x m x m
     A[..., np.arange(1, m), np.arange(1, m)] += ridge     # penalizes B only
     try:
         L = np.linalg.cholesky(A)
@@ -57,14 +58,14 @@ def solve_fof(stats: np.ndarray, eig: tuple[np.ndarray, np.ndarray],
             "or degenerate predictors); use ridge > 0") from exc
     del A
     L = np.moveaxis(L, (-2, -1), (0, 1)).copy()          # unknowns first
-    x = np.moveaxis(stats[:, :, m:] @ V, 1, 0).copy()    # (V'R)', m x G x K_s
+    x = np.moveaxis(stats[..., m:] @ V, -2, 0).copy()    # (V'R)', m x ... x K_s
     for j in range(m):                                    # L y = V'R
         x[j] /= L[j, j]
         x[j + 1:] -= L[j + 1:, j] * x[j]
     for j in range(m - 1, -1, -1):                        # L' c = y
         x[j] /= L[j, j]
         x[:j] -= L[j, :j] * x[j]
-    return V @ x.transpose(1, 2, 0)
+    return V @ np.moveaxis(x, 0, -1)
 
 
 def fit_fof(predictor_basis: BasisSystem, X: np.ndarray, response_basis: BasisSystem,

@@ -18,7 +18,7 @@ from fofcast.errors import SingularityError
 from fofcast.clustering import assign_batch, kmeans_fit
 from fofcast.experiment import (EARTH_RADIUS_KM, SplitRunner, _best_cell, fittable,
                                 track_errors)
-from fofcast.regression import fof_forecast
+from fofcast.regression import design, fof_forecast, fof_statistics, solve_fof
 
 from conftest import make_storm, synthetic_matrices, two_regime_matrices
 
@@ -211,7 +211,8 @@ class TestEngine:
         pairs = np.flatnonzero(fittable(np.bincount(pair_tr, minlength=k_lat * k_lon),
                                         config.min_cluster_size, n_train))
         assert len(pairs) > 0
-        for coord, k in (("lat", k_lat), ("lon", k_lon)):
+        pair_models = solve_fof(runner.group_stats(pair_tr, pairs), runner.eig, config.ridge)
+        for i, (coord, k) in enumerate((("lat", k_lat), ("lon", k_lon))):
             train, _, unions = c[coord]
             glob = runner.global_coeffs[coord]
             # one union row per cluster; a union too small to fit holds the
@@ -228,9 +229,7 @@ class TestEngine:
             # the cached unions and global model
             groups = np.concatenate([pair_tr == pairs[:, None], train == own[:, None],
                                      np.ones((1, n_train), bool)])
-            coeffs = np.concatenate([
-                runner.group_models([(coord, pair_tr == pairs[:, None])]),
-                unions[own], glob])
+            coeffs = np.concatenate([pair_models[:, i], unions[own], glob])
             # the engine's regressors are centred on the training mean, and
             # a model is compared by its forecasts: its coefficients are only
             # as well determined as the design is conditioned
@@ -253,9 +252,9 @@ class TestEngine:
     @classmethod
     def _reference_errors(cls, runner, k_lat, k_lon):
         """``clustered_errors`` from an own k-means fit per coordinate and k,
-        each test storm's model picked by ``_rule``, and one ``group_models``
-        call per coordinate for its unions and one for its pairs; and the
-        kinds of model that serve some test storm."""
+        each test storm's model picked by ``_rule``, and one ``group_stats``
+        and ``solve_fof`` call per coordinate for its unions and one for its
+        pairs; and the kinds of model that serve some test storm."""
         config = runner.config
         clusters = {}
         for coord, k in (("lat", k_lat), ("lon", k_lon)):
@@ -265,17 +264,19 @@ class TestEngine:
         (lat_tr, lat_te), (lon_tr, lon_te) = clusters["lat"], clusters["lon"]
         pair_tr, pair_te = lat_tr * k_lon + lon_tr, lat_te * k_lon + lon_te
         hats, kinds = [], set()
-        for coord, k in (("lat", k_lat), ("lon", k_lon)):
+        for i, (coord, k) in enumerate((("lat", k_lat), ("lon", k_lon))):
             train, test = clusters[coord]
             rungs = cls._rule(pair_tr, train, pair_te, test, config.min_cluster_size)
-            # as the engine, the unions of every cluster that fits and the pairs
-            # that serve a test storm: a group sum's rounding depends on its rows
+            # the unions of every cluster that fits and the pairs that serve a
+            # test storm, solved apart from the engine's batches: a group's sum
+            # and its solve do not depend on the other groups in the call
             own = np.flatnonzero(fittable(np.bincount(train, minlength=k),
                                           config.min_cluster_size, len(train)))
             pairs = np.unique([g for r, g in rungs if r == "pair"])
             models = {("global", 0): runner.global_coeffs[coord][0]}
             for kind, labels, groups in (("union", train, own), ("pair", pair_tr, pairs)):
-                solved = runner.group_models([(coord, labels == groups[:, None])])
+                solved = solve_fof(runner.group_stats(labels, groups)[:, i], runner.eig,
+                                   config.ridge)
                 models.update(((kind, g), C) for g, C in zip(groups, solved))
             kinds.update(kind for kind, _ in rungs)
             hats.append(fof_forecast(np.stack([models[r] for r in rungs]),
@@ -338,6 +339,29 @@ class TestEngine:
                                       self._reference_errors(runner, 6, 2)[0])
         with pytest.raises(ValueError, match="exceeds sample count"):
             runner.kmeans_for("lon", len(train) + 1)
+
+    def test_group_sums_do_not_depend_on_the_batch(self, small_dataset):
+        lat, lon = small_dataset
+        config = ExperimentConfig(n_repetitions=1)
+        train_idx, test_idx = train_test_split(lat.n_storms, 0.8, seed=3)
+        runner = SplitRunner(lat, lon, train_idx, test_idx, config)
+        P = config.predictor_len
+        labels = np.random.default_rng(8).integers(0, 5, size=len(train_idx))
+        groups = np.array([4, 0, 2, 3, 1, 2])
+        batch = runner.group_stats(labels, groups)
+        assert batch.shape == (len(groups), 2, 1 + config.K_t, 1 + config.K_t + config.K_s)
+        assert runner.group_stats(labels, groups[:0]).shape == (0, *batch.shape[1:])
+        for i in range(len(groups)):
+            assert np.array_equal(batch[i], runner.group_stats(labels, groups[i:i + 1])[0])
+        # lat first: each slice sums the coordinate's own per-storm statistics
+        for c, (coord, mat) in enumerate((("lat", lat), ("lon", lon))):
+            X = fit_coefficients(runner.predictor_basis, runner.predictor_grid,
+                                 mat.values[:P])[:, train_idx]
+            stats = fof_statistics(
+                design(runner.gram @ X, runner.center[coord]),
+                runner.theta.T @ mat.values[P:, train_idx])
+            for i, g in enumerate(groups):
+                assert np.array_equal(batch[i, c], stats[labels == g].sum(axis=0))
 
     def test_group_of_min_size_gets_its_own_model(self, small_dataset):
         lat, lon = small_dataset
@@ -515,12 +539,17 @@ class TestSplitPool:
         assert experiment.split_workers(5) == 1
 
 
-def _run_python(code: str) -> str:
-    """stdout of ``code`` in a fresh interpreter with BLAS on one thread."""
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _run_python(code: str, one_blas_thread: bool = True) -> str:
+    """stdout of ``code`` in a fresh interpreter with BLAS on one thread, or
+    else on BLAS's default thread count."""
     root = Path(__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"),
-                                                        str(root / "tests")]),
-           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+    env["PYTHONPATH"] = os.pathsep.join(str(root / d) for d in ("src", "tests", "perfbench"))
+    if one_blas_thread:
+        env.update(dict.fromkeys(BLAS_THREADS, "1"))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
@@ -555,3 +584,21 @@ for _ in range(3):
 print(len(started), experiment.split_workers(2))
 """)
     assert out == "3 2\n"
+
+
+def test_report_does_not_depend_on_blas_threads_or_the_pool(tmp_path):
+    # on one BLAS thread the two splits run in a forked pool (on a multi-CPU
+    # host), by default serially on multi-threaded BLAS; a one-hot GEMM group
+    # sum gave this grid different last bits in the two runs
+    archive = tmp_path / "archive.txt"
+    _run_python(f"import archive_gen, pathlib\n"
+                f"pathlib.Path({str(archive)!r}).write_text(archive_gen.generate(1).text)")
+    code = f"""
+from pathlib import Path
+from fofcast import ExperimentConfig, ingest, repeated_simulation
+storms = ingest.filter_min_length(ingest.parse_rsmc(Path({str(archive)!r}).read_text()), 32)
+lat, lon = ingest.build_matrices([ingest.extract_tail(s, 32, 24) for s in storms])
+config = ExperimentConfig(seed=1, n_repetitions=2, k_lat_max=3, k_lon_max=3)
+print(repeated_simulation(lat, lon, config).to_json())
+"""
+    assert _run_python(code) == _run_python(code, one_blas_thread=False)

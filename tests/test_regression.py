@@ -181,9 +181,13 @@ def test_solve_fof_is_independent_of_the_batch():
             onehot = rng.random((size, n)) < 0.7
             stats = fof_statistics(W, rng.normal(size=(K_s, n)))
             parts.append(np.tensordot(onehot.astype(float), stats, axes=1))
-        joined = solve_fof(np.concatenate(parts), eig, ridge)
+        stacked = np.concatenate(parts)
+        joined = solve_fof(stacked, eig, ridge)
         alone = np.concatenate([solve_fof(p, eig, ridge) for p in parts])
         assert np.array_equal(joined, alone)
+        # a two-axis batch, as the grid engine's groups x coordinates
+        paired = solve_fof(np.stack([stacked, stacked[::-1]], axis=1), eig, ridge)
+        assert np.array_equal(paired, np.stack([alone, alone[::-1]], axis=1))
 
 
 class TestPredict:
