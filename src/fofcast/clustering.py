@@ -1,9 +1,10 @@
 """K-means over discretized predictor segments, per coordinate.
 
-Lloyd's algorithm with k-means++ seeding and restarts. Latitude and
-longitude are clustered independently; each storm then belongs to a
-(lat-cluster, lon-cluster) pair. A restart's seeds of k are the first k of
-its seeds of any larger k, so one ``kmeans_seeds`` call seeds every k.
+Lloyd's algorithm with k-means++ seeding and restarts, the restarts of one
+k stepped together. Latitude and longitude are clustered independently;
+each storm then belongs to a (lat-cluster, lon-cluster) pair. A restart's
+seeds of k are the first k of its seeds of any larger k, so one
+``kmeans_seeds`` call seeds every k.
 """
 
 from __future__ import annotations
@@ -22,19 +23,24 @@ class KMeansModel:
     iterations_run: int
 
 
-def _labels(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Nearest centroid by the GEMM form ||c||^2 - 2 x.c of the squared
-    distance less ||x||^2; ties go to the lowest index. The -2 rides on the
-    centroids: scaling by a power of two is exact."""
-    d = points @ (-2.0 * centroids).T
-    d += (centroids ** 2).sum(axis=1)
-    return np.argmin(d, axis=1)
+def _lift(points: np.ndarray) -> np.ndarray:
+    """The (P + 1) x n points over a row of ones, so that the label pass's
+    centroid norms and the update's cluster counts come out of its GEMMs."""
+    return np.vstack([points.T, np.ones(len(points))])
 
 
-def _inertia(points: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> float:
-    """Summed squared distance of each point to its assigned centroid."""
-    r = (points - centroids.take(labels, axis=0)).ravel()
-    return float(r @ r)
+def _labels(lifted: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Nearest centroid (R x n) of each ``_lift`` point in each of the R x k x P
+    centroid sets, by one centroid-major GEMM: [-2c, ||c||^2] . [x, 1] is the
+    squared distance less ||x||^2. Ties go to the lowest index: of the rows j
+    at the column minimum, the first has the largest weight k - j."""
+    R, k, P = centroids.shape
+    rows = np.concatenate([-2.0 * centroids, (centroids ** 2).sum(axis=2, keepdims=True)],
+                          axis=2)
+    d = (rows.reshape(R * k, P + 1) @ lifted).reshape(R, k, -1)
+    at_min = d == d.min(axis=1, keepdims=True)
+    weights = np.arange(k, 0, -1, dtype=np.min_scalar_type(k))[:, None]
+    return k - (at_min * weights).max(axis=1).astype(np.intp)
 
 
 def _kmeanspp_init(points: np.ndarray, k: int,
@@ -54,25 +60,37 @@ def _kmeanspp_init(points: np.ndarray, k: int,
 
 
 def _lloyd(points: np.ndarray, centroids: np.ndarray,
-           max_iter: int) -> tuple[np.ndarray, int, float]:
-    """Centroids, iterations run and the inertia of the final labels, from
-    the seeds ``centroids``."""
-    k = len(centroids)
-    labels = _labels(points, centroids)
-    clusters = np.arange(k)[:, None]
+           max_iter: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Centroids (R x k x P), iterations run and the inertias of the final
+    labels of the R restarts seeded at ``centroids``, stepped together: a
+    restart leaves the batch when its labels repeat or at ``max_iter``."""
+    R, k, P = centroids.shape
+    lifted = _lift(points)
+    final, iters = centroids.copy(), np.full(R, max_iter)
+    labels = _labels(lifted, centroids)
+    final_labels = labels.copy()
+    live = np.arange(R)
     for it in range(1, max_iter + 1):
-        counts = np.bincount(labels, minlength=k)
-        new_centroids = ((labels == clusters).astype(float) @ points
-                         / np.maximum(counts, 1)[:, None])
-        if not counts.all():
+        A = len(live)
+        one_hot = labels[:, None, :] == np.arange(k)[:, None]
+        sums = (one_hot.reshape(A * k, -1).astype(float) @ lifted.T).reshape(A, k, P + 1)
+        counts = sums[:, :, P]
+        new_centroids = sums[:, :, :P] / np.maximum(counts, 1)[:, :, None]
+        for a in np.flatnonzero(~counts.all(axis=1)):
             # reseed an empty cluster at the point farthest from its centroid
-            d2 = ((points - centroids[labels]) ** 2).sum(axis=1)
-            new_centroids[counts == 0] = points[int(np.argmax(d2))]
+            d2 = ((points - centroids[a, labels[a]]) ** 2).sum(axis=1)
+            new_centroids[a, counts[a] == 0] = points[int(np.argmax(d2))]
         centroids, old_labels = new_centroids, labels
-        labels = _labels(points, centroids)
-        if np.array_equal(labels, old_labels):
-            return centroids, it, _inertia(points, centroids, labels)
-    return centroids, max_iter, _inertia(points, centroids, labels)
+        labels = _labels(lifted, centroids)
+        final[live], final_labels[live] = centroids, labels
+        done = (labels == old_labels).all(axis=1)
+        iters[live[done]] = it
+        live, centroids, labels = live[~done], centroids[~done], labels[~done]
+        if not len(live):
+            break
+    # one restart at a time: a residual array of all of them costs page faults
+    return final, iters, np.array([np.square(points - c[lab]).sum()
+                                   for c, lab in zip(final, final_labels)])
 
 
 def _points(segments: np.ndarray, k: int, n_restarts: int) -> np.ndarray:
@@ -117,13 +135,10 @@ def kmeans_fit(segments: np.ndarray, k: int, seed: int = 0,
             or init.shape[2] != points.shape[1]):
         raise ShapeError(f"init must be n_restarts x >= {k} x {points.shape[1]}")
 
-    best = None
-    for restart in range(n_restarts):
-        result = _lloyd(points, init[restart, :k], max_iter)
-        if best is None or result[2] < best[2]:
-            best = result
-    centroids, iters, inertia = best
-    return KMeansModel(centroids=centroids, inertia=inertia, iterations_run=iters)
+    centroids, iters, inertia = _lloyd(points, init[:, :k], max_iter)
+    best = int(np.argmin(inertia))
+    return KMeansModel(centroids=centroids[best], inertia=float(inertia[best]),
+                       iterations_run=int(iters[best]))
 
 
 def assign_batch(model: KMeansModel, segments: np.ndarray) -> np.ndarray:
@@ -131,4 +146,4 @@ def assign_batch(model: KMeansModel, segments: np.ndarray) -> np.ndarray:
     segments = np.asarray(segments, dtype=float)
     if segments.ndim != 2 or segments.shape[1] != model.centroids.shape[1]:
         raise ShapeError("segment length does not match centroid length")
-    return _labels(segments, model.centroids)
+    return _labels(_lift(segments), model.centroids[None])[0]

@@ -187,11 +187,13 @@ class SplitRunner:
         """The global (coefficients, center) model of a coordinate, as solved."""
         return self.global_coeffs[coord][0], self.center[coord]
 
-    def group_stats(self, labels: np.ndarray, groups: np.ndarray) -> np.ndarray:
-        """G x 2 x m x (m + K_s) statistics, lat first, of the training storms with
-        each label of ``groups``, each summed in storm order: the same in any batch."""
-        return np.array([self.stats[labels == g].sum(axis=0) for g in groups]
-                        ).reshape(len(groups), *self.stats.shape[1:])
+    def group_stats(self, labels: np.ndarray, groups: np.ndarray,
+                    c: int | slice = slice(None)) -> np.ndarray:
+        """G x 2 x m x (m + K_s) statistics, lat first, or G x m x (m + K_s) of
+        coordinate ``c`` alone, of the training storms with each label of
+        ``groups``, each summed in storm order: the same in any batch."""
+        return np.array([self.stats[labels == g, c].sum(axis=0) for g in groups]
+                        ).reshape(len(groups), *self.stats[0, c].shape)
 
     def global_errors(self) -> np.ndarray:
         """Cell (1, 1), which the global models serve alone."""
@@ -236,8 +238,7 @@ class SplitRunner:
                                           self.config.min_cluster_size, len(train)))
             fits.append((train, assign_batch(model, self.test_segments[coord]), own))
         c = ("lat", "lon").index(coord)
-        stats = np.concatenate([self.group_stats(train, own)[:, c]
-                                for train, _, own in fits])
+        stats = np.concatenate([self.group_stats(train, own, c) for train, _, own in fits])
         solved = np.split(solve_fof(stats, self.eig, self.config.ridge),
                           np.cumsum([len(own) for *_, own in fits])[:-1])
         for j, (train, test, own), models in zip(todo, fits, solved):

@@ -75,8 +75,13 @@ def _rsmc_header(line: str, line_no: int) -> tuple[str, int, str]:
 def _columns(lines: list[str], offsets: list[int]) -> tuple[np.ndarray, ...]:
     """times, lat and lon of the RSMC data lines of storms that start at
     ``offsets``, or ValueError; each field of all lines is read at once as
-    Python's int() would read it."""
-    cells = np.array(lines, f"S{RSMC_WIDTH}").view(np.uint8).reshape(len(lines), RSMC_WIDTH)
+    Python's int() would read it. Only columns 0-22 are encoded, so only they
+    must be ASCII."""
+    try:
+        cells = np.array(lines, f"S{RSMC_WIDTH}")
+    except UnicodeEncodeError:   # NumPy encodes a whole line before it cuts it
+        cells = np.array([line[:RSMC_WIDTH] for line in lines], f"S{RSMC_WIDTH}")
+    cells = cells.view(np.uint8).reshape(len(lines), RSMC_WIDTH)
 
     def number(start, stop):
         digits = cells[:, start:stop] - np.uint8(ord("0"))   # a non-digit wraps to >= 10
@@ -140,8 +145,8 @@ def parse_rsmc(stream: TextIO | str) -> list[StormRecordSet]:
 
     Header lines begin with indicator 66666 and declare how many data lines
     follow. Of the fixed-width data lines only yymmddhh (columns 0-7), lat*10
-    (15-17) and lon*10 (19-22) are read; the rest (grade, pressure, wind,
-    radii, '#' mark) must be ASCII but is not checked. The headers are
+    (15-17) and lon*10 (19-22) are read, and columns 0-22 must be ASCII; the
+    rest (grade, pressure, wind, radii, '#' mark) is not checked. The headers are
     read one by one, the data lines of all storms at once. The first fault
     in file order raises ParseError with its line number.
     """

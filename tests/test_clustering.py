@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fofcast import assign_batch, kmeans_fit, kmeans_seeds
-from fofcast.clustering import KMeansModel
+from fofcast.clustering import KMeansModel, _lloyd
 from fofcast.errors import ShapeError
 
 from conftest import synthetic_matrices, two_regime_matrices
@@ -38,6 +38,57 @@ def lloyd_trace(points, k, seed):
     full = kmeans_fit(points, k=k, seed=seed, n_restarts=1)
     return np.array([kmeans_fit(points, k=k, seed=seed, n_restarts=1, max_iter=i).inertia
                      for i in range(full.iterations_run + 1)])
+
+
+def reference_labels(points, centroids):
+    """Nearest centroid of each point, point-major: an n x k GEMM and ``argmin``."""
+    d = points @ (-2.0 * centroids).T
+    d += (centroids ** 2).sum(axis=1)
+    return np.argmin(d, axis=1)
+
+
+def reference_lloyd(points, centroids, max_iter):
+    """Lloyd's algorithm for one restart, a pass at a time: the reference for the
+    restarts that ``kmeans_fit`` steps together. Returns the final centroids and
+    labels, the iterations run and the inertia."""
+    k = len(centroids)
+    labels = reference_labels(points, centroids)
+    clusters = np.arange(k)[:, None]
+    it = 0
+    for it in range(1, max_iter + 1):
+        counts = np.bincount(labels, minlength=k)
+        new_centroids = ((labels == clusters).astype(float) @ points
+                         / np.maximum(counts, 1)[:, None])
+        if not counts.all():
+            # reseed an empty cluster at the point farthest from its centroid
+            d2 = ((points - centroids[labels]) ** 2).sum(axis=1)
+            new_centroids[counts == 0] = points[int(np.argmax(d2))]
+        centroids, old_labels = new_centroids, labels
+        labels = reference_labels(points, centroids)
+        if np.array_equal(labels, old_labels):
+            break
+    r = (points - centroids[labels]).ravel()
+    return centroids, labels, it, float(r @ r)
+
+
+def assert_restarts_match_reference(points, seeds, max_iter=100):
+    """Every restart of the batch ends with the reference's labels and iterations
+    and, within 1e-12 relative, its inertia; the fit's best restart is the
+    reference's first of lowest inertia."""
+    k = seeds.shape[1]
+    reference = [reference_lloyd(points, s, max_iter) for s in seeds]
+    centroids, iters, inertias = _lloyd(points, seeds, max_iter)
+    for (_, labels, ref_iters, ref_inertia), c, it, inertia in zip(
+            reference, centroids, iters, inertias):
+        np.testing.assert_array_equal(reference_labels(points, c), labels)
+        assert it == ref_iters
+        assert abs(inertia - ref_inertia) <= 1e-12 * ref_inertia
+    best = min(range(len(seeds)), key=lambda r: reference[r][3])
+    model = kmeans_fit(points, k, n_restarts=len(seeds), max_iter=max_iter, init=seeds)
+    assert partition_of(assign_batch(model, points)) == partition_of(reference[best][1])
+    assert model.iterations_run == reference[best][2]
+    assert abs(model.inertia - reference[best][3]) <= 1e-12 * reference[best][3]
+    return reference
 
 
 def partition_of(labels):
@@ -223,15 +274,72 @@ class TestAssign:
             assign_batch(model, [1.0, 2.0, 3.0])
 
 
-def test_gemm_labels_match_broadcast_form():
+def gemm_fixtures():
     rng = np.random.default_rng(11)
     fixtures = [rng.normal(size=(60, 8))]
     for lat, lon in (synthetic_matrices(n=80, seed=3, noise=0.15),
                      two_regime_matrices(n=100)):
         fixtures += [lat.values[:24].T, lon.values[:24].T]
-    for points in fixtures:
+    return fixtures
+
+
+def test_gemm_labels_match_broadcast_form():
+    for points in gemm_fixtures():
         for k in (2, 5, 10):
             model = kmeans_fit(points, k=k, seed=1)
             broadcast = np.argmin(
                 ((points[:, None, :] - model.centroids[None]) ** 2).sum(axis=2), axis=1)
             np.testing.assert_array_equal(assign_batch(model, points), broadcast)
+
+
+class TestLockstepRestarts:
+    """The restarts of one k, stepped together, each follow the one-restart
+    reference: the label pass and the update differ from it only in rounding."""
+
+    @pytest.mark.parametrize("k", [2, 5, 10])
+    def test_restarts_match_reference(self, k):
+        for points in gemm_fixtures():
+            seeds = kmeans_seeds(points, k, seed=1)
+            assert_restarts_match_reference(points, seeds)
+            # a restart run alone ends as it does inside the batch
+            centroids, iters, _ = _lloyd(points, seeds, 100)
+            for r in range(len(seeds)):
+                alone = kmeans_fit(points, k, n_restarts=1, init=seeds[r:r + 1])
+                assert partition_of(assign_batch(alone, points)) == partition_of(
+                    reference_labels(points, centroids[r]))
+                assert alone.iterations_run == iters[r]
+
+    def test_one_restart_empties_a_cluster(self):
+        points = gemm_fixtures()[0]
+        seeds = kmeans_seeds(points, 5, seed=1)
+        # restart 1 starts with a duplicate centre, which the first pass leaves empty
+        seeds[1, 3] = seeds[1, 0]
+        labels = reference_labels(points, seeds[1])
+        assert np.flatnonzero(np.bincount(labels, minlength=5) == 0).tolist() == [3]
+        assert all(np.bincount(reference_labels(points, s), minlength=5).all()
+                   for s in np.delete(seeds, 1, axis=0))
+        # the point farthest from its old centre, where the empty one is reseeded,
+        # is not the one farthest from its cluster's mean
+        means = np.array([points[labels == j].mean(axis=0) if j != 3 else seeds[1, 3]
+                          for j in range(5)])
+        assert (np.argmax(((points - seeds[1, labels]) ** 2).sum(axis=1))
+                != np.argmax(((points - means[labels]) ** 2).sum(axis=1)))
+        assert_restarts_match_reference(points, seeds)
+
+    def test_no_pass(self):
+        points = gemm_fixtures()[0]
+        seeds = kmeans_seeds(points, 5, seed=1)
+        reference = assert_restarts_match_reference(points, seeds, max_iter=0)
+        model = kmeans_fit(points, 5, max_iter=0, init=seeds)
+        best = min(range(len(seeds)), key=lambda r: reference[r][3])
+        np.testing.assert_array_equal(model.centroids, seeds[best])
+        assert model.iterations_run == 0
+
+    def test_cap_that_some_restarts_reach(self):
+        points = gemm_fixtures()[0]
+        seeds = kmeans_seeds(points, 5, seed=1)
+        converged = [reference_lloyd(points, s, 100)[2] for s in seeds]
+        cap = int(np.median(converged))
+        assert min(converged) < cap < max(converged)
+        reference = assert_restarts_match_reference(points, seeds, max_iter=cap)
+        assert [it for *_, it, _ in reference] == [min(it, cap) for it in converged]

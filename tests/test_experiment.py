@@ -362,6 +362,9 @@ class TestEngine:
                 runner.theta.T @ mat.values[P:, train_idx])
             for i, g in enumerate(groups):
                 assert np.array_equal(batch[i, c], stats[labels == g].sum(axis=0))
+            # one coordinate's sums alone, as the unions take them, are the same
+            assert np.array_equal(runner.group_stats(labels, groups, c), batch[:, c])
+            assert runner.group_stats(labels, groups[:0], c).shape == (0, *batch.shape[2:])
 
     def test_group_of_min_size_gets_its_own_model(self, small_dataset):
         lat, lon = small_dataset

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from fofcast import (build_matrices, extract_tail, filter_min_length,
                      parse_csv, parse_rsmc, train_test_split, write_csv)
 from fofcast.errors import LengthError, ParseError, SchemaError, ShapeError, ValidationError
-from fofcast.ingest import TIME_FORMAT
+from fofcast.ingest import RSMC_WIDTH, TIME_FORMAT
 
 from conftest import (make_rsmc_storm, make_storm, mixed_rsmc_text, rsmc_data_line,
                       rsmc_header)
@@ -283,7 +283,9 @@ class TestColumnarRsmc:
         got = outcome(parse_rsmc, text)
         if isinstance(got[0], type):
             assert got[0] is ParseError and got[1] is not None
-        if text.isascii():   # a non-ASCII data line is a fault the reference may accept
+        # int() reads other scripts' digits, so a non-ASCII character in the
+        # columns read is a fault the reference may accept; past them, neither reads it
+        if all(line[:RSMC_WIDTH].isascii() for line in text.splitlines()):
             assert got == outcome(reference_parse, text)
 
     @pytest.mark.parametrize("edits, line_no", [
@@ -329,15 +331,17 @@ class TestColumnarRsmc:
         line = rsmc_data_line(datetime(2005, 7, 1, 6), 15.5, 139.5)
         head = (rsmc_header("0501", 2) + "\n"
                 + rsmc_data_line(datetime(2005, 7, 1), 15.0, 140.0) + "\n")
-        # a NUL in the lat field fails; the whole line is encoded, so a
-        # non-ASCII character fails in a column that is not read too
-        for bad in (line[:16] + "\x00" + line[17:], line[:26] + "٣" + line[27:], line + " é"):
+        # a NUL in a field read fails, as does a non-ASCII character in columns 0-22,
+        # the grade at column 13 included
+        for bad in (line[:16] + "\x00" + line[17:], line[:16] + "٣" + line[17:],
+                    line[:13] + "é" + line[14:], line[:22] + "é" + line[23:]):
             with pytest.raises(ParseError) as info:
                 parse_rsmc(head + bad + "\n")
             assert info.value.line_no == 3
-        # a NUL past the lon field, which ends at column 22, is not read
-        storms = parse_rsmc(head + line[:27] + "\x00\n")
-        np.testing.assert_array_equal(storms[0].lons, [140.0, 139.5])
+        # past the lon field, which ends at column 22, neither is read
+        for past in (line[:27] + "\x00", line[:26] + "٣" + line[27:], line + " é"):
+            storms = parse_rsmc(head + past + "\n")
+            np.testing.assert_array_equal(storms[0].lons, [140.0, 139.5])
 
 
 class TestParseCsv:
