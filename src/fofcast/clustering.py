@@ -30,17 +30,17 @@ def _lift(points: np.ndarray) -> np.ndarray:
 
 
 def _labels(lifted: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Nearest centroid (R x n) of each ``_lift`` point in each of the R x k x P
-    centroid sets, by one centroid-major GEMM: [-2c, ||c||^2] . [x, 1] is the
-    squared distance less ||x||^2. Ties go to the lowest index: of the rows j
-    at the column minimum, the first has the largest weight k - j."""
+    """Nearest centroid (R x n) of each ``_lift`` point in each R x k x P set
+    by one centroid-major GEMM: [-2c, ||c||^2] . [x, 1] is the squared distance
+    less ||x||^2. Of the rows j at the column minimum the first has the largest
+    weight k - 1 - j, so ties go to the lowest j; a NaN column gets k - 1."""
     R, k, P = centroids.shape
     rows = np.concatenate([-2.0 * centroids, (centroids ** 2).sum(axis=2, keepdims=True)],
                           axis=2)
     d = (rows.reshape(R * k, P + 1) @ lifted).reshape(R, k, -1)
     at_min = d == d.min(axis=1, keepdims=True)
-    weights = np.arange(k, 0, -1, dtype=np.min_scalar_type(k))[:, None]
-    return k - (at_min * weights).max(axis=1).astype(np.intp)
+    weights = np.arange(k - 1, -1, -1, dtype=np.min_scalar_type(k))[:, None]
+    return k - 1 - (at_min * weights).max(axis=1).astype(np.intp)
 
 
 def _kmeanspp_init(points: np.ndarray, k: int,

@@ -257,6 +257,21 @@ class TestAssign:
         labels = assign_batch(self._model(centroids), [[0.0, 3.0], [1.0, 0.0]])
         np.testing.assert_array_equal(labels, [0, 0])
 
+    def test_nan_segment_keeps_labels_in_range(self):
+        rng = np.random.default_rng(8)
+        centroids = rng.normal(size=(4, 3))
+        segments = rng.normal(size=(6, 3))
+        segments[2, 1] = np.nan
+        labels = assign_batch(self._model(centroids), segments)
+        assert labels[2] == 3
+        np.testing.assert_array_equal(
+            np.delete(labels, 2), assign_batch(self._model(centroids), np.delete(segments, 2, 0)))
+        # the NaN point's cluster gets a NaN centre, and the columns no minimum;
+        # a cluster left empty is still reseeded at a point
+        model = kmeans_fit(segments, k=3, n_restarts=1, init=segments[None, [0, 1, 3]])
+        labels = assign_batch(model, segments)
+        assert ((labels >= 0) & (labels < 3)).all()
+
     def test_matches_linear_scan(self):
         rng = np.random.default_rng(8)
         centroids = rng.normal(size=(6, 9))
