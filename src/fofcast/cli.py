@@ -11,6 +11,7 @@ import csv
 import json
 import sys
 import time
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .errors import (FofcastError, SchemaError, ShapeError, SingularityError,
-                     StormLookupError)
+                     StormLookupError, ValidationError)
 from .experiment import (ExperimentConfig, SplitRunner, forecasts_to_geojson,
                          length_study, make_bases, repeated_simulation,
                          split_workers)
@@ -55,6 +56,11 @@ def _write_matrix_csv(path: Path, matrix: DatasetMatrix) -> None:
         fh.writelines(",".join(map(repr, row)) + "\r\n" for row in matrix.values.tolist())
 
 
+def _repeated(ids) -> str:
+    """The ids that occur more than once in ``ids``, comma-separated."""
+    return ", ".join(sid for sid, n in Counter(ids).items() if n > 1)
+
+
 def _read_matrix_csv(path: Path, total_len: int) -> DatasetMatrix:
     """The matrix under the storm-id header of ``path``, or a SchemaError naming it."""
     try:
@@ -66,6 +72,8 @@ def _read_matrix_csv(path: Path, total_len: int) -> DatasetMatrix:
         if len(rows) != total_len:
             raise ValueError(f"{len(rows)} rows of values for a window of {total_len}")
         ids = tuple(header)
+        if repeated := _repeated(ids):
+            raise ValueError(f"storm ids repeated in the header: {repeated}")
         # ragged rows fail in np.array, rows unlike the header in the reshape
         values = np.array([list(map(float, row.split(","))) for row in rows])
         if not np.isfinite(values).all():
@@ -121,22 +129,22 @@ def _model(d: dict) -> tuple:
     return window, ids, bases, *models
 
 
-def _load_dataset(data_dir: Path) -> tuple[DatasetMatrix, DatasetMatrix, dict]:
-    meta = _read_json(data_dir / "dataset.json", _window)
+def _load_dataset(data_dir: Path) -> tuple[DatasetMatrix, DatasetMatrix, dict, int | None]:
+    """lat, lon, the window shape and the irregular window count, if recorded."""
+    meta, irregular = _read_json(data_dir / "dataset.json",
+                                 lambda d: (_window(d), d.get("irregular_windows")))
     lat = _read_matrix_csv(data_dir / "lat.csv", meta["total_len"])
     lon = _read_matrix_csv(data_dir / "lon.csv", meta["total_len"])
     if lon.storm_ids != lat.storm_ids:
         raise SchemaError(f"{data_dir / 'lon.csv'}: storm ids differ from those "
                           f"of {data_dir / 'lat.csv'} or are in another order")
-    return lat, lon, meta
+    return lat, lon, meta, irregular
 
 
 def _config_from_args(args: argparse.Namespace, meta: dict) -> ExperimentConfig:
-    """The config of the model flags; the grid settings keep their defaults."""
-    return ExperimentConfig(
-        total_len=meta["total_len"], predictor_len=meta["predictor_len"],
-        ratio=args.ratio, seed=args.seed, K_t=args.k_t, K_s=args.k_s,
-        ridge=args.ridge)
+    """The config of the model flags on window ``meta``; grid settings at their defaults."""
+    return ExperimentConfig(**meta, ratio=args.ratio, seed=args.seed, K_t=args.k_t,
+                            K_s=args.k_s, ridge=args.ridge)
 
 
 def _grid_config_from_args(args: argparse.Namespace, meta: dict) -> ExperimentConfig:
@@ -155,6 +163,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     t_parse = time.perf_counter()
     kept = [s for s in filter_min_length(storms, args.min_len) if len(s) >= args.total_len]
     windows = [extract_tail(s, args.total_len, args.predictor_len) for s in kept]
+    if repeated := _repeated(w.storm_id for w in windows):
+        raise ValidationError(f"{args.input}: storm ids repeated among the windows: {repeated}")
     lat, lon = build_matrices(windows)
     # the time grid assumes 6-hourly steps; count, not refuse, the others
     irregular = int(np.any(np.diff([w.times for w in windows], axis=1) != 6 * 3600,
@@ -182,7 +192,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 def cmd_fit(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    lat, lon, meta = _load_dataset(args.data)
+    lat, lon, meta, _ = _load_dataset(args.data)
     config = _config_from_args(args, meta)
     t_load = time.perf_counter()
     train_idx, test_idx = train_test_split(lat.n_storms, config.ratio,
@@ -212,7 +222,7 @@ def _write_forecasts(args: argparse.Namespace, command: str, select,
     """Forecast the storms whose ids ``select`` takes from the split's test
     ids and the dataset's ids; write GeoJSON."""
     t0 = time.perf_counter()
-    lat, lon, meta = _load_dataset(args.data)
+    lat, lon, meta, _ = _load_dataset(args.data)
     window, test_ids, bases, *models = _read_json(args.models / "model.json", _model)
     if window != meta:
         raise SchemaError(f"{args.models / 'model.json'}: models fitted on windows "
@@ -220,8 +230,7 @@ def _write_forecasts(args: argparse.Namespace, command: str, select,
     t_load = time.perf_counter()
     ids = select(test_ids, lat.storm_ids)
     index = {sid: j for j, sid in enumerate(lat.storm_ids)}
-    unknown = [sid for sid in ids if sid not in index]
-    if unknown:
+    if unknown := [sid for sid in ids if sid not in index]:
         raise StormLookupError(f"unknown storm ids: {', '.join(unknown)}\n"
                                f"available: {', '.join(sorted(index))}")
     cols = [index[sid] for sid in ids]
@@ -252,8 +261,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 def cmd_grid(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    lat, lon, meta = _load_dataset(args.data)
-    irregular = _read_json(args.data / "dataset.json", lambda d: d.get("irregular_windows"))
+    lat, lon, meta, irregular = _load_dataset(args.data)
     config = _grid_config_from_args(args, meta)
     t_load = time.perf_counter()
     report = repeated_simulation(lat, lon, config)
@@ -314,26 +322,26 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--ratio", type=float, default=0.8,
-                   help="train fraction of the split (default 0.8)")
-    p.add_argument("--seed", type=int, default=0, help="base random seed")
-    p.add_argument("--k-t", type=int, default=12,
-                   help="predictor basis dimension (default 12)")
-    p.add_argument("--k-s", type=int, default=6,
-                   help="response basis dimension (default 6)")
-    p.add_argument("--ridge", type=float, default=1e-8,
-                   help="ridge on the coefficient surface (default 1e-8)")
+    p.add_argument("--ratio", type=float, default=ExperimentConfig.ratio,
+                   help="train fraction of the split (default %(default)s)")
+    p.add_argument("--seed", type=int, default=ExperimentConfig.seed, help="base random seed")
+    p.add_argument("--k-t", type=int, default=ExperimentConfig.K_t,
+                   help="predictor basis dimension (default %(default)s)")
+    p.add_argument("--k-s", type=int, default=ExperimentConfig.K_s,
+                   help="response basis dimension (default %(default)s)")
+    p.add_argument("--ridge", type=float, default=ExperimentConfig.ridge,
+                   help="ridge on the coefficient surface (default %(default)s)")
 
 
 def _add_grid_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--k-lat", type=int, default=10,
-                   help="largest latitude cluster count (default 10)")
-    p.add_argument("--k-lon", type=int, default=10,
-                   help="largest longitude cluster count (default 10)")
-    p.add_argument("--reps", type=int, default=10,
-                   help="number of repeated simulations (default 10)")
-    p.add_argument("--min-cluster-size", type=int, default=15,
-                   help="smallest pair size fitted locally (default 15)")
+    p.add_argument("--k-lat", type=int, default=ExperimentConfig.k_lat_max,
+                   help="largest latitude cluster count (default %(default)s)")
+    p.add_argument("--k-lon", type=int, default=ExperimentConfig.k_lon_max,
+                   help="largest longitude cluster count (default %(default)s)")
+    p.add_argument("--reps", type=int, default=ExperimentConfig.n_repetitions,
+                   help="number of repeated simulations (default %(default)s)")
+    p.add_argument("--min-cluster-size", type=int, default=ExperimentConfig.min_cluster_size,
+                   help="smallest pair size fitted locally (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -349,10 +357,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", type=Path, required=True)
     p.add_argument("--min-len", type=int, default=32,
                    help="minimum record count per storm (default 32)")
-    p.add_argument("--total-len", type=int, default=32,
-                   help="trajectory window length (default 32)")
-    p.add_argument("--predictor-len", type=int, default=24,
-                   help="predictor segment length (default 24)")
+    p.add_argument("--total-len", type=int, default=ExperimentConfig.total_len,
+                   help="trajectory window length (default %(default)s)")
+    p.add_argument("--predictor-len", type=int, default=ExperimentConfig.predictor_len,
+                   help="predictor segment length (default %(default)s)")
     p.add_argument("--out", type=Path, required=True)
     p.set_defaults(func=cmd_ingest)
 

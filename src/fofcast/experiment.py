@@ -130,13 +130,13 @@ class SplitRunner:
     """Fits and evaluates coordinate models on one train/test split.
 
     Models are group sums of per-storm sufficient statistics, solved in
-    batches: the global ones once, the cluster unions of every k once per
-    coordinate and, per cell, the pairs of both coordinates that serve a
-    test storm. A cluster group sums its storms in storm order, so its model
-    is the same in any batch. A cell reads each test storm's model from a
-    table with one row per cluster pair: the pair's own model, else its
-    union's, which is the global one where the union is too small. Cell
-    (1, 1) is served by the global models alone, as is the global evaluation.
+    batches: the global ones once and, per cell, the pairs of both
+    coordinates that serve a test storm. A cluster group sums its storms in
+    storm order, so its model is the same in any batch. A cell reads each
+    test storm's model from a table with one row per cluster pair: the
+    pair's own model, else its union's, which is a pair of the edge cell
+    (k, 1) or (1, k), else the global one. Cell (1, 1) is served by the
+    global models alone, as is the global evaluation.
     """
 
     def __init__(self, lat_mat: DatasetMatrix, lon_mat: DatasetMatrix,
@@ -181,89 +181,80 @@ class SplitRunner:
                                                   self.eig, config.ridge)
             self.stats[:, c] = stats
             self.w_test[coord] = design(self.gram @ coeffs[:, self.test_idx], z_mean)
-        self._kmeans_cache: dict = {}
+        zeros = (np.zeros(len(self.train_idx), np.intp), np.zeros(len(self.test_idx), np.intp))
+        self._kmeans_cache = {("lat", 1): zeros, ("lon", 1): zeros}
+        self._edge_tables: dict = {}
 
     def fit_coordinate(self, coord: str) -> tuple[np.ndarray, np.ndarray]:
         """The global (coefficients, center) model of a coordinate, as solved."""
         return self.global_coeffs[coord][0], self.center[coord]
 
-    def group_stats(self, labels: np.ndarray, groups: np.ndarray,
-                    c: int | slice = slice(None)) -> np.ndarray:
-        """G x 2 x m x (m + K_s) statistics, lat first, or G x m x (m + K_s) of
-        coordinate ``c`` alone, of the training storms with each label of
-        ``groups``, each summed in storm order: the same in any batch."""
-        return np.array([self.stats[labels == g, c].sum(axis=0) for g in groups]
-                        ).reshape(len(groups), *self.stats[0, c].shape)
+    def group_stats(self, labels: np.ndarray, groups: np.ndarray) -> np.ndarray:
+        """G x 2 x m x (m + K_s) statistics, lat first, of the training storms
+        with each label of ``groups``, each summed in storm order: the same in
+        any batch."""
+        return np.array([self.stats[labels == g].sum(axis=0) for g in groups]
+                        ).reshape(len(groups), *self.stats.shape[1:])
 
     def global_errors(self) -> np.ndarray:
         """Cell (1, 1), which the global models serve alone."""
         return self.clustered_errors(1, 1)
 
-    def kmeans_for(self, coord: str, k: int) -> tuple[np.ndarray, ...]:
-        """Cluster labels of the training and test storms of ``coord``, and the
-        coefficients of its k union models (k x K_s x m); a union that is not
-        ``fittable`` holds the global model.
-
-        k = 1 puts every storm in cluster 0, whose union is the global group.
-        The first k > 1 asked of a coordinate clusters every k up to the
-        coordinate's grid maximum.
-        """
+    def kmeans_for(self, coord: str, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Cluster labels of the training and test storms of ``coord``; k = 1
+        puts every storm in cluster 0. The first k > 1 asked of a coordinate
+        clusters every k up to the coordinate's grid maximum."""
         if k < 1:
             raise ValueError(f"k={k} must be >= 1")
         if (coord, k) not in self._kmeans_cache:
-            if k == 1:
-                self._kmeans_cache[coord, 1] = (
-                    np.zeros(len(self.train_idx), dtype=np.intp),
-                    np.zeros(len(self.test_idx), dtype=np.intp),
-                    self.global_coeffs[coord])
-            else:
-                self._cluster(coord, k)
+            self._cluster(coord, k)
         return self._kmeans_cache[coord, k]
 
     def _cluster(self, coord: str, k: int) -> None:
         """Caches ``kmeans_for`` of every uncached k from 2 to the larger of k
         and the grid maximum (at most the training count): the restarts are
-        seeded once for the largest k, and the unions of all k are solved in
-        one call."""
+        seeded once for the largest k."""
         points = self.train_segments[coord]
-        k_max = {"lat": self.config.k_lat_max, "lon": self.config.k_lon_max}[coord]
-        k_top = max(k, min(k_max, len(points)))
+        k_top = max(k, min(getattr(self.config, f"k_{coord}_max"), len(points)))
         seeds = kmeans_seeds(points, k_top, self.config.seed)
-        todo = [j for j in range(2, k_top + 1) if (coord, j) not in self._kmeans_cache]
-        fits = []
-        for j in todo:
-            model = kmeans_fit(points, j, init=seeds)
-            train = assign_batch(model, points)
-            own = np.flatnonzero(fittable(np.bincount(train, minlength=j),
-                                          self.config.min_cluster_size, len(train)))
-            fits.append((train, assign_batch(model, self.test_segments[coord]), own))
-        c = ("lat", "lon").index(coord)
-        stats = np.concatenate([self.group_stats(train, own, c) for train, _, own in fits])
-        solved = np.split(solve_fof(stats, self.eig, self.config.ridge),
-                          np.cumsum([len(own) for *_, own in fits])[:-1])
-        for j, (train, test, own), models in zip(todo, fits, solved):
-            coeffs = np.repeat(self.global_coeffs[coord], j, axis=0)
-            coeffs[own] = models
-            self._kmeans_cache[coord, j] = (train, test, coeffs)
+        for j in range(2, k_top + 1):
+            if (coord, j) not in self._kmeans_cache:
+                model = kmeans_fit(points, j, init=seeds)
+                self._kmeans_cache[coord, j] = (
+                    assign_batch(model, points), assign_batch(model, self.test_segments[coord]))
 
-    def clustered_errors(self, k_lat: int, k_lon: int) -> np.ndarray:
-        """Errors of the test storms, each forecast per coordinate by its
-        cluster pair's model where the pair is ``fittable``, else by its
-        cluster union's model, which is the global one where the union is not.
-        """
-        (lat_tr, lat_te, lat_unions), (lon_tr, lon_te, lon_unions) = (
-            self.kmeans_for("lat", k_lat), self.kmeans_for("lon", k_lon))
-        pair_tr, pair_te = lat_tr * k_lon + lon_tr, lat_te * k_lon + lon_te
-        ok = fittable(np.bincount(pair_tr, minlength=k_lat * k_lon),
+    def cell_models(self, k_lat: int, k_lon: int) -> tuple[np.ndarray, dict]:
+        """The test storms' pair codes (lat cluster * k_lon + lon cluster) in
+        cell (k_lat, k_lon) and, per coordinate, one model (K_s x m) per code:
+        the pair's own where it is ``fittable`` and serves a test storm, else
+        its cluster union's, read from the cached edge cell (k_lat, 1) or
+        (1, k_lon), where the unions are the pairs; an edge cell falls back
+        on the global model."""
+        (lat_tr, lat_te), (lon_tr, lon_te) = (self.kmeans_for("lat", k_lat),
+                                              self.kmeans_for("lon", k_lon))
+        pair_te = lat_te * k_lon + lon_te
+        if (k_lat, k_lon) in self._edge_tables:
+            return pair_te, self._edge_tables[k_lat, k_lon]
+        codes = np.arange(k_lat * k_lon)
+        tables = {coord: self.cell_models(*edge)[1][coord][rows] if edge != (k_lat, k_lon)
+                  else np.repeat(self.global_coeffs[coord], len(codes), axis=0)
+                  for coord, edge, rows in (("lat", (k_lat, 1), codes // k_lon),
+                                            ("lon", (1, k_lon), codes % k_lon))}
+        pair_tr = lat_tr * k_lon + lon_tr
+        ok = fittable(np.bincount(pair_tr, minlength=len(codes)),
                       self.config.min_cluster_size, len(pair_tr))
         pairs = np.unique(pair_te[ok[pair_te]])
-        # the pair models of both coordinates are solved here, the unions are cached rows
+        # the pair models of both coordinates, in one solve
         pair_models = solve_fof(self.group_stats(pair_tr, pairs), self.eig, self.config.ridge)
-        # one model per pair code: the pair's own, else its union's in the coordinate
-        codes = np.arange(k_lat * k_lon)
-        tables = {"lat": lat_unions[codes // k_lon], "lon": lon_unions[codes % k_lon]}
         for c, table in enumerate(tables.values()):
             table[pairs] = pair_models[:, c]
+        if 1 in (k_lat, k_lon):
+            self._edge_tables[k_lat, k_lon] = tables
+        return pair_te, tables
+
+    def clustered_errors(self, k_lat: int, k_lon: int) -> np.ndarray:
+        """Errors of the test storms, each forecast by its ``cell_models``."""
+        pair_te, tables = self.cell_models(k_lat, k_lon)
         hats = [fof_forecast(table[pair_te], self.theta, self.w_test[coord])
                 for coord, table in tables.items()]
         return track_errors(*hats, self.truth["lat"], self.truth["lon"])

@@ -13,7 +13,8 @@ import pytest
 
 from fofcast import DatasetMatrix, ExperimentConfig, train_test_split, write_csv
 from fofcast import experiment
-from fofcast.cli import _load_dataset, _read_matrix_csv, _write_matrix_csv, main
+from fofcast.cli import (_grid_config_from_args, _load_dataset, _read_matrix_csv,
+                         _write_matrix_csv, build_parser, main)
 from fofcast.experiment import SplitRunner
 
 from conftest import (make_rsmc_storm, make_storm, rsmc_data_line, rsmc_header,
@@ -88,6 +89,20 @@ class TestIngest:
                      "--out", str(tmp_path / "o")])
         assert code == 2
         assert "predictor-len" in capsys.readouterr().err
+
+    def test_repeated_storm_id_is_refused(self, tmp_path, capsys):
+        # two storms under one id: a dataset of them would serve one storm
+        # for the other, so nothing is written
+        j = np.arange(8)
+        text = "".join(make_rsmc_storm("5101", 15.0 + 0.2 * j, lon0 - 0.3 * j)
+                       for lon0 in (128.4, 149.0))
+        (tmp_path / "twice.txt").write_text(text)
+        code = main(["ingest", "--input", str(tmp_path / "twice.txt"), "--min-len", "8",
+                     "--total-len", "8", "--predictor-len", "4", "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "twice.txt" in err and "5101" in err
+        assert not (tmp_path / "o").exists()
 
     def test_csv_row_missing_fields(self, tmp_path, capsys):
         path = tmp_path / "short.csv"
@@ -319,6 +334,16 @@ def test_help_lists_defaults(capsys):
         assert flag in out
 
 
+def test_flag_defaults_are_the_config_defaults():
+    parser = build_parser()
+    window = {"total_len": 40, "predictor_len": 30}
+    args = parser.parse_args(["grid", "--data", "d", "--out", "o"])
+    assert _grid_config_from_args(args, window) == ExperimentConfig(**window)
+    args = parser.parse_args(["ingest", "--input", "i", "--out", "o"])
+    assert (args.total_len, args.predictor_len) == (ExperimentConfig.total_len,
+                                                    ExperimentConfig.predictor_len)
+
+
 def test_fit_rejects_grid_flags(ingested, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["fit", "--data", str(ingested), "--out", str(tmp_path / "m"),
@@ -374,7 +399,7 @@ class TestShippedModelIsScored:
         flags, settings = request.param
         models = tmp_path_factory.mktemp("models")
         assert main(["fit", "--data", str(ingested), "--out", str(models), *flags]) == 0
-        lat, lon, _ = _load_dataset(ingested)
+        lat, lon, *_ = _load_dataset(ingested)
         config = ExperimentConfig(total_len=32, predictor_len=24, **settings)
         train, test = train_test_split(lat.n_storms, config.ratio, config.seed)
         return flags, models, SplitRunner(lat, lon, train, test, config)
@@ -512,6 +537,21 @@ class TestInputFiles:
                      "--out", str(tmp_path / "fc.geojson")])
         assert code == 2
         assert "lat.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["predict", "export", "grid"])
+    def test_repeated_id_in_matrix_header(self, ingested, fitted, tmp_path, capsys,
+                                          command):
+        data = shutil.copytree(ingested, tmp_path / "data")
+        for name in ("lat.csv", "lon.csv"):
+            text = (data / name).read_text()
+            (data / name).write_text(text.replace("C002", "C001", 1))
+        flags = ["--k-lat", "1", "--k-lon", "1", "--reps", "1"] if command == "grid" \
+            else ["--models", str(fitted)]
+        out = tmp_path / "out"
+        assert main([command, "--data", str(data), *flags, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "lat.csv" in err and "C001" in err and "C002" not in err
+        assert not out.exists()
 
     def test_matrix_csv_round_trip(self, tmp_path):
         """Values come back bit for bit, ids as written, and the file is what

@@ -213,18 +213,20 @@ class TestEngine:
         assert len(pairs) > 0
         pair_models = solve_fof(runner.group_stats(pair_tr, pairs), runner.eig, config.ridge)
         for i, (coord, k) in enumerate((("lat", k_lat), ("lon", k_lon))):
-            train, _, unions = c[coord]
+            train, test = c[coord]
             glob = runner.global_coeffs[coord]
-            # one union row per cluster; a union too small to fit holds the
+            # the unions are the pairs of the edge cell, one row per cluster;
+            # a union too small to fit, or serving no test storm, holds the
             # global model, and k = 1 is the global model alone
+            unions = runner.cell_models(*{"lat": (k, 1), "lon": (1, k)}[coord])[1][coord]
             assert unions.shape[0] == k
-            own = np.flatnonzero(fittable(np.bincount(train, minlength=k),
-                                          config.min_cluster_size, n_train))
+            own = np.intersect1d(np.flatnonzero(fittable(
+                np.bincount(train, minlength=k), config.min_cluster_size, n_train)), test)
             assert 0 < len(own)
             small = np.setdiff1d(np.arange(k), own)
             np.testing.assert_array_equal(unions[small],
                                           np.repeat(glob, len(small), axis=0))
-            np.testing.assert_array_equal(runner.kmeans_for(coord, 1)[2], glob)
+            np.testing.assert_array_equal(runner.cell_models(1, 1)[1][coord], glob)
             # every group large enough to fit: the pairs, solved per cell, and
             # the cached unions and global model
             groups = np.concatenate([pair_tr == pairs[:, None], train == own[:, None],
@@ -300,7 +302,8 @@ class TestEngine:
 
     def test_cells_equal_independent_fits(self, small_dataset, monkeypatch):
         # the engine seeds every k of a coordinate at once and solves the
-        # unions of all k, and the pairs of both coordinates, in one call each
+        # pairs of both coordinates of a cell in one call; the unions are the
+        # pairs of the edge cells (k, 1) and (1, k), solved once
         from fofcast import experiment
         lat, lon = small_dataset
         config = ExperimentConfig(n_repetitions=1, k_lat_max=4, k_lon_max=3)
@@ -319,9 +322,14 @@ class TestEngine:
         runner.global_errors()
         assert calls == {"kmeans_fit": 0, "solve_fof": 1}
         runner.clustered_errors(2, 1)
-        assert calls == {"kmeans_fit": 3, "solve_fof": 3}
+        assert calls == {"kmeans_fit": 3, "solve_fof": 2}
         runner.clustered_errors(1, 3)
-        assert calls == {"kmeans_fit": 5, "solve_fof": 5}
+        assert calls == {"kmeans_fit": 5, "solve_fof": 3}
+        # an inner cell solves its own pairs and reads the cached edge cells
+        runner.clustered_errors(2, 3)
+        assert calls == {"kmeans_fit": 5, "solve_fof": 4}
+        runner.clustered_errors(2, 1)
+        assert calls == {"kmeans_fit": 5, "solve_fof": 4}
         monkeypatch.undo()
         served = {}
         for k_lat in range(1, 5):
@@ -339,6 +347,27 @@ class TestEngine:
                                       self._reference_errors(runner, 6, 2)[0])
         with pytest.raises(ValueError, match="exceeds sample count"):
             runner.kmeans_for("lon", len(train) + 1)
+
+    def test_edge_cells_hold_the_unions(self, small_dataset):
+        # every fittable union that serves a test storm is a pair of its edge
+        # cell, to the bit of the union solved alone in its coordinate
+        lat, lon = small_dataset
+        config = ExperimentConfig(n_repetitions=1, k_lat_max=4, k_lon_max=4)
+        train, test = train_test_split(lat.n_storms, 0.8, seed=6)
+        runner = SplitRunner(lat, lon, train, test, replace(config, seed=6))
+        served = 0
+        for c, coord in enumerate(("lat", "lon")):
+            for k in range(2, 5):
+                labels, test_labels = runner.kmeans_for(coord, k)
+                table = runner.cell_models(*{"lat": (k, 1), "lon": (1, k)}[coord])[1][coord]
+                own = fittable(np.bincount(labels, minlength=k), config.min_cluster_size,
+                               len(labels))
+                for a in np.unique(test_labels[own[test_labels]]):
+                    alone = solve_fof(runner.group_stats(labels, np.array([a]))[:, c],
+                                      runner.eig, config.ridge)[0]
+                    assert np.array_equal(table[a], alone)
+                    served += 1
+        assert served > 6
 
     def test_group_sums_do_not_depend_on_the_batch(self, small_dataset):
         lat, lon = small_dataset
@@ -362,9 +391,6 @@ class TestEngine:
                 runner.theta.T @ mat.values[P:, train_idx])
             for i, g in enumerate(groups):
                 assert np.array_equal(batch[i, c], stats[labels == g].sum(axis=0))
-            # one coordinate's sums alone, as the unions take them, are the same
-            assert np.array_equal(runner.group_stats(labels, groups, c), batch[:, c])
-            assert runner.group_stats(labels, groups[:0], c).shape == (0, *batch.shape[2:])
 
     def test_group_of_min_size_gets_its_own_model(self, small_dataset):
         lat, lon = small_dataset
@@ -374,8 +400,8 @@ class TestEngine:
         runner = SplitRunner(lat, lon, train, test, replace(config, seed=6))
         # on this split a lat cluster of k = 3, and a pair of cell (3, 2),
         # hold exactly min_cluster_size training storms and serve test storms
-        lat_tr, lat_te, _ = runner.kmeans_for("lat", 3)
-        lon_tr, lon_te, _ = runner.kmeans_for("lon", 2)
+        lat_tr, lat_te = runner.kmeans_for("lat", 3)
+        lon_tr, lon_te = runner.kmeans_for("lon", 2)
         assert 13 in np.bincount(lat_tr)[lat_te]
         assert 13 in np.bincount(lat_tr * 2 + lon_tr)[lat_te * 2 + lon_te]
         for k_lon in (1, 2, 3):
