@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import sys
 import time
@@ -355,8 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="parse best-track data into matrices")
     p.add_argument("--format", choices=("rsmc", "csv"), default="rsmc")
     p.add_argument("--input", type=Path, required=True)
-    p.add_argument("--min-len", type=int, default=32,
-                   help="minimum record count per storm (default 32)")
+    p.add_argument("--min-len", type=int, default=ExperimentConfig.total_len,
+                   help="minimum record count per storm (default %(default)s)")
     p.add_argument("--total-len", type=int, default=ExperimentConfig.total_len,
                    help="trajectory window length (default %(default)s)")
     p.add_argument("--predictor-len", type=int, default=ExperimentConfig.predictor_len,
@@ -392,9 +393,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("rsmc", "csv"), default="rsmc")
     p.add_argument("--input", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--lengths", type=int, nargs="+", default=[32, 40, 48])
-    p.add_argument("--response-len", type=int, default=8,
-                   help="fixed response segment length (default 8)")
+    study = inspect.signature(length_study).parameters
+    p.add_argument("--lengths", type=int, nargs="+", default=list(study["lengths"].default),
+                   help="window lengths, each also a record threshold (default %(default)s)")
+    p.add_argument("--response-len", type=int, default=study["response_len"].default,
+                   help="fixed response segment length (default %(default)s)")
     _add_model_flags(p)
     _add_grid_flags(p)
     p.set_defaults(func=cmd_length_study)

@@ -21,6 +21,7 @@ class KMeansModel:
     centroids: np.ndarray            # k x P
     inertia: float
     iterations_run: int
+    labels: np.ndarray               # n: each fitted point's nearest centroid
 
 
 def _lift(points: np.ndarray) -> np.ndarray:
@@ -60,10 +61,10 @@ def _kmeanspp_init(points: np.ndarray, k: int,
 
 
 def _lloyd(points: np.ndarray, centroids: np.ndarray,
-           max_iter: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Centroids (R x k x P), iterations run and the inertias of the final
-    labels of the R restarts seeded at ``centroids``, stepped together: a
-    restart leaves the batch when its labels repeat or at ``max_iter``."""
+           max_iter: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Centroids (R x k x P), iterations run, final labels (R x n) and
+    their inertias of the R restarts seeded at ``centroids``, stepped together:
+    a restart leaves the batch when its labels repeat or at ``max_iter``."""
     R, k, P = centroids.shape
     lifted = _lift(points)
     final, iters = centroids.copy(), np.full(R, max_iter)
@@ -89,8 +90,8 @@ def _lloyd(points: np.ndarray, centroids: np.ndarray,
         if not len(live):
             break
     # one restart at a time: a residual array of all of them costs page faults
-    return final, iters, np.array([np.square(points - c[lab]).sum()
-                                   for c, lab in zip(final, final_labels)])
+    return final, iters, final_labels, np.array([np.square(points - c[lab]).sum()
+                                                 for c, lab in zip(final, final_labels)])
 
 
 def _points(segments: np.ndarray, k: int, n_restarts: int) -> np.ndarray:
@@ -123,7 +124,7 @@ def kmeans_fit(segments: np.ndarray, k: int, seed: int = 0,
 
     Restart r starts from ``init[r, :k]``, ``kmeans_seeds`` of any k_max >= k
     and the same seed giving the fit's own seeds; without ``init`` exactly k
-    centres are seeded.
+    centres are seeded. The model keeps the best restart's final labels.
     """
     points = _points(segments, k, n_restarts)
     if max_iter < 0:
@@ -135,10 +136,10 @@ def kmeans_fit(segments: np.ndarray, k: int, seed: int = 0,
             or init.shape[2] != points.shape[1]):
         raise ShapeError(f"init must be n_restarts x >= {k} x {points.shape[1]}")
 
-    centroids, iters, inertia = _lloyd(points, init[:, :k], max_iter)
+    centroids, iters, labels, inertia = _lloyd(points, init[:, :k], max_iter)
     best = int(np.argmin(inertia))
     return KMeansModel(centroids=centroids[best], inertia=float(inertia[best]),
-                       iterations_run=int(iters[best]))
+                       iterations_run=int(iters[best]), labels=labels[best].copy())
 
 
 def assign_batch(model: KMeansModel, segments: np.ndarray) -> np.ndarray:

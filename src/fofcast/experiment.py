@@ -1,8 +1,8 @@
 """Evaluation metric and experiment harness.
 
 Distances are great-circle (haversine, r = 6371 km). The harness covers:
-one global regression per coordinate, cluster-pair regressions with union
-and global fallbacks for sparse pairs, the k_lat x k_lon grid search,
+cluster-pair regressions with union and global fallbacks for sparse pairs
+(the global model is cell (1, 1)'s one pair), the k_lat x k_lon grid search,
 repeated simulations with derived seeds, and the trajectory-length study.
 """
 
@@ -120,23 +120,22 @@ def make_bases(config: ExperimentConfig) -> tuple:
             bspline_basis(config.K_s, response_domain))
 
 
-def fittable(size: np.ndarray, min_size: int, n_train: int) -> np.ndarray:
-    """Whether pair or union groups of ``size`` training storms get their own
-    model; a group with every training storm is the global one."""
-    return (size >= min_size) & (size < n_train)
+def fittable(size: np.ndarray, min_size: int) -> np.ndarray:
+    """Whether each group of a partition of the training storms, of ``size``
+    storms, gets its own model: at ``min_size`` or more, or all of them."""
+    return size >= min(min_size, size.sum())
 
 
 class SplitRunner:
     """Fits and evaluates coordinate models on one train/test split.
 
-    Models are group sums of per-storm sufficient statistics, solved in
-    batches: the global ones once and, per cell, the pairs of both
-    coordinates that serve a test storm. A cluster group sums its storms in
-    storm order, so its model is the same in any batch. A cell reads each
-    test storm's model from a table with one row per cluster pair: the
-    pair's own model, else its union's, which is a pair of the edge cell
-    (k, 1) or (1, k), else the global one. Cell (1, 1) is served by the
-    global models alone, as is the global evaluation.
+    Arrays hold lat and lon on a leading axis of 2, lat first. Models are
+    group sums of per-storm sufficient statistics, solved per cell for both
+    coordinates of the pairs that serve a test storm. A group sums its storms
+    in storm order, so its model is the same in any batch. A cell reads each
+    test storm's model from a table with one row per cluster pair: the pair's
+    own model, else its union's, which is a pair of the edge cell (k, 1) or
+    (1, k), else the global one, the one pair of cell (1, 1).
     """
 
     def __init__(self, lat_mat: DatasetMatrix, lon_mat: DatasetMatrix,
@@ -159,35 +158,32 @@ class SplitRunner:
         self.theta = basis_matrix(self.response_basis, self.response_grid)
         self.eig = np.linalg.eigh(self.theta.T @ self.theta)
 
-        self.train_segments, self.test_segments = {}, {}
-        self.center, self.w_test, self.truth, self.global_coeffs = {}, {}, {}, {}
+        values = (lat_mat.values, lon_mat.values)
+        self.train_segments = np.stack([v[:P, self.train_idx].T for v in values])
+        self.test_segments = np.stack([v[:P, self.test_idx].T for v in values])
+        self.truth = np.stack([v[P:, self.test_idx] for v in values])
         m = 1 + config.K_t
+        self.center, self.w_test = np.empty((2, config.K_t)), np.empty((2, m, len(test_idx)))
+        # storm-major, one coordinate at a time: a group sum reads whole storms
         self.stats = np.empty((len(self.train_idx), 2, m, m + config.K_s))
-        for c, (coord, v) in enumerate((("lat", lat_mat.values), ("lon", lon_mat.values))):
-            self.train_segments[coord] = v[:P, self.train_idx].T.copy()
-            self.test_segments[coord] = v[:P, self.test_idx].T.copy()
-            coeffs = fit_bundle(
-                self.predictor_basis, self.predictor_grid,
-                DatasetMatrix(values=v[:P], storm_ids=lat_mat.storm_ids))
-            self.truth[coord] = v[P:, self.test_idx]
+        for c, v in enumerate(values):
+            coeffs = fit_bundle(self.predictor_basis, self.predictor_grid,
+                                DatasetMatrix(values=v[:P], storm_ids=lat_mat.storm_ids))
             # the engine centres the regressors on the training mean, so its
             # intercepts are a + B z_mean
             z_train = self.gram @ coeffs[:, self.train_idx]
-            z_mean = self.center[coord] = z_train.mean(axis=1)
-            stats = fof_statistics(design(z_train, z_mean),
-                                   self.theta.T @ v[P:, self.train_idx])
-            # the global model sums in the statistics' own layout, as ``fit_fof`` does
-            self.global_coeffs[coord] = solve_fof(stats.sum(axis=0, keepdims=True),
-                                                  self.eig, config.ridge)
-            self.stats[:, c] = stats
-            self.w_test[coord] = design(self.gram @ coeffs[:, self.test_idx], z_mean)
+            self.center[c] = z_train.mean(axis=1)
+            self.stats[:, c] = fof_statistics(design(z_train, self.center[c]),
+                                              self.theta.T @ v[P:, self.train_idx])
+            self.w_test[c] = design(self.gram @ coeffs[:, self.test_idx], self.center[c])
         zeros = (np.zeros(len(self.train_idx), np.intp), np.zeros(len(self.test_idx), np.intp))
         self._kmeans_cache = {("lat", 1): zeros, ("lon", 1): zeros}
         self._edge_tables: dict = {}
 
     def fit_coordinate(self, coord: str) -> tuple[np.ndarray, np.ndarray]:
-        """The global (coefficients, center) model of a coordinate, as solved."""
-        return self.global_coeffs[coord][0], self.center[coord]
+        """The global (coefficients, center) model of a coordinate: cell (1, 1)'s."""
+        c = ("lat", "lon").index(coord)
+        return self.cell_models(1, 1)[1][c, 0], self.center[c]
 
     def group_stats(self, labels: np.ndarray, groups: np.ndarray) -> np.ndarray:
         """G x 2 x m x (m + K_s) statistics, lat first, of the training storms
@@ -202,52 +198,48 @@ class SplitRunner:
 
     def kmeans_for(self, coord: str, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Cluster labels of the training and test storms of ``coord``; k = 1
-        puts every storm in cluster 0. The first k > 1 asked of a coordinate
-        clusters every k up to the coordinate's grid maximum."""
+        puts every storm in cluster 0. An uncached k clusters every uncached k
+        from 2 to the larger of k and the coordinate's grid maximum (at most
+        the training count), from restarts seeded once for the largest."""
         if k < 1:
             raise ValueError(f"k={k} must be >= 1")
         if (coord, k) not in self._kmeans_cache:
-            self._cluster(coord, k)
+            c = ("lat", "lon").index(coord)
+            points = self.train_segments[c]
+            k_top = max(k, min(getattr(self.config, f"k_{coord}_max"), len(points)))
+            seeds = kmeans_seeds(points, k_top, self.config.seed)
+            for j in range(2, k_top + 1):
+                if (coord, j) not in self._kmeans_cache:
+                    model = kmeans_fit(points, j, init=seeds)
+                    self._kmeans_cache[coord, j] = (
+                        model.labels, assign_batch(model, self.test_segments[c]))
         return self._kmeans_cache[coord, k]
 
-    def _cluster(self, coord: str, k: int) -> None:
-        """Caches ``kmeans_for`` of every uncached k from 2 to the larger of k
-        and the grid maximum (at most the training count): the restarts are
-        seeded once for the largest k."""
-        points = self.train_segments[coord]
-        k_top = max(k, min(getattr(self.config, f"k_{coord}_max"), len(points)))
-        seeds = kmeans_seeds(points, k_top, self.config.seed)
-        for j in range(2, k_top + 1):
-            if (coord, j) not in self._kmeans_cache:
-                model = kmeans_fit(points, j, init=seeds)
-                self._kmeans_cache[coord, j] = (
-                    assign_batch(model, points), assign_batch(model, self.test_segments[coord]))
-
-    def cell_models(self, k_lat: int, k_lon: int) -> tuple[np.ndarray, dict]:
+    def cell_models(self, k_lat: int, k_lon: int) -> tuple[np.ndarray, np.ndarray]:
         """The test storms' pair codes (lat cluster * k_lon + lon cluster) in
-        cell (k_lat, k_lon) and, per coordinate, one model (K_s x m) per code:
-        the pair's own where it is ``fittable`` and serves a test storm, else
-        its cluster union's, read from the cached edge cell (k_lat, 1) or
-        (1, k_lon), where the unions are the pairs; an edge cell falls back
-        on the global model."""
+        cell (k_lat, k_lon) and a table of models, 2 x codes x K_s x m: the
+        pair's own where it is ``fittable`` and serves a test storm, else the
+        one its lat (lon) cluster takes in the cached edge cell (k_lat, 1)
+        ((1, k_lon)), where the unions are the pairs; an edge cell falls back
+        on cell (1, 1), whose one pair is the global model."""
         (lat_tr, lat_te), (lon_tr, lon_te) = (self.kmeans_for("lat", k_lat),
                                               self.kmeans_for("lon", k_lon))
-        pair_te = lat_te * k_lon + lon_te
+        pair_tr, pair_te = lat_tr * k_lon + lon_tr, lat_te * k_lon + lon_te
         if (k_lat, k_lon) in self._edge_tables:
             return pair_te, self._edge_tables[k_lat, k_lon]
-        codes = np.arange(k_lat * k_lon)
-        tables = {coord: self.cell_models(*edge)[1][coord][rows] if edge != (k_lat, k_lon)
-                  else np.repeat(self.global_coeffs[coord], len(codes), axis=0)
-                  for coord, edge, rows in (("lat", (k_lat, 1), codes // k_lon),
-                                            ("lon", (1, k_lon), codes % k_lon))}
-        pair_tr = lat_tr * k_lon + lon_tr
-        ok = fittable(np.bincount(pair_tr, minlength=len(codes)),
-                      self.config.min_cluster_size, len(pair_tr))
+        lat_code, lon_code = np.divmod(np.arange(k_lat * k_lon), k_lon)
+        if k_lat * k_lon > 1:    # an edge cell falls back on cell (1, 1) in its own coordinate
+            lat_k, lon_k = (k_lat if k_lon > 1 else 1), (k_lon if k_lat > 1 else 1)
+            tables = np.stack([self.cell_models(lat_k, 1)[1][0, lat_code % lat_k],
+                               self.cell_models(1, lon_k)[1][1, lon_code % lon_k]])
+        else:                    # whose one pair, every training storm, always fits
+            tables = np.full((2, 1, self.config.K_s, 1 + self.config.K_t), np.nan)
+        ok = fittable(np.bincount(pair_tr, minlength=k_lat * k_lon),
+                      self.config.min_cluster_size)
         pairs = np.unique(pair_te[ok[pair_te]])
         # the pair models of both coordinates, in one solve
-        pair_models = solve_fof(self.group_stats(pair_tr, pairs), self.eig, self.config.ridge)
-        for c, table in enumerate(tables.values()):
-            table[pairs] = pair_models[:, c]
+        tables[:, pairs] = np.moveaxis(solve_fof(self.group_stats(pair_tr, pairs), self.eig,
+                                                 self.config.ridge), 1, 0)
         if 1 in (k_lat, k_lon):
             self._edge_tables[k_lat, k_lon] = tables
         return pair_te, tables
@@ -255,9 +247,8 @@ class SplitRunner:
     def clustered_errors(self, k_lat: int, k_lon: int) -> np.ndarray:
         """Errors of the test storms, each forecast by its ``cell_models``."""
         pair_te, tables = self.cell_models(k_lat, k_lon)
-        hats = [fof_forecast(table[pair_te], self.theta, self.w_test[coord])
-                for coord, table in tables.items()]
-        return track_errors(*hats, self.truth["lat"], self.truth["lon"])
+        return track_errors(*(fof_forecast(table[pair_te], self.theta, w)
+                              for table, w in zip(tables, self.w_test)), *self.truth)
 
 
 def _best_cell(cell_means: np.ndarray) -> tuple[tuple[int, int], float]:

@@ -1,15 +1,20 @@
+import contextlib
 import csv
 import hashlib
+import inspect
 import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fofcast import DatasetMatrix, ExperimentConfig, train_test_split, write_csv
 from fofcast import experiment
@@ -342,6 +347,11 @@ def test_flag_defaults_are_the_config_defaults():
     args = parser.parse_args(["ingest", "--input", "i", "--out", "o"])
     assert (args.total_len, args.predictor_len) == (ExperimentConfig.total_len,
                                                     ExperimentConfig.predictor_len)
+    assert args.min_len == ExperimentConfig.total_len
+    args = parser.parse_args(["length-study", "--input", "i", "--out", "o"])
+    study = inspect.signature(experiment.length_study).parameters
+    assert (tuple(args.lengths), args.response_len) == (study["lengths"].default,
+                                                        study["response_len"].default)
 
 
 def test_fit_rejects_grid_flags(ingested, tmp_path, capsys):
@@ -382,7 +392,8 @@ def test_fit_solves_each_coordinate_once(ingested, tmp_path, monkeypatch):
     for module in (experiment, regression):
         monkeypatch.setattr(module, "solve_fof", counted(module.solve_fof))
     assert main(["fit", "--data", str(ingested), "--out", str(tmp_path / "m")]) == 0
-    assert calls == [1, 1]
+    # one group, every training storm, for both coordinates
+    assert calls == [1]
 
 
 class TestShippedModelIsScored:
@@ -411,9 +422,9 @@ class TestShippedModelIsScored:
         model = json.loads((models / "model.json").read_text())
         for coord in ("lat", "lon"):
             saved = model[coord]
-            np.testing.assert_array_equal(np.array(saved["coefficients"]),
-                                          runner.global_coeffs[coord][0])
-            np.testing.assert_array_equal(np.array(saved["center"]), runner.center[coord])
+            coefficients, center = runner.fit_coordinate(coord)
+            np.testing.assert_array_equal(np.array(saved["coefficients"]), coefficients)
+            np.testing.assert_array_equal(np.array(saved["center"]), center)
 
     def test_export_errors_are_the_global_errors(self, ingested, shipped, tmp_path):
         flags, models, runner = shipped
@@ -586,6 +597,76 @@ class TestInputFiles:
         assert "lon.csv" in capsys.readouterr().err
 
 
+# byte strings that JSON, CSV and RSMC readers each treat specially
+TOKENS = [b"[]", b"{}", b"null", b'"x"', b"0", b"-", b"1e999", b",", b"\n", b"\x00", b"\xff"]
+EDITS = st.lists(st.tuples(st.floats(0, 1), st.integers(0, 4) | st.just(1 << 30),
+                           st.binary(max_size=4) | st.sampled_from(TOKENS)),
+                 min_size=1, max_size=3)
+
+
+def _damaged(data: bytes, edits) -> bytes:
+    """``data`` with each (position, span, bytes) edit applied in turn: the span
+    of bytes at the position, a fraction of the length, replaced by the bytes."""
+    for where, span, insert in edits:
+        i = int(where * len(data))
+        data = data[:i] + insert + data[i + span:]
+    return data
+
+
+@pytest.fixture(scope="module")
+def damage_inputs(csv_input, ingested, fitted, tmp_path_factory):
+    """A directory of every file the commands read: the source texts, a
+    dataset in data/ and its model in models/."""
+    root = tmp_path_factory.mktemp("inputs")
+    lat, lon = synthetic_tracks(n=30, L=32, seed=22, noise=0.1)
+    (root / "archive.txt").write_text("".join(make_rsmc_storm(f"{i:04d}", lat[:, i], lon[:, i])
+                                              for i in range(30)))
+    shutil.copy(csv_input, root / "storms.csv")
+    shutil.copytree(ingested, root / "data")
+    shutil.copytree(fitted, root / "models")
+    return root
+
+
+# the commands that read each file, with their arguments but --out; {} is the
+# directory of the inputs
+DATASET_READERS = [["fit", "--data", "{}/data"],
+                   ["predict", "--data", "{}/data", "--models", "{}/models"],
+                   ["export", "--data", "{}/data", "--models", "{}/models"],
+                   ["grid", "--data", "{}/data", "--k-lat", "2", "--k-lon", "2", "--reps", "1"]]
+READERS = {
+    "archive.txt": [["ingest", "--input", "{}/archive.txt"]],
+    "storms.csv": [["ingest", "--format", "csv", "--input", "{}/storms.csv"]],
+    "data/lat.csv": DATASET_READERS,
+    "data/dataset.json": DATASET_READERS,
+    "models/model.json": DATASET_READERS[1:3],
+}
+
+
+@settings(max_examples=50, deadline=3000)
+@given(name=st.sampled_from(sorted(READERS)), edits=EDITS)
+# a model.json that is no JSON object fails on its first lookup
+@example(name="models/model.json", edits=[(0.0, 1 << 30, b"[]")])
+def test_damaged_inputs_fail_cleanly(damage_inputs, name, edits):
+    """Every command on a damaged input exits 0 with its output, or 2, 3 or 4
+    with one error line and no output."""
+    with tempfile.TemporaryDirectory() as tmp:
+        inputs = Path(tmp) / "inputs"
+        shutil.copytree(damage_inputs, inputs)
+        (inputs / name).write_bytes(_damaged((inputs / name).read_bytes(), edits))
+        for command, *args in READERS[name]:
+            out = Path(tmp) / f"out_{command}"
+            target = out / "forecasts.geojson" if command in ("predict", "export") else out
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([command, *(a.format(inputs) for a in args), "--out", str(target)])
+            assert code in (0, 2, 3, 4), (command, code)
+            lines = err.getvalue().splitlines()
+            if code:
+                assert lines[0].startswith("error: ") and not any(
+                    line.startswith("error:") for line in lines[1:]), (command, lines)
+            assert out.exists() == (code == 0), (command, code)
+
+
 def test_synthetic_demo_runs_and_repeats(tmp_path):
     """README's entry point runs end to end, writes the known dataset, grid
     table and forecasts, and a second run writes the same grid table, report
@@ -608,7 +689,7 @@ def test_synthetic_demo_runs_and_repeats(tmp_path):
                                    "2,32.10,58.80,58.55\n"
                                    "3,34.16,68.32,110.39\n")
     assert [hashlib.sha256(data).hexdigest() for data in runs[0][2:]] == [
-        "cbeaa7474a25a7115f442c375b66d6344f90b2876a9f89061f3cd955cc0083d7",
+        "f2615360cc3e06f37c9ffc80355a60c1e812ff2564767a04f18fd17639cd4b9f",
         "e3cf935ac68b461c14b7edd8cc588d3929314decdde443658f023592c474f7f1",
         "fcbb98679c87af1e341e19c125c75ab2f2875878f5ffc56e6da4345a8c01a62c"]
 

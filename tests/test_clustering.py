@@ -77,7 +77,7 @@ def assert_restarts_match_reference(points, seeds, max_iter=100):
     reference's first of lowest inertia."""
     k = seeds.shape[1]
     reference = [reference_lloyd(points, s, max_iter) for s in seeds]
-    centroids, iters, inertias = _lloyd(points, seeds, max_iter)
+    centroids, iters, _, inertias = _lloyd(points, seeds, max_iter)
     for (_, labels, ref_iters, ref_inertia), c, it, inertia in zip(
             reference, centroids, iters, inertias):
         np.testing.assert_array_equal(reference_labels(points, c), labels)
@@ -86,6 +86,8 @@ def assert_restarts_match_reference(points, seeds, max_iter=100):
     best = min(range(len(seeds)), key=lambda r: reference[r][3])
     model = kmeans_fit(points, k, n_restarts=len(seeds), max_iter=max_iter, init=seeds)
     assert partition_of(assign_batch(model, points)) == partition_of(reference[best][1])
+    # the winner's final labels are those of its centroids
+    np.testing.assert_array_equal(model.labels, assign_batch(model, points))
     assert model.iterations_run == reference[best][2]
     assert abs(model.inertia - reference[best][3]) <= 1e-12 * reference[best][3]
     return reference
@@ -240,7 +242,8 @@ class TestSharedSeeds:
 class TestAssign:
     @staticmethod
     def _model(centroids):
-        return KMeansModel(centroids=centroids, inertia=0.0, iterations_run=0)
+        return KMeansModel(centroids=centroids, inertia=0.0, iterations_run=0,
+                           labels=np.zeros(0, np.intp))
 
     def test_centroid_maps_to_itself(self):
         rng = np.random.default_rng(7)
@@ -317,7 +320,7 @@ class TestLockstepRestarts:
             seeds = kmeans_seeds(points, k, seed=1)
             assert_restarts_match_reference(points, seeds)
             # a restart run alone ends as it does inside the batch
-            centroids, iters, _ = _lloyd(points, seeds, 100)
+            centroids, iters, *_ = _lloyd(points, seeds, 100)
             for r in range(len(seeds)):
                 alone = kmeans_fit(points, k, n_restarts=1, init=seeds[r:r + 1])
                 assert partition_of(assign_batch(alone, points)) == partition_of(

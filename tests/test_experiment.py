@@ -209,24 +209,24 @@ class TestEngine:
              for coord, k in (("lat", k_lat), ("lon", k_lon))}
         pair_tr = c["lat"][0] * k_lon + c["lon"][0]
         pairs = np.flatnonzero(fittable(np.bincount(pair_tr, minlength=k_lat * k_lon),
-                                        config.min_cluster_size, n_train))
+                                        config.min_cluster_size))
         assert len(pairs) > 0
         pair_models = solve_fof(runner.group_stats(pair_tr, pairs), runner.eig, config.ridge)
         for i, (coord, k) in enumerate((("lat", k_lat), ("lon", k_lon))):
             train, test = c[coord]
-            glob = runner.global_coeffs[coord]
+            glob = runner.fit_coordinate(coord)[0][None]
             # the unions are the pairs of the edge cell, one row per cluster;
             # a union too small to fit, or serving no test storm, holds the
             # global model, and k = 1 is the global model alone
-            unions = runner.cell_models(*{"lat": (k, 1), "lon": (1, k)}[coord])[1][coord]
+            unions = runner.cell_models(*{"lat": (k, 1), "lon": (1, k)}[coord])[1][i]
             assert unions.shape[0] == k
             own = np.intersect1d(np.flatnonzero(fittable(
-                np.bincount(train, minlength=k), config.min_cluster_size, n_train)), test)
+                np.bincount(train, minlength=k), config.min_cluster_size)), test)
             assert 0 < len(own)
             small = np.setdiff1d(np.arange(k), own)
             np.testing.assert_array_equal(unions[small],
                                           np.repeat(glob, len(small), axis=0))
-            np.testing.assert_array_equal(runner.cell_models(1, 1)[1][coord], glob)
+            np.testing.assert_array_equal(runner.cell_models(1, 1)[1][i], glob)
             # every group large enough to fit: the pairs, solved per cell, and
             # the cached unions and global model
             groups = np.concatenate([pair_tr == pairs[:, None], train == own[:, None],
@@ -239,8 +239,8 @@ class TestEngine:
             X = fit_coefficients(runner.predictor_basis, runner.predictor_grid,
                                  values[:P])[:, train_idx]
             Y = values[P:, train_idx]
-            z_mean = runner.center[coord]
-            W = runner.w_test[coord]
+            z_mean = runner.center[i]
+            W = runner.w_test[i]
             for members, C in zip(groups, coeffs):
                 own_C, own_center = fit_fof(runner.predictor_basis, X[:, members],
                                             runner.response_basis, runner.response_grid,
@@ -255,35 +255,38 @@ class TestEngine:
     def _reference_errors(cls, runner, k_lat, k_lon):
         """``clustered_errors`` from an own k-means fit per coordinate and k,
         each test storm's model picked by ``_rule``, and one ``group_stats``
-        and ``solve_fof`` call per coordinate for its unions and one for its
-        pairs; and the kinds of model that serve some test storm."""
+        and ``solve_fof`` call per coordinate for its global group, one for
+        its unions and one for its pairs; and the kinds of model that serve
+        some test storm."""
         config = runner.config
         clusters = {}
-        for coord, k in (("lat", k_lat), ("lon", k_lon)):
-            model = kmeans_fit(runner.train_segments[coord], k, seed=runner.config.seed)
-            clusters[coord] = (assign_batch(model, runner.train_segments[coord]),
-                               assign_batch(model, runner.test_segments[coord]))
+        for i, (coord, k) in enumerate((("lat", k_lat), ("lon", k_lon))):
+            model = kmeans_fit(runner.train_segments[i], k, seed=runner.config.seed)
+            clusters[coord] = (assign_batch(model, runner.train_segments[i]),
+                               assign_batch(model, runner.test_segments[i]))
         (lat_tr, lat_te), (lon_tr, lon_te) = clusters["lat"], clusters["lon"]
         pair_tr, pair_te = lat_tr * k_lon + lon_tr, lat_te * k_lon + lon_te
         hats, kinds = [], set()
         for i, (coord, k) in enumerate((("lat", k_lat), ("lon", k_lon))):
             train, test = clusters[coord]
             rungs = cls._rule(pair_tr, train, pair_te, test, config.min_cluster_size)
-            # the unions of every cluster that fits and the pairs that serve a
-            # test storm, solved apart from the engine's batches: a group's sum
-            # and its solve do not depend on the other groups in the call
+            # the global group, the unions of every cluster that fits and the
+            # pairs that serve a test storm, solved apart from the engine's
+            # batches: a group's sum and its solve do not depend on the other
+            # groups in the call
             own = np.flatnonzero(fittable(np.bincount(train, minlength=k),
-                                          config.min_cluster_size, len(train)))
+                                          config.min_cluster_size))
             pairs = np.unique([g for r, g in rungs if r == "pair"])
-            models = {("global", 0): runner.global_coeffs[coord][0]}
-            for kind, labels, groups in (("union", train, own), ("pair", pair_tr, pairs)):
+            models = {}
+            for kind, labels, groups in (("global", 0 * train, [0]), ("union", train, own),
+                                         ("pair", pair_tr, pairs)):
                 solved = solve_fof(runner.group_stats(labels, groups)[:, i], runner.eig,
                                    config.ridge)
                 models.update(((kind, g), C) for g, C in zip(groups, solved))
             kinds.update(kind for kind, _ in rungs)
             hats.append(fof_forecast(np.stack([models[r] for r in rungs]),
-                                     runner.theta, runner.w_test[coord]))
-        return track_errors(*hats, runner.truth["lat"], runner.truth["lon"]), kinds
+                                     runner.theta, runner.w_test[i]))
+        return track_errors(*hats, *runner.truth), kinds
 
     @staticmethod
     def _rule(pair_tr, own_tr, pair_te, own_te, min_size):
@@ -319,6 +322,7 @@ class TestEngine:
 
         for name in calls:
             monkeypatch.setattr(experiment, name, counted(name, getattr(experiment, name)))
+        # the global models are cell (1, 1)'s one pair, solved with it
         runner.global_errors()
         assert calls == {"kmeans_fit": 0, "solve_fof": 1}
         runner.clustered_errors(2, 1)
@@ -359,9 +363,8 @@ class TestEngine:
         for c, coord in enumerate(("lat", "lon")):
             for k in range(2, 5):
                 labels, test_labels = runner.kmeans_for(coord, k)
-                table = runner.cell_models(*{"lat": (k, 1), "lon": (1, k)}[coord])[1][coord]
-                own = fittable(np.bincount(labels, minlength=k), config.min_cluster_size,
-                               len(labels))
+                table = runner.cell_models(*{"lat": (k, 1), "lon": (1, k)}[coord])[1][c]
+                own = fittable(np.bincount(labels, minlength=k), config.min_cluster_size)
                 for a in np.unique(test_labels[own[test_labels]]):
                     alone = solve_fof(runner.group_stats(labels, np.array([a]))[:, c],
                                       runner.eig, config.ridge)[0]
@@ -387,10 +390,21 @@ class TestEngine:
             X = fit_coefficients(runner.predictor_basis, runner.predictor_grid,
                                  mat.values[:P])[:, train_idx]
             stats = fof_statistics(
-                design(runner.gram @ X, runner.center[coord]),
+                design(runner.gram @ X, runner.center[c]),
                 runner.theta.T @ mat.values[P:, train_idx])
             for i, g in enumerate(groups):
                 assert np.array_equal(batch[i, c], stats[labels == g].sum(axis=0))
+
+    def test_statistics_are_storm_major(self, small_dataset):
+        # a group sum reads whole storms; with the storm axis varying fastest
+        # (the layout of ``fof_statistics``), it ran ten times slower
+        lat, lon = small_dataset
+        config = ExperimentConfig(n_repetitions=1)
+        train_idx, test_idx = train_test_split(lat.n_storms, 0.8, seed=3)
+        runner = SplitRunner(lat, lon, train_idx, test_idx, config)
+        m = 1 + config.K_t
+        assert runner.stats.shape == (len(train_idx), 2, m, m + config.K_s)
+        assert runner.stats.flags.c_contiguous
 
     def test_group_of_min_size_gets_its_own_model(self, small_dataset):
         lat, lon = small_dataset
