@@ -11,4 +11,4 @@ from .experiment import (ExperimentConfig, ExperimentReport,
 from .ingest import (DatasetMatrix, StormRecordSet, build_matrices, extract_tail,
                      filter_min_length, parse_csv, parse_rsmc, time_grid,
                      train_test_split, write_csv)
-from .regression import fit_fof, predict_trajectory
+from .regression import fit_fof, predict_trajectory, regressors

@@ -139,6 +139,14 @@ def _load_dataset(data_dir: Path) -> tuple[DatasetMatrix, DatasetMatrix, dict, i
     if lon.storm_ids != lat.storm_ids:
         raise SchemaError(f"{data_dir / 'lon.csv'}: storm ids differ from those "
                           f"of {data_dir / 'lat.csv'} or are in another order")
+    # the positions build_matrices writes: a longitude column starts in [0, 360)
+    # and steps less than 180 degrees, which np.unwrap leaves as it is
+    if not (np.abs(lat.values) <= 90.0).all():
+        raise SchemaError(f"{data_dir / 'lat.csv'}: a latitude is outside [-90, 90]")
+    if not (((lon.values[0] >= 0.0) & (lon.values[0] < 360.0)).all() and np.array_equal(
+            np.unwrap(lon.values, period=360.0, axis=0), lon.values)):
+        raise SchemaError(f"{data_dir / 'lon.csv'}: a longitude column starts outside "
+                          f"[0, 360) or steps by more than 180 degrees")
     return lat, lon, meta, irregular
 
 
@@ -237,8 +245,9 @@ def _write_forecasts(args: argparse.Namespace, command: str, select,
     cols = [index[sid] for sid in ids]
     lat_obs, lon_obs = lat.values[:, cols], lon.values[:, cols]
     P = meta["predictor_len"]
-    lat_hat, lon_hat = predict_trajectory(*bases, *models, lat_obs[:P], lon_obs[:P],
-                                          time_grid(meta["total_len"]))
+    # the segments indexed as SplitRunner indexes them, so export scores grid's bits
+    lat_hat, lon_hat = predict_trajectory(*bases, *models, lat.values[:P, cols],
+                                          lon.values[:P, cols], time_grid(meta["total_len"]))
     t_forecast = time.perf_counter()
     geojson = forecasts_to_geojson(ids, lat_obs, lon_obs, lat_hat, lon_hat,
                                    include_truth=include_truth)

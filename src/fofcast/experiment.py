@@ -16,13 +16,13 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .basis import basis_matrix, bspline_basis, fit_bundle, gram_matrix
 from .clustering import assign_batch, kmeans_fit, kmeans_seeds
 from .errors import ShapeError
 from .ingest import (DatasetMatrix, StormRecordSet, build_matrices, extract_tail,
                      filter_min_length, time_grid, train_test_split)
-from .regression import design, fof_forecast, fof_statistics, solve_fof
-# not called here: perfbench/spans.py traces the one-model fit by this name
+from .regression import fof_forecast, fof_statistics, regressors, solve_fof
+# fit_bundle, gram_matrix, fit_fof: not called here; perfbench/spans.py traces them
+from .basis import basis_matrix, bspline_basis, fit_bundle, gram_matrix  # noqa: F401
 from .regression import fit_fof  # noqa: F401
 
 EARTH_RADIUS_KM = 6371.0
@@ -67,7 +67,7 @@ class ExperimentConfig:
             raise ValueError(f"K_s={self.K_s} exceeds the "
                              f"{self.total_len - self.predictor_len} response points")
         for name, low in (("k_lat_max", 1), ("k_lon_max", 1), ("n_repetitions", 1),
-                          ("min_cluster_size", 1), ("ridge", 0)):
+                          ("min_cluster_size", 1), ("ridge", 0), ("seed", 0)):
             if not getattr(self, name) >= low:     # refuses NaN as well
                 raise ValueError(f"{name} must be >= {low}")
 
@@ -154,7 +154,6 @@ class SplitRunner:
         self.predictor_grid = grid[:P]
         self.response_grid = grid[P:]
         self.predictor_basis, self.response_basis = make_bases(config)
-        self.gram = gram_matrix(self.predictor_basis)
         self.theta = basis_matrix(self.response_basis, self.response_grid)
         self.eig = np.linalg.eigh(self.theta.T @ self.theta)
 
@@ -167,15 +166,11 @@ class SplitRunner:
         # storm-major, one coordinate at a time: a group sum reads whole storms
         self.stats = np.empty((len(self.train_idx), 2, m, m + config.K_s))
         for c, v in enumerate(values):
-            coeffs = fit_bundle(self.predictor_basis, self.predictor_grid,
-                                DatasetMatrix(values=v[:P], storm_ids=lat_mat.storm_ids))
-            # the engine centres the regressors on the training mean, so its
-            # intercepts are a + B z_mean
-            z_train = self.gram @ coeffs[:, self.train_idx]
-            self.center[c] = z_train.mean(axis=1)
-            self.stats[:, c] = fof_statistics(design(z_train, self.center[c]),
-                                              self.theta.T @ v[P:, self.train_idx])
-            self.w_test[c] = design(self.gram @ coeffs[:, self.test_idx], self.center[c])
+            w_train, self.center[c] = regressors(self.predictor_basis, self.predictor_grid,
+                                                 v[:P, self.train_idx])
+            self.stats[:, c] = fof_statistics(w_train, self.theta.T @ v[P:, self.train_idx])
+            self.w_test[c] = regressors(self.predictor_basis, self.predictor_grid,
+                                        v[:P, self.test_idx], self.center[c])[0]
         zeros = (np.zeros(len(self.train_idx), np.intp), np.zeros(len(self.test_idx), np.intp))
         self._kmeans_cache = {("lat", 1): zeros, ("lon", 1): zeros}
         self._edge_tables: dict = {}
@@ -331,6 +326,8 @@ def length_study(storms: Sequence[StormRecordSet], config: ExperimentConfig,
     at least T records, and every window length L <= T is evaluated on that
     fixed subset (window = last L points, predictor = L - response_len).
     """
+    if repeated := sorted({L for L in lengths if list(lengths).count(L) > 1}):
+        raise ValueError(f"lengths repeated: {', '.join(map(str, repeated))}")
     layout = [(t, L) for t in lengths for L in lengths if L <= t]
     subsets = {t: filter_min_length(storms, t) for t in lengths}
     cases = [(*build_matrices([extract_tail(s, L, L - response_len) for s in subsets[t]]),

@@ -100,17 +100,23 @@ def fof_forecast(coefficients: np.ndarray, theta: np.ndarray,
     return theta @ (coefficients @ W.T[:, :, None])[:, :, 0].T
 
 
+def regressors(predictor_basis: BasisSystem, grid: Sequence[float], segments: np.ndarray,
+               center: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(``design(J c, center)``, center) of the P x n predictor ``segments`` on ``grid``,
+    from one curve fit of all the columns; the centre defaults to the mean of J c."""
+    Z = gram_matrix(predictor_basis) @ fit_coefficients(predictor_basis, grid, segments)
+    center = Z.mean(axis=1) if center is None else center
+    return design(Z, center), center
+
+
 def predict_trajectory(predictor_basis: BasisSystem, response_basis: BasisSystem,
                        lat_model: tuple, lon_model: tuple, lat_predictor: np.ndarray,
                        lon_predictor: np.ndarray, grid: Sequence[float]
                        ) -> tuple[np.ndarray, ...]:
     """q x n latitude and longitude forecasts of the (coefficients, center)
     models for P x n predictor segments on ``grid[:P]``, the window's time grid:
-    one curve fit of all the columns and the forecast the grid engine scores."""
+    the forecast the grid engine scores."""
     P = len(lat_predictor)
-    theta, gram = basis_matrix(response_basis, grid[P:]), gram_matrix(predictor_basis)
-    return tuple(
-        fof_forecast(C, theta, design(
-            gram @ fit_coefficients(predictor_basis, grid[:P], segments), center))
-        for (C, center), segments in ((lat_model, lat_predictor),
-                                      (lon_model, lon_predictor)))
+    theta = basis_matrix(response_basis, grid[P:])
+    return tuple(fof_forecast(C, theta, regressors(predictor_basis, grid[:P], seg, center)[0])
+                 for (C, center), seg in ((lat_model, lat_predictor), (lon_model, lon_predictor)))

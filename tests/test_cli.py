@@ -181,6 +181,7 @@ class TestIngest:
                                    + np.arange(32)[:, None] * [0.7, -0.7, -0.3],
                                    rtol=0, atol=1e-9)
         np.testing.assert_array_equal(lon[:, 2], storms[2].lons)
+        _load_dataset(tmp_path / "o")        # and the commands read them back
 
 
 @pytest.mark.parametrize("command", ["ingest", "length-study"])
@@ -328,6 +329,14 @@ class TestExportAndLengthStudy:
         assert manifest["workers"] == experiment.split_workers(3)
         assert set(manifest["timings_s"]) == {"load", "splits", "write", "total"}
 
+    def test_length_study_repeated_lengths(self, csv_input, tmp_path, capsys):
+        out = tmp_path / "study"
+        code = main(["length-study", "--format", "csv", "--input", str(csv_input),
+                     "--out", str(out), "--lengths", "32", "40", "32", "40", "36"])
+        assert code == 2
+        assert "lengths repeated: 32, 40" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def test_help_lists_defaults(capsys):
     with pytest.raises(SystemExit) as exc:
@@ -369,6 +378,7 @@ def test_fit_rejects_grid_flags(ingested, tmp_path, capsys):
     (["--k-s", "12", "--ridge", "1"], "K_s=12 exceeds the 8 response points"),
     (["--k-s", "9"], "K_s=9 exceeds the 8 response points"),
     (["--ridge", "nan"], "ridge must be >= 0"),
+    (["--seed", "-1"], "seed must be >= 0"),
 ])
 def test_unfittable_settings_are_input_errors(ingested, tmp_path, capsys, command,
                                               flags, message):
@@ -433,11 +443,11 @@ class TestShippedModelIsScored:
                      "--out", str(out)]) == 0
         features = json.loads(out.read_text())["features"]
         errors = np.array([f["properties"]["avg_dist_km"] for f in features[2::3]])
-        np.testing.assert_allclose(errors, runner.global_errors(), rtol=0, atol=1e-9)
+        np.testing.assert_array_equal(errors, runner.global_errors())
         assert main(["grid", "--data", str(ingested), "--out", str(tmp_path / "g"),
                      "--k-lat", "1", "--k-lon", "1", "--reps", "1", *flags]) == 0
         report = json.loads((tmp_path / "g" / "report.json").read_text())
-        assert abs(errors.mean() - report["global_mean"]) <= 1e-9
+        assert errors.mean() == report["global_mean"]
 
 
 class TestInputFiles:
@@ -548,6 +558,29 @@ class TestInputFiles:
                      "--out", str(tmp_path / "fc.geojson")])
         assert code == 2
         assert "lat.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["fit", "grid", "predict", "export"])
+    @pytest.mark.parametrize("name, row, message", [
+        ("lat.csv", 5, "a latitude is outside [-90, 90]"),
+        ("lon.csv", 1, "a longitude column starts outside [0, 360)"),
+        ("lon.csv", 5, "or steps by more than 180 degrees"),
+    ], ids=["lat", "first-lon", "later-lon"])
+    def test_position_ingest_could_not_write(self, ingested, fitted, tmp_path, capsys,
+                                             command, name, row, message):
+        """A finite value far out of range, in a latitude or in the first or a
+        later longitude of a window, is refused before any fit; passed on, it
+        makes fit write a non-finite model and predict a position at 1e300."""
+        data = shutil.copytree(ingested, tmp_path / "data")
+        rows = (data / name).read_text().splitlines()
+        rows[row] = "1e300," + rows[row].split(",", 1)[1]
+        (data / name).write_text("".join(r + "\n" for r in rows))
+        flags = {"fit": [], "grid": ["--k-lat", "2", "--k-lon", "2", "--reps", "1"]}.get(
+            command, ["--models", str(fitted)])
+        out = tmp_path / "out"
+        assert main([command, "--data", str(data), *flags, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{data / name}: " in err and message in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["predict", "export", "grid"])
     def test_repeated_id_in_matrix_header(self, ingested, fitted, tmp_path, capsys,

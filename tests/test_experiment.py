@@ -11,14 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fofcast import (ExperimentConfig, fit_coefficients, fit_fof,
-                     forecasts_to_geojson, haversine, length_study,
+                     forecasts_to_geojson, haversine, length_study, predict_trajectory,
                      repeated_simulation, time_grid, train_test_split)
 from fofcast import experiment
 from fofcast.errors import SingularityError
 from fofcast.clustering import assign_batch, kmeans_fit
 from fofcast.experiment import (EARTH_RADIUS_KM, SplitRunner, _best_cell, fittable,
                                 track_errors)
-from fofcast.regression import design, fof_forecast, fof_statistics, solve_fof
+from fofcast.regression import fof_forecast, fof_statistics, regressors, solve_fof
 
 from conftest import make_storm, synthetic_matrices, two_regime_matrices
 
@@ -387,11 +387,11 @@ class TestEngine:
             assert np.array_equal(batch[i], runner.group_stats(labels, groups[i:i + 1])[0])
         # lat first: each slice sums the coordinate's own per-storm statistics
         for c, (coord, mat) in enumerate((("lat", lat), ("lon", lon))):
-            X = fit_coefficients(runner.predictor_basis, runner.predictor_grid,
-                                 mat.values[:P])[:, train_idx]
-            stats = fof_statistics(
-                design(runner.gram @ X, runner.center[c]),
-                runner.theta.T @ mat.values[P:, train_idx])
+            # the training columns fitted alone, centred on their own mean
+            W, center = regressors(runner.predictor_basis, runner.predictor_grid,
+                                   mat.values[:P, train_idx])
+            assert np.array_equal(center, runner.center[c])
+            stats = fof_statistics(W, runner.theta.T @ mat.values[P:, train_idx])
             for i, g in enumerate(groups):
                 assert np.array_equal(batch[i, c], stats[labels == g].sum(axis=0))
 
@@ -429,6 +429,27 @@ class TestEngine:
         runner = SplitRunner(lat, lon, train, test, config)
         with pytest.raises(SingularityError, match="ridge"):
             runner.clustered_errors(3, 3)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_shipped_forecast_is_the_scored_one(self, seed):
+        """predict_trajectory, on fit_coordinate's models and the test storms'
+        segments as the CLI takes them, scores the global errors bit for bit.
+        Taking the test storms' coefficients as a slice of a fit of all storms
+        moves a few of these 220 errors in the last bits, and none of 80 at
+        400 storms: hence 1100."""
+        lat, lon = synthetic_matrices(1100, noise=0.3)
+        config = ExperimentConfig(n_repetitions=1)
+        train_idx, test_idx = train_test_split(lat.n_storms, config.ratio, seed)
+        runner = SplitRunner(lat, lon, train_idx, test_idx, replace(config, seed=seed))
+        cols = list(test_idx)
+        P = config.predictor_len
+        lat_hat, lon_hat = predict_trajectory(
+            runner.predictor_basis, runner.response_basis, runner.fit_coordinate("lat"),
+            runner.fit_coordinate("lon"), lat.values[:P, cols], lon.values[:P, cols],
+            time_grid(config.total_len))
+        errors = track_errors(lat_hat, lon_hat, lat.values[:, cols][P:],
+                              lon.values[:, cols][P:])
+        assert np.array_equal(errors, runner.global_errors())
 
 
 class TestGeoJSON:
