@@ -7,6 +7,7 @@ least squares.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -133,8 +134,9 @@ def fit_bundle(basis: BasisSystem, grid: Sequence[float],
     return fit_coefficients(basis, grid, matrix.values)
 
 
+@functools.cache
 def gram_matrix(basis: BasisSystem) -> np.ndarray:
-    """K x K matrix of pairwise basis inner products over the domain.
+    """Read-only K x K matrix of pairwise basis inner products over the domain.
 
     Gauss-Legendre quadrature per knot span; exact for the piecewise
     polynomial products a B-spline basis produces.
@@ -150,4 +152,5 @@ def gram_matrix(basis: BasisSystem) -> np.ndarray:
     J = np.zeros((basis.K, basis.K))
     for phi, w in zip(Phi, (weights * half[:, None]).ravel()):
         J += w * np.outer(phi, phi)
+    J.flags.writeable = False
     return J

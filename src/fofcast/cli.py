@@ -13,7 +13,7 @@ import json
 import sys
 import time
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -150,16 +150,10 @@ def _load_dataset(data_dir: Path) -> tuple[DatasetMatrix, DatasetMatrix, dict, i
     return lat, lon, meta, irregular
 
 
-def _config_from_args(args: argparse.Namespace, meta: dict) -> ExperimentConfig:
-    """The config of the model flags on window ``meta``; grid settings at their defaults."""
-    return ExperimentConfig(**meta, ratio=args.ratio, seed=args.seed, K_t=args.k_t,
-                            K_s=args.k_s, ridge=args.ridge)
-
-
-def _grid_config_from_args(args: argparse.Namespace, meta: dict) -> ExperimentConfig:
-    return replace(_config_from_args(args, meta), k_lat_max=args.k_lat,
-                   k_lon_max=args.k_lon, n_repetitions=args.reps,
-                   min_cluster_size=args.min_cluster_size)
+def _config(args: argparse.Namespace, meta: dict) -> ExperimentConfig:
+    """The config of window ``meta`` and the settings among ``args``; others at defaults."""
+    names = {f.name for f in fields(ExperimentConfig)}
+    return ExperimentConfig(**meta, **{k: v for k, v in vars(args).items() if k in names})
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
@@ -202,10 +196,9 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 def cmd_fit(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     lat, lon, meta, _ = _load_dataset(args.data)
-    config = _config_from_args(args, meta)
+    config = _config(args, meta)
     t_load = time.perf_counter()
-    train_idx, test_idx = train_test_split(lat.n_storms, config.ratio,
-                                           config.seed)
+    train_idx, test_idx = train_test_split(lat.n_storms, config.ratio, config.seed)
     runner = SplitRunner(lat, lon, train_idx, test_idx, config)
     saved = {**meta, "K_t": config.K_t, "K_s": config.K_s,
              "seed": config.seed, "ratio": config.ratio,
@@ -242,6 +235,8 @@ def _write_forecasts(args: argparse.Namespace, command: str, select,
     if unknown := [sid for sid in ids if sid not in index]:
         raise StormLookupError(f"unknown storm ids: {', '.join(unknown)}\n"
                                f"available: {', '.join(sorted(index))}")
+    if repeated := _repeated(ids):
+        raise ValidationError(f"storm ids repeated: {repeated}")
     cols = [index[sid] for sid in ids]
     lat_obs, lon_obs = lat.values[:, cols], lon.values[:, cols]
     P = meta["predictor_len"]
@@ -272,7 +267,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 def cmd_grid(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     lat, lon, meta, irregular = _load_dataset(args.data)
-    config = _grid_config_from_args(args, meta)
+    config = _config(args, meta)
     t_load = time.perf_counter()
     report = repeated_simulation(lat, lon, config)
     t_splits = time.perf_counter()
@@ -296,9 +291,8 @@ def cmd_length_study(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     storms = _load_storms(args.input, args.format)
     t_load = time.perf_counter()
-    config = _grid_config_from_args(args, {
-        "total_len": args.lengths[0],
-        "predictor_len": args.lengths[0] - args.response_len})
+    L = args.lengths[0]
+    config = _config(args, {"total_len": L, "predictor_len": L - args.response_len})
     entries = length_study(storms, config, lengths=args.lengths,
                            response_len=args.response_len)
     t_splits = time.perf_counter()
@@ -335,20 +329,21 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ratio", type=float, default=ExperimentConfig.ratio,
                    help="train fraction of the split (default %(default)s)")
     p.add_argument("--seed", type=int, default=ExperimentConfig.seed, help="base random seed")
-    p.add_argument("--k-t", type=int, default=ExperimentConfig.K_t,
+    p.add_argument("--k-t", dest="K_t", type=int, default=ExperimentConfig.K_t,
                    help="predictor basis dimension (default %(default)s)")
-    p.add_argument("--k-s", type=int, default=ExperimentConfig.K_s,
+    p.add_argument("--k-s", dest="K_s", type=int, default=ExperimentConfig.K_s,
                    help="response basis dimension (default %(default)s)")
     p.add_argument("--ridge", type=float, default=ExperimentConfig.ridge,
                    help="ridge on the coefficient surface (default %(default)s)")
 
 
 def _add_grid_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--k-lat", type=int, default=ExperimentConfig.k_lat_max,
+    p.add_argument("--k-lat", dest="k_lat_max", type=int, default=ExperimentConfig.k_lat_max,
                    help="largest latitude cluster count (default %(default)s)")
-    p.add_argument("--k-lon", type=int, default=ExperimentConfig.k_lon_max,
+    p.add_argument("--k-lon", dest="k_lon_max", type=int, default=ExperimentConfig.k_lon_max,
                    help="largest longitude cluster count (default %(default)s)")
-    p.add_argument("--reps", type=int, default=ExperimentConfig.n_repetitions,
+    p.add_argument("--reps", dest="n_repetitions", type=int,
+                   default=ExperimentConfig.n_repetitions,
                    help="number of repeated simulations (default %(default)s)")
     p.add_argument("--min-cluster-size", type=int, default=ExperimentConfig.min_cluster_size,
                    help="smallest pair size fitted locally (default %(default)s)")

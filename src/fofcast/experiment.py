@@ -192,22 +192,23 @@ class SplitRunner:
         return self.clustered_errors(1, 1)
 
     def kmeans_for(self, coord: str, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Cluster labels of the training and test storms of ``coord``; k = 1
-        puts every storm in cluster 0. An uncached k clusters every uncached k
-        from 2 to the larger of k and the coordinate's grid maximum (at most
-        the training count), from restarts seeded once for the largest."""
-        if k < 1:
-            raise ValueError(f"k={k} must be >= 1")
+        """Cluster labels of the training and test storms of ``coord`` for a k
+        of its grid, 1..k_max; k = 1 puts every storm in cluster 0. The first
+        k > 1 fits every k of the grid, from restarts seeded once for k_max."""
+        k_max = getattr(self.config, f"k_{coord}_max")
+        if not 1 <= k <= k_max:
+            raise ValueError(f"k={k} is outside the {coord} grid 1..{k_max}")
         if (coord, k) not in self._kmeans_cache:
             c = ("lat", "lon").index(coord)
             points = self.train_segments[c]
-            k_top = max(k, min(getattr(self.config, f"k_{coord}_max"), len(points)))
-            seeds = kmeans_seeds(points, k_top, self.config.seed)
-            for j in range(2, k_top + 1):
-                if (coord, j) not in self._kmeans_cache:
-                    model = kmeans_fit(points, j, init=seeds)
-                    self._kmeans_cache[coord, j] = (
-                        model.labels, assign_batch(model, self.test_segments[c]))
+            if k_max > len(points):
+                raise ValueError(f"k_{coord}_max={k_max} exceeds the {len(points)} "
+                                 f"training storms")
+            seeds = kmeans_seeds(points, k_max, self.config.seed)
+            for j in range(2, k_max + 1):
+                model = kmeans_fit(points, j, init=seeds)
+                self._kmeans_cache[coord, j] = (model.labels,
+                                                assign_batch(model, self.test_segments[c]))
         return self._kmeans_cache[coord, k]
 
     def cell_models(self, k_lat: int, k_lon: int) -> tuple[np.ndarray, np.ndarray]:

@@ -237,6 +237,14 @@ class TestGram:
                 J += (w * half) * np.outer(phi, phi)
         np.testing.assert_array_equal(gram_matrix(basis), J)
 
+    def test_computed_once_per_basis_and_read_only(self):
+        # an equal basis is the same cache key, so callers share one matrix
+        J = gram_matrix(bspline_basis(12, (0.0, 23 / 31)))
+        assert gram_matrix(bspline_basis(12, (0.0, 23 / 31))) is J
+        assert not J.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            J[0, 0] = 1.0
+
     def test_matches_dense_trapezoid(self):
         basis = bspline_basis(6, (0.0, 1.0))
         ts = np.linspace(0, 1, 100_001)

@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 
 from fofcast import DatasetMatrix, ExperimentConfig, train_test_split, write_csv
 from fofcast import experiment
-from fofcast.cli import (_grid_config_from_args, _load_dataset, _read_matrix_csv,
-                         _write_matrix_csv, build_parser, main)
+from fofcast.cli import (_config, _load_dataset, _read_matrix_csv, _write_matrix_csv,
+                         build_parser, main)
 from fofcast.experiment import SplitRunner
 
 from conftest import (make_rsmc_storm, make_storm, rsmc_data_line, rsmc_header,
@@ -218,6 +218,14 @@ class TestPredict:
         assert len(doc["features"]) == 2
         assert all("avg_dist_km" not in f["properties"] for f in doc["features"])
 
+    def test_repeated_storm_ids_are_refused(self, ingested, fitted, tmp_path, capsys):
+        out = tmp_path / "fc" / "x.geojson"
+        code = main(["predict", "--data", str(ingested), "--models", str(fitted),
+                     "--out", str(out), "C001", "C002", "C001"])
+        assert code == 2
+        assert "storm ids repeated: C001" in capsys.readouterr().err
+        assert not out.parent.exists()
+
     def test_unknown_storm(self, ingested, fitted, tmp_path, capsys):
         code = main(["predict", "--data", str(ingested), "--models",
                      str(fitted), "--out", str(tmp_path / "x.geojson"),
@@ -280,6 +288,21 @@ class TestGrid:
         assert manifest["workers"] == 2
         assert manifest["counts"] == {"irregular_windows": None}
         assert set(manifest["timings_s"]) == {"load", "splits", "write", "total"}
+
+    @pytest.mark.parametrize("flags, name", [(["--k-lat", "33", "--k-lon", "1"], "k_lat_max"),
+                                             (["--k-lon", "33"], "k_lon_max")])
+    def test_grid_beyond_the_training_count(self, ingested, tmp_path, monkeypatch,
+                                            capsys, flags, name):
+        # 32 of the 40 storms train; the refusal comes before any k-means
+        calls = []
+        monkeypatch.setattr(experiment, "kmeans_fit", lambda *a, **kw: calls.append(a))
+        out = tmp_path / "g"
+        code = main(["grid", "--data", str(ingested), "--out", str(out), "--reps", "1",
+                     *flags])
+        assert code == 2
+        assert f"{name}=33 exceeds the 32 training storms" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
 
     def test_min_cluster_size_zero(self, ingested, tmp_path, capsys):
         code = main(["grid", "--data", str(ingested), "--out", str(tmp_path / "g"),
@@ -352,7 +375,7 @@ def test_flag_defaults_are_the_config_defaults():
     parser = build_parser()
     window = {"total_len": 40, "predictor_len": 30}
     args = parser.parse_args(["grid", "--data", "d", "--out", "o"])
-    assert _grid_config_from_args(args, window) == ExperimentConfig(**window)
+    assert _config(args, window) == ExperimentConfig(**window)
     args = parser.parse_args(["ingest", "--input", "i", "--out", "o"])
     assert (args.total_len, args.predictor_len) == (ExperimentConfig.total_len,
                                                     ExperimentConfig.predictor_len)
@@ -361,6 +384,26 @@ def test_flag_defaults_are_the_config_defaults():
     study = inspect.signature(experiment.length_study).parameters
     assert (tuple(args.lengths), args.response_len) == (study["lengths"].default,
                                                         study["response_len"].default)
+
+
+def test_manifests_name_settings_as_the_config_does(ingested, tmp_path):
+    settings = ["--seed", "3", "--k-t", "8", "--k-s", "4", "--ridge", "0.5"]
+    assert main(["fit", "--data", str(ingested), "--out", str(tmp_path / "m"),
+                 *settings]) == 0
+    assert main(["grid", "--data", str(ingested), "--out", str(tmp_path / "g"), *settings,
+                 "--k-lat", "2", "--k-lon", "3", "--reps", "2", "--min-cluster-size", "9"]) == 0
+    model = json.loads((tmp_path / "m" / "model.json").read_text())
+    report = json.loads((tmp_path / "g" / "report.json").read_text())
+    model_settings = {"ratio", "seed", "K_t", "K_s", "ridge"}
+    for out, keys, saved in (("m/fit", model_settings, model),
+                             ("g/grid", set(report["config"]) - {"total_len", "predictor_len"},
+                              report["config"])):
+        arguments = json.loads((tmp_path / f"{out}_manifest.json").read_text())["arguments"]
+        assert set(arguments) - {"command", "data", "out"} == keys
+        # model.json holds all of fit's settings but the ridge
+        shared = keys & set(saved)
+        assert shared >= keys - {"ridge"}
+        assert {k: arguments[k] for k in shared} == {k: saved[k] for k in shared}
 
 
 def test_fit_rejects_grid_flags(ingested, tmp_path, capsys):
@@ -515,6 +558,18 @@ class TestInputFiles:
         err = capsys.readouterr().err
         assert "dataset.json" in err and "predictor_len" in err
         assert not out.exists()
+
+    def test_export_refuses_repeated_test_ids(self, ingested, fitted, tmp_path, capsys):
+        models = shutil.copytree(fitted, tmp_path / "models")
+        model = json.loads((models / "model.json").read_text())
+        model["test_ids"] = model["test_ids"] + model["test_ids"][:1]
+        (models / "model.json").write_text(json.dumps(model))
+        out = tmp_path / "x" / "export.geojson"
+        code = main(["export", "--data", str(ingested), "--models", str(models),
+                     "--out", str(out)])
+        assert code == 2
+        assert f"storm ids repeated: {model['test_ids'][0]}" in capsys.readouterr().err
+        assert not out.parent.exists()
 
     def test_export_on_fewer_storms(self, ingested, fitted, tmp_path, capsys):
         # as if re-ingested with a larger --min-len: the first 10 storms stay

@@ -346,11 +346,24 @@ class TestEngine:
         # global one
         assert set().union(*served.values()) == {"pair", "union", "global"}
         assert served[1, 1] == {"global"}
-        # a k beyond the grid is clustered on request, and k > n refused
-        np.testing.assert_array_equal(runner.clustered_errors(6, 2),
-                                      self._reference_errors(runner, 6, 2)[0])
-        with pytest.raises(ValueError, match="exceeds sample count"):
-            runner.kmeans_for("lon", len(train) + 1)
+        # a coordinate serves only the k of its grid
+        with pytest.raises(ValueError, match=r"k=5 is outside the lat grid 1\.\.4"):
+            runner.kmeans_for("lat", config.k_lat_max + 1)
+        with pytest.raises(ValueError, match=r"k=0 is outside the lon grid 1\.\.3"):
+            runner.kmeans_for("lon", 0)
+
+    def test_grid_beyond_the_training_count_is_refused_before_seeding(
+            self, small_dataset, monkeypatch):
+        lat, lon = small_dataset
+        train, test = train_test_split(lat.n_storms, 0.8, seed=6)
+        config = ExperimentConfig(seed=6, k_lat_max=2, k_lon_max=len(train) + 1)
+        runner = SplitRunner(lat, lon, train, test, config)
+        monkeypatch.setattr(experiment, "kmeans_seeds", None)   # any call fails
+        with pytest.raises(ValueError, match=f"k_lon_max={len(train) + 1} exceeds "
+                                             f"the {len(train)} training storms"):
+            runner.kmeans_for("lon", 2)
+        # k = 1 needs no clustering, so the global model is still served
+        assert runner.global_errors().shape == (len(test),)
 
     def test_edge_cells_hold_the_unions(self, small_dataset):
         # every fittable union that serves a test storm is a pair of its edge
