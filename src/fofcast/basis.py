@@ -141,7 +141,8 @@ def gram_matrix(basis: BasisSystem) -> np.ndarray:
     Gauss-Legendre quadrature per knot span; exact for the piecewise
     polynomial products a B-spline basis produces.
     """
-    breakpoints = np.unique(basis.full_knots)
+    knots = basis.full_knots     # sorted: np.unique's mask, without its numpy.ma import
+    breakpoints = knots[np.concatenate(([True], knots[1:] != knots[:-1]))]
     n_quad = basis.order  #  exact for degree 2(order-1) products
     nodes, weights = np.polynomial.legendre.leggauss(n_quad)
     half = 0.5 * (breakpoints[1:] - breakpoints[:-1])

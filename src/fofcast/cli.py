@@ -29,6 +29,9 @@ from .ingest import (DatasetMatrix, build_matrices, extract_tail,
                      train_test_split)
 from .regression import predict_trajectory
 
+# storms whose GeoJSON features are built and written at a time
+GEOJSON_CHUNK = 256
+
 
 def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace,
                     timings: dict[str, float], **fields) -> None:
@@ -54,7 +57,7 @@ def _write_matrix_csv(path: Path, matrix: DatasetMatrix) -> None:
     reprs per window point, ended as csv.writer ends its rows (CRLF)."""
     with path.open("w", newline="") as fh:
         csv.writer(fh).writerow(matrix.storm_ids)
-        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in matrix.values.tolist())
+        fh.writelines(",".join(map(repr, row.tolist())) + "\r\n" for row in matrix.values)
 
 
 def _repeated(ids) -> str:
@@ -63,23 +66,32 @@ def _repeated(ids) -> str:
 
 
 def _read_matrix_csv(path: Path, total_len: int) -> DatasetMatrix:
-    """The matrix under the storm-id header of ``path``, or a SchemaError naming it."""
+    """The matrix under the storm-id header of ``path``, read a row at a time,
+    or a SchemaError naming it."""
     try:
         with path.open() as fh:
             header = next(csv.reader(fh), None)
-            rows = fh.read().splitlines()
-        if header is None:
-            raise ValueError("no header of storm ids")
-        if len(rows) != total_len:
-            raise ValueError(f"{len(rows)} rows of values for a window of {total_len}")
-        ids = tuple(header)
-        if repeated := _repeated(ids):
-            raise ValueError(f"storm ids repeated in the header: {repeated}")
-        # ragged rows fail in np.array, rows unlike the header in the reshape
-        values = np.array([list(map(float, row.split(","))) for row in rows])
+            if header is None:
+                raise ValueError("no header of storm ids")
+            ids = tuple(header)
+            if repeated := _repeated(ids):
+                raise ValueError(f"storm ids repeated in the header: {repeated}")
+            values = np.empty((total_len, len(ids)))
+            n_rows = 0
+            # the body's rows as str.splitlines cuts it
+            for row in (row for line in fh for row in line.splitlines()):
+                if n_rows < total_len:
+                    cells = row.split(",")
+                    if len(cells) != len(ids):
+                        raise ValueError(f"row {n_rows + 1} holds {len(cells)} values "
+                                         f"for {len(ids)} storm ids")
+                    values[n_rows] = list(map(float, cells))
+                n_rows += 1
+        if n_rows != total_len:
+            raise ValueError(f"{n_rows} rows of values for a window of {total_len}")
         if not np.isfinite(values).all():
             raise ValueError("a value is not finite")
-        return DatasetMatrix(values=values.reshape(total_len, len(ids)), storm_ids=ids)
+        return DatasetMatrix(values=values, storm_ids=ids)
     except (csv.Error, ValueError, ShapeError) as exc:
         raise SchemaError(f"{path}: {exc}") from exc
 
@@ -219,6 +231,27 @@ def cmd_fit(args: argparse.Namespace) -> int:
     return 0
 
 
+def _write_geojson(path: Path, storm_ids, *arrays, include_truth: bool) -> float:
+    """Write the bytes of ``json.dumps(forecasts_to_geojson(storm_ids, *arrays,
+    include_truth=include_truth))``, building the features of near GEOJSON_CHUNK
+    storms at a time; the seconds spent building them. A chunk of two or more
+    storms scores each storm bit for bit as the whole batch does; one alone may not."""
+    built, start = 0.0, 0
+    n_chunks = max(1, -(-len(storm_ids) // GEOJSON_CHUNK))
+    with path.open("w") as fh:
+        fh.write('{"type": "FeatureCollection", "features": [')
+        for chunk in zip(*(np.array_split(a, n_chunks, axis=1) for a in arrays)):
+            stop = start + chunk[0].shape[1]
+            t0 = time.perf_counter()
+            geojson = forecasts_to_geojson(storm_ids[start:stop], *chunk,
+                                           include_truth=include_truth)
+            built += time.perf_counter() - t0
+            fh.write((", " if start else "") + json.dumps(geojson["features"])[1:-1])
+            start = stop
+        fh.write("]}")
+    return built
+
+
 def _write_forecasts(args: argparse.Namespace, command: str, select,
                      include_truth: bool) -> int:
     """Forecast the storms whose ids ``select`` takes from the split's test
@@ -244,15 +277,13 @@ def _write_forecasts(args: argparse.Namespace, command: str, select,
     lat_hat, lon_hat = predict_trajectory(*bases, *models, lat.values[:P, cols],
                                           lon.values[:P, cols], time_grid(meta["total_len"]))
     t_forecast = time.perf_counter()
-    geojson = forecasts_to_geojson(ids, lat_obs, lon_obs, lat_hat, lon_hat,
-                                   include_truth=include_truth)
-    t_geojson = time.perf_counter()
     args.out.parent.mkdir(parents=True, exist_ok=True)
-    args.out.write_text(json.dumps(geojson))
+    built = _write_geojson(args.out, ids, lat_obs, lon_obs, lat_hat, lon_hat,
+                           include_truth=include_truth)
     t_write = time.perf_counter()
     _write_manifest(args.out.parent, command, args,
                     {"load": t_load - t0, "forecast": t_forecast - t_load,
-                     "geojson": t_geojson - t_forecast, "write": t_write - t_geojson,
+                     "geojson": built, "write": t_write - t_forecast - built,
                      "total": t_write - t0})
     print(f"wrote {len(ids)} forecasts -> {args.out}")
     return 0

@@ -19,7 +19,7 @@ import numpy as np
 from .clustering import assign_batch, kmeans_fit, kmeans_seeds
 from .errors import ShapeError
 from .ingest import (DatasetMatrix, StormRecordSet, build_matrices, extract_tail,
-                     filter_min_length, time_grid, train_test_split)
+                     filter_min_length, time_grid, train_count, train_test_split)
 from .regression import fof_forecast, fof_statistics, regressors, solve_fof
 # fit_bundle, gram_matrix, fit_fof: not called here; perfbench/spans.py traces them
 from .basis import basis_matrix, bspline_basis, fit_bundle, gram_matrix  # noqa: F401
@@ -120,6 +120,13 @@ def make_bases(config: ExperimentConfig) -> tuple:
             bspline_basis(config.K_s, response_domain))
 
 
+def _check_grid(config: ExperimentConfig, coord: str, n_train: int) -> None:
+    """ValueError if the ``coord`` grid of ``config`` has more clusters than
+    the ``n_train`` training storms it clusters."""
+    if (k_max := getattr(config, f"k_{coord}_max")) > n_train:
+        raise ValueError(f"k_{coord}_max={k_max} exceeds the {n_train} training storms")
+
+
 def fittable(size: np.ndarray, min_size: int) -> np.ndarray:
     """Whether each group of a partition of the training storms, of ``size``
     storms, gets its own model: at ``min_size`` or more, or all of them."""
@@ -201,9 +208,7 @@ class SplitRunner:
         if (coord, k) not in self._kmeans_cache:
             c = ("lat", "lon").index(coord)
             points = self.train_segments[c]
-            if k_max > len(points):
-                raise ValueError(f"k_{coord}_max={k_max} exceeds the {len(points)} "
-                                 f"training storms")
+            _check_grid(self.config, coord, len(points))
             seeds = kmeans_seeds(points, k_max, self.config.seed)
             for j in range(2, k_max + 1):
                 model = kmeans_fit(points, j, init=seeds)
@@ -232,7 +237,7 @@ class SplitRunner:
             tables = np.full((2, 1, self.config.K_s, 1 + self.config.K_t), np.nan)
         ok = fittable(np.bincount(pair_tr, minlength=k_lat * k_lon),
                       self.config.min_cluster_size)
-        pairs = np.unique(pair_te[ok[pair_te]])
+        pairs = np.flatnonzero(ok & (np.bincount(pair_te, minlength=k_lat * k_lon) > 0))
         # the pair models of both coordinates, in one solve
         tables[:, pairs] = np.moveaxis(solve_fof(self.group_stats(pair_tr, pairs), self.eig,
                                                  self.config.ridge), 1, 0)
@@ -282,7 +287,12 @@ def split_workers(n_splits: int) -> int:
 
 
 def _reports(cases: list[tuple]) -> Iterator[ExperimentReport]:
-    """The report of each (lat_mat, lon_mat, config); all splits share one pool."""
+    """The report of each (lat_mat, lon_mat, config); all splits share one pool,
+    which starts only if every case's grid fits its training storms."""
+    for lat_mat, _, config in cases:
+        n_train = train_count(lat_mat.n_storms, config.ratio)
+        for coord in ("lat", "lon"):
+            _check_grid(config, coord, n_train)
     tasks = [(*case, rep) for case in cases for rep in range(case[2].n_repetitions)]
     traces = map(_split_row, *zip(*tasks))
     if (workers := split_workers(len(tasks))) > 1:

@@ -15,7 +15,7 @@ import io
 import warnings
 from dataclasses import dataclass
 from datetime import datetime
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -24,6 +24,8 @@ from .errors import LengthError, ParseError, SchemaError, ShapeError, Validation
 TIME_FORMAT = "%Y-%m-%d %H:%M:%S"
 # an RSMC data line is read up to the end of its lon field, columns 19-22
 RSMC_WIDTH = 23
+# characters of RSMC text whose lines are held as strings at a time
+RSMC_PIECE = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,20 +74,44 @@ def _rsmc_header(line: str, line_no: int) -> tuple[str, int, str]:
     return tokens[1], n_lines, line[30:50].strip()
 
 
-def _columns(lines: list[str], offsets: list[int]) -> tuple[np.ndarray, ...]:
-    """times, lat and lon of the RSMC data lines of storms that start at
-    ``offsets``, or ValueError; each field of all lines is read at once as
-    Python's int() would read it. Only columns 0-22 are encoded, so only they
-    must be ASCII."""
+def _lines(text: str) -> list[str]:
+    """The lines of ``text``, NUL in a data line read as \x01: NumPy reads NUL
+    as padding, and \x01 fails where NUL fails."""
+    lines = text.splitlines()
+    if "\x00" in text:
+        lines = [s if s.startswith("66666") else s.replace("\x00", "\x01") for s in lines]
+    return lines
+
+
+def _pieces(text: str) -> Iterator[str]:
+    """``text`` cut right after a newline about every RSMC_PIECE characters:
+    a cut there is a line boundary of str.splitlines, "\r\n" included."""
+    start = 0
+    while start < len(text):
+        stop = text.find("\n", start + RSMC_PIECE) + 1 or len(text)
+        yield text[start:stop]
+        start = stop
+
+
+def _cells(lines: list[str]) -> np.ndarray:
+    """len(lines) x RSMC_WIDTH bytes: columns 0-22 of each line, NUL-padded,
+    or ValueError if one of them is not ASCII."""
     try:   # the sliced copies below cost a fifth of the parse and 6 MB at peak
         cells = np.array(lines, f"S{RSMC_WIDTH}")
     except UnicodeEncodeError:   # NumPy encodes a whole line before it cuts it
         cells = np.array([line[:RSMC_WIDTH] for line in lines], f"S{RSMC_WIDTH}")
-    cells = cells.view(np.uint8).reshape(len(lines), RSMC_WIDTH)
+    return cells.view(np.uint8).reshape(len(lines), RSMC_WIDTH)
+
+
+def _columns(cells: np.ndarray, offsets: list[int]) -> tuple[np.ndarray, ...]:
+    """times, lat and lon of the RSMC data line ``cells`` of storms that start
+    at ``offsets``, or ValueError; each field of all lines is read at once as
+    Python's int() would read it."""
+    n = len(cells)
 
     def number(start, stop):
         digits = cells[:, start:stop] - np.uint8(ord("0"))   # a non-digit wraps to >= 10
-        values = np.zeros(len(lines), np.int64)
+        values = np.zeros(n, np.int64)
         for c in range(stop - start):
             values *= 10
             values += digits[:, c]
@@ -104,7 +130,7 @@ def _columns(lines: list[str], offsets: list[int]) -> tuple[np.ndarray, ...]:
               | (hour < 0) | (hour > 23)):
         raise ValueError("no such date")
     times = days.astype(np.int64) * 86400 + hour * 3600
-    opens = np.zeros(len(lines) + 1, bool)
+    opens = np.zeros(n + 1, bool)
     opens[offsets] = True
     if np.any(~opens[1:-1] & (np.diff(times) <= 0)):
         raise ValueError("times not strictly increasing")
@@ -114,15 +140,15 @@ def _columns(lines: list[str], offsets: list[int]) -> tuple[np.ndarray, ...]:
     return times, lat, lon
 
 
-def _first_fault(data: list[str], offsets: list[int], blocks: list[tuple],
-                 pending: ParseError | None) -> ParseError:
+def _first_fault(text: str, blocks: list[tuple], pending: ParseError | None) -> ParseError:
     """parse_rsmc's error path: the first fault in file order, storm by storm,
     then line by line; ``pending`` is a fault that follows all ``blocks``."""
-    for (start, storm_id, n_lines, _), a, b in zip(blocks, offsets, offsets[1:]):
-        block = data[a:b]
+    lines = _lines(text)
+    for start, storm_id, n_lines, _ in blocks:
+        block = lines[start:start + n_lines]
         try:
             if len(block) == n_lines:
-                _columns(block, [0])
+                _columns(_cells(block), [0])
                 continue
         except ValueError:
             pass
@@ -132,7 +158,7 @@ def _first_fault(data: list[str], offsets: list[int], blocks: list[tuple],
                 return ParseError(f"storm {storm_id}: header declares {n_lines} "
                                   f"data lines, found {j}", start)
             try:
-                _columns([line], [0])
+                _columns(_cells([line]), [0])
             except ValueError as exc:
                 return ParseError(f"unparsable data line {line.rstrip()!r} ({exc})",
                                   start + j + 1)
@@ -146,36 +172,44 @@ def parse_rsmc(stream: TextIO | str) -> list[StormRecordSet]:
     Header lines begin with indicator 66666 and declare how many data lines
     follow. Of the fixed-width data lines only yymmddhh (columns 0-7), lat*10
     (15-17) and lon*10 (19-22) are read, and columns 0-22 must be ASCII; the
-    rest (grade, pressure, wind, radii, '#' mark) is not checked. The headers are
-    read one by one, the data lines of all storms at once. The first fault
-    in file order raises ParseError with its line number.
+    rest (grade, pressure, wind, radii, '#' mark) is not checked. Only one
+    piece of the text is held as line strings at a time: its headers are read
+    one by one, and columns 0-22 of its data lines are kept as bytes. The
+    fields of all storms' data lines are then read at once. The first fault in
+    file order raises ParseError with its line number.
     """
     text = stream if isinstance(stream, str) else stream.read()
-    # split in place: a StringIO copy of the text takes 4 bytes a character
-    lines = text.splitlines()
-    if "\x00" in text:   # NumPy reads NUL as padding; \x01 fails where NUL fails
-        lines = [s if s.startswith("66666") else s.replace("\x00", "\x01") for s in lines]
     blocks: list[tuple[int, str, int, str]] = []  # (first data line index, id, count, name)
-    offsets, data = [0], []                       # rows of each block in ``data``
-    i = 0
-    while i < len(lines):
-        if not lines[i].strip():
-            i += 1
-            continue
+    offsets = [0]                                 # rows of each block in ``cells``
+    cells = [np.empty((0, RSMC_WIDTH), np.uint8)]  # to join for a text of no storm
+    first = 0     # lines of the text before the piece
+    owed = 0      # data lines of the last storm in the pieces to come
+    for piece in _pieces(text):
+        lines = _lines(piece)
+        data, i = lines[:owed], owed
+        while i < len(lines):
+            if not lines[i].strip():
+                i += 1
+                continue
+            try:
+                storm_id, n_lines, name = _rsmc_header(lines[i], first + i + 1)
+            except ParseError as exc:
+                raise _first_fault(text, blocks, exc) from None
+            blocks.append((first + i + 1, storm_id, n_lines, name))
+            offsets.append(offsets[-1] + n_lines)
+            data += lines[i + 1:i + 1 + n_lines]
+            i += 1 + n_lines
+        first, owed = first + len(lines), i - len(lines)
         try:
-            storm_id, n_lines, name = _rsmc_header(lines[i], i + 1)
-        except ParseError as exc:
-            raise _first_fault(data, offsets, blocks, exc) from None
-        blocks.append((i + 1, storm_id, n_lines, name))
-        data += lines[i + 1:i + 1 + n_lines]
-        offsets.append(len(data))
-        i += 1 + n_lines
+            cells.append(_cells(data))
+        except ValueError:
+            raise _first_fault(text, blocks, None) from None
     try:
-        if i > len(lines):
+        if owed:
             raise ValueError("the last storm is cut short")
-        columns = _columns(data, offsets[:-1])
+        columns = _columns(np.concatenate(cells), offsets[:-1])
     except ValueError:
-        raise _first_fault(data, offsets, blocks, None) from None
+        raise _first_fault(text, blocks, None) from None
     for column in columns:
         column.flags.writeable = False
     return [StormRecordSet(storm_id, name, *(column[a:b] for column in columns))
@@ -300,15 +334,21 @@ def build_matrices(windows: Sequence[StormRecordSet]
             DatasetMatrix(values=lon, storm_ids=ids))
 
 
-def train_test_split(n: int, ratio: float,
-                     seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded disjoint index partition; train size is floor(ratio * n), and
-    neither part may be empty."""
+def train_count(n: int, ratio: float) -> int:
+    """floor(ratio * n), the training storms of a split of ``n``; ValueError
+    unless both parts hold a storm."""
     if not 0.0 < ratio < 1.0:
         raise ValueError("ratio must be in (0, 1)")
     n_train = int(np.floor(ratio * n))
     if not 0 < n_train < n:
         raise ValueError(f"ratio {ratio} of {n} storms leaves {n_train} training "
                          f"and {n - n_train} test storms; need at least one of each")
+    return n_train
+
+
+def train_test_split(n: int, ratio: float,
+                     seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded disjoint index partition; train size is ``train_count(n, ratio)``."""
+    n_train = train_count(n, ratio)
     perm = np.random.default_rng(seed).permutation(n)
     return np.sort(perm[:n_train]), np.sort(perm[n_train:])

@@ -17,10 +17,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fofcast import DatasetMatrix, ExperimentConfig, train_test_split, write_csv
-from fofcast import experiment
-from fofcast.cli import (_config, _load_dataset, _read_matrix_csv, _write_matrix_csv,
-                         build_parser, main)
-from fofcast.experiment import SplitRunner
+from fofcast.errors import SchemaError
+from fofcast import cli, experiment
+from fofcast.cli import (_config, _load_dataset, _read_matrix_csv, _write_geojson,
+                         _write_matrix_csv, build_parser, main)
+from fofcast.experiment import SplitRunner, forecasts_to_geojson
 
 from conftest import (make_rsmc_storm, make_storm, rsmc_data_line, rsmc_header,
                       synthetic_tracks)
@@ -302,6 +303,18 @@ class TestGrid:
         assert code == 2
         assert f"{name}=33 exceeds the 32 training storms" in capsys.readouterr().err
         assert calls == []
+        assert not out.exists()
+
+    def test_oversized_grid_is_refused_before_any_split(self, ingested, tmp_path,
+                                                        monkeypatch, capsys):
+        def split_row(*args):
+            raise AssertionError("a split ran")
+        monkeypatch.setattr(experiment, "_split_row", split_row)
+        out = tmp_path / "g"
+        code = main(["grid", "--data", str(ingested), "--out", str(out),
+                     "--k-lat", "1000", "--reps", "2"])
+        assert code == 2
+        assert "k_lat_max=1000 exceeds the 32 training storms" in capsys.readouterr().err
         assert not out.exists()
 
     def test_min_cluster_size_zero(self, ingested, tmp_path, capsys):
@@ -668,6 +681,28 @@ class TestInputFiles:
         assert path.read_bytes() == buf.getvalue().encode()
         assert path.read_bytes().startswith(b'"05,01","05""02",05 03\r\n-0.0,5e-324,')
 
+    @pytest.mark.parametrize("damage, message", [
+        (lambda rows: rows[:-1] + [rows[-1].rsplit(",", 1)[0]], "row 2 holds 2 values for 3"),
+        (lambda rows: rows[:-1] + [rows[-1] + ",1.0"], "row 2 holds 4 values for 3"),
+        (lambda rows: rows[:-1] + [rows[-1].rsplit(",", 1)[0] + ",inf"], "not finite"),
+        (lambda rows: rows[:-1] + [rows[-1].rsplit(",", 1)[0] + ",nan"], "not finite"),
+        (lambda rows: rows[:-1] + [rows[-1].rsplit(",", 1)[0] + ",x"], "could not convert"),
+        (lambda rows: rows[:-1], "1 rows of values for a window of 2"),
+        (lambda rows: rows + [rows[-1]], "3 rows of values for a window of 2"),
+        (lambda rows: rows[:-1] + [rows[-1].replace(",", "\x0b,", 1)], "row 2 holds 1 values"),
+        (lambda rows: [], "0 rows of values"),
+    ], ids=["ragged-last-row", "long-last-row", "inf-last-value", "nan-last-value",
+            "text-last-value", "row-missing", "row-added", "vertical-tab", "no-rows"])
+    def test_damaged_matrix_csv_names_the_file(self, tmp_path, damage, message):
+        path = tmp_path / "m.csv"
+        _write_matrix_csv(path, DatasetMatrix(values=np.arange(6.0).reshape(2, 3) + 0.5,
+                                              storm_ids=("A", "B", "C")))
+        header, *rows = path.read_text().splitlines()
+        path.write_text("\n".join([header, *damage(rows)]) + "\n")
+        with pytest.raises(SchemaError, match=message) as info:
+            _read_matrix_csv(path, 2)
+        assert str(path) in str(info.value)
+
     @pytest.mark.parametrize("command", ["predict", "export"])
     @pytest.mark.parametrize("change", ["one-column-fewer", "reordered-ids"])
     def test_lon_ids_differ_from_lat(self, ingested, fitted, tmp_path, capsys,
@@ -683,6 +718,28 @@ class TestInputFiles:
                      "--out", str(tmp_path / "fc.geojson")])
         assert code == 2
         assert "lon.csv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 256, 257, 513])
+@pytest.mark.parametrize("include_truth", [True, False])
+def test_geojson_written_in_chunks_is_the_whole_document(tmp_path, monkeypatch, n,
+                                                         include_truth):
+    """The chunks, near-equal and at most GEOJSON_CHUNK storms each, write the
+    bytes of json.dumps of the whole batch's document."""
+    rng = np.random.default_rng(n)
+    lat, lon = rng.uniform(-60, 60, (32, n)), rng.uniform(-20, 380, (32, n))
+    lat_hat, lon_hat = lat[24:] + rng.normal(0, 1, (8, n)), lon[24:] + rng.normal(0, 1, (8, n))
+    ids = [f"S{j:04d}" for j in range(n)]
+    sizes = []
+    monkeypatch.setattr(cli, "forecasts_to_geojson",
+                        lambda storm_ids, *a, **kw: sizes.append(len(storm_ids))
+                        or forecasts_to_geojson(storm_ids, *a, **kw))
+    path = tmp_path / "fc.geojson"
+    _write_geojson(path, ids, lat, lon, lat_hat, lon_hat, include_truth=include_truth)
+    whole = forecasts_to_geojson(ids, lat, lon, lat_hat, lon_hat, include_truth=include_truth)
+    assert path.read_text() == json.dumps(whole)
+    assert sizes == {0: [0], 1: [1], 2: [2], 256: [256], 257: [129, 128],
+                     513: [171, 171, 171]}[n]
 
 
 # byte strings that JSON, CSV and RSMC readers each treat specially

@@ -679,3 +679,22 @@ config = ExperimentConfig(seed=1, n_repetitions=2, k_lat_max=3, k_lon_max=3)
 print(repeated_simulation(lat, lon, config).to_json())
 """
     assert _run_python(code) == _run_python(code, one_blas_thread=False)
+
+
+def test_a_grid_imports_no_masked_arrays():
+    # NumPy 2's np.unique imports numpy.ma on its first call, which costs each
+    # forked split worker about 20 ms; NumPy 1 imports it with numpy
+    out = _run_python("""
+import sys
+import numpy
+before = set(sys.modules)
+from conftest import synthetic_matrices
+from fofcast.experiment import ExperimentConfig, SplitRunner
+from fofcast.ingest import train_test_split
+lat, lon = synthetic_matrices(n=60, seed=3, noise=0.1)
+config = ExperimentConfig(k_lat_max=3, k_lon_max=3, min_cluster_size=5)
+runner = SplitRunner(lat, lon, *train_test_split(60, config.ratio, 0), config)
+[runner.clustered_errors(i, j) for i in (1, 2, 3) for j in (1, 2, 3)]
+print(sorted(m for m in set(sys.modules) - before if m.split(".")[:2] == ["numpy", "ma"]))
+""")
+    assert out == "[]\n"

@@ -2,6 +2,7 @@ import csv
 import io
 import warnings
 from datetime import datetime
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from fofcast import (build_matrices, extract_tail, filter_min_length,
                      parse_csv, parse_rsmc, train_test_split, write_csv)
+from fofcast import ingest
 from fofcast.errors import LengthError, ParseError, SchemaError, ShapeError, ValidationError
 from fofcast.ingest import RSMC_WIDTH, TIME_FORMAT
 
@@ -342,6 +344,88 @@ class TestColumnarRsmc:
         for past in (line[:27] + "\x00", line[:26] + "٣" + line[27:], line + " é"):
             storms = parse_rsmc(head + past + "\n")
             np.testing.assert_array_equal(storms[0].lons, [140.0, 139.5])
+
+
+def parse_outcome(text: str, piece: int | None = None):
+    """parse_rsmc's storms as ``outcome`` gives them, or its error's type,
+    message and line number, with ``text`` read in pieces of about ``piece``
+    characters (the default size if None)."""
+    piece = ingest.RSMC_PIECE if piece is None else piece
+    with mock.patch.object(ingest, "RSMC_PIECE", piece):
+        try:
+            storms = parse_rsmc(text)
+        except ParseError as exc:
+            return ParseError, str(exc), exc.line_no
+    return repr([(s.storm_id, s.name, record_rows(s)) for s in storms])
+
+
+def _lines_joined(text: str, seps) -> str:
+    """``text`` with its k-th newline replaced by ``seps[k % len(seps)]``."""
+    parts = text.split("\n")
+    return "".join(p + seps[k % len(seps)] for k, p in enumerate(parts[:-1])) + parts[-1]
+
+
+BLANK_LINES = (make_rsmc_storm("0501", [15.0, 15.5, 16.2], [140.0, 139.5, 139.1])
+               + "\n   \n\t\n"
+               + make_rsmc_storm("0502", [10.0, 10.4], [150.0, 149.0]) + "\n")
+
+
+class TestRsmcPieces:
+    """parse_rsmc reads its text a piece at a time; every cut gives the outcome
+    of one piece, storms, error message and line number alike."""
+
+    @given(st.text(st.sampled_from("ab 6\r\n\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"),
+                   max_size=40), st.integers(0, 8))
+    @settings(max_examples=300, deadline=None)
+    def test_pieces_end_on_line_boundaries(self, text, piece):
+        with mock.patch.object(ingest, "RSMC_PIECE", piece):
+            pieces = list(ingest._pieces(text))
+        assert "".join(pieces) == text
+        assert all(p for p in pieces) and all(p.endswith("\n") for p in pieces[:-1])
+        assert [line for p in pieces for line in p.splitlines()] == text.splitlines()
+
+    def test_default_piece_size_cuts_a_long_text(self):
+        text = "".join(make_rsmc_storm(f"{k:04d}", 15.0 + 0.1 * np.arange(40),
+                                       140.0 - 0.1 * np.arange(40)) for k in range(200))
+        assert len(list(ingest._pieces(text))) == -(-len(text) // ingest.RSMC_PIECE) > 1
+        assert parse_outcome(text) == parse_outcome(text, 0)
+
+    @pytest.mark.parametrize("text", [
+        THREE_STORMS,
+        THREE_STORMS.replace("\n", "\r\n"),
+        _lines_joined(THREE_STORMS, ["\n", "\r", "\n", "\n"]),
+        THREE_STORMS.replace("\n", "\r"),
+        _lines_joined(THREE_STORMS, ["\n", "\x0b", "\u2028", "\r\n"]),
+        THREE_STORMS.replace(" 990 ", " 99\x00 ", 2),
+        THREE_STORMS.replace(" 1395 ", " 1\x0095 ", 1),
+        THREE_STORMS[:-1],
+        BLANK_LINES,
+        BLANK_LINES.replace("66666 0501   3", "66666 0501   4"),
+        THREE_STORMS[:THREE_STORMS.rindex("\n", 0, -1) + 1],
+        "",
+    ], ids=["lf", "crlf", "lone-cr", "cr-only", "vt-and-line-separator", "nul-past-lon",
+            "nul-in-lon", "no-final-newline", "blank-lines-between-storms",
+            "storm-cut-short-by-blank-lines", "last-storm-cut-short", "empty"])
+    def test_every_cut_gives_the_outcome_of_one_piece(self, text):
+        whole = parse_outcome(text, len(text) + 1)
+        assert all(parse_outcome(text, piece) == whole for piece in range(len(text) + 1))
+        assert parse_outcome(text) == whole
+        assert outcome(parse_rsmc, text) == outcome(reference_parse, text)
+
+    def test_every_column_matches_in_pieces(self):
+        text = mixed_rsmc_text()
+        assert parse_outcome(text, 0) == parse_outcome(text, 100) == parse_outcome(text)
+
+    @given(st.data(), st.integers(0, 200))
+    @settings(max_examples=300, deadline=None)
+    def test_damaged_text_in_pieces(self, data, piece):
+        text = data.draw(mutants(THREE_STORMS))
+        assert parse_outcome(text, piece) == parse_outcome(text)
+
+    @given(signed_fields(THREE_STORMS), st.integers(0, 200))
+    @settings(max_examples=200, deadline=None)
+    def test_signed_fields_in_pieces(self, text, piece):
+        assert parse_outcome(text, piece) == parse_outcome(text)
 
 
 class TestParseCsv:
