@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import inspect
+import io
 import json
 import sys
 import time
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import (FofcastError, SchemaError, ShapeError, SingularityError,
+from .errors import (FofcastError, ParseError, SchemaError, ShapeError, SingularityError,
                      StormLookupError, ValidationError)
 from .experiment import (ExperimentConfig, SplitRunner, forecasts_to_geojson,
                          length_study, make_bases, repeated_simulation,
@@ -47,9 +48,30 @@ def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace,
         json.dumps(manifest, indent=2))
 
 
+def _undecodable(path: Path, fmt: str, encoding: str) -> ParseError:
+    """The first byte of ``path`` that ``encoding`` cannot decode, on its line
+    as ``fmt`` counts lines: str.splitlines for RSMC, "\n", "\r\n" and "\r"
+    for CSV."""
+    data = path.read_bytes()
+    try:
+        data.decode(encoding)
+        return ParseError(f"{path}: changed while it was read")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start].decode(encoding) + "x"   # a line for the byte
+        lines = head.splitlines() if fmt == "rsmc" else io.StringIO(head, newline="")
+        return ParseError(f"'{encoding}' codec can't decode byte 0x{data[exc.start]:02x}: "
+                          f"{exc.reason}", len(list(lines)))
+
+
 def _load_storms(path: Path, fmt: str):
-    text = path.read_text()
-    return parse_rsmc(text) if fmt == "rsmc" else parse_csv(text)
+    """The storms of a CSV file, or of an RSMC file read a piece at a time."""
+    try:
+        if fmt == "csv":
+            return parse_csv(path.read_text())
+        with path.open() as fh:
+            return parse_rsmc(fh)
+    except UnicodeDecodeError as exc:   # its position counts from a read, not the file
+        raise _undecodable(path, fmt, exc.encoding) from None
 
 
 def _write_matrix_csv(path: Path, matrix: DatasetMatrix) -> None:

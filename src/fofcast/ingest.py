@@ -6,6 +6,9 @@ track: only each record's time, lat and lon are read. Checked at ingest:
 latitudes lie in [-90, 90]; longitudes in [0, 360), into which CSV
 longitudes in [-180, 0) are wrapped; times strictly increase per storm.
 The models assume 6-hourly steps, which ``fofcast ingest`` counts, not checks.
+An RSMC file is read from the open file a piece at a time, and the fields
+of each piece's complete storms are read at once, so the whole text is
+never held; a CSV text is read whole.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .errors import LengthError, ParseError, SchemaError, ShapeError, Validation
 TIME_FORMAT = "%Y-%m-%d %H:%M:%S"
 # an RSMC data line is read up to the end of its lon field, columns 19-22
 RSMC_WIDTH = 23
-# characters of RSMC text whose lines are held as strings at a time
+# characters of RSMC text read, and held as line strings, at a time
 RSMC_PIECE = 1 << 18
 
 
@@ -83,14 +86,27 @@ def _lines(text: str) -> list[str]:
     return lines
 
 
-def _pieces(text: str) -> Iterator[str]:
-    """``text`` cut right after a newline about every RSMC_PIECE characters:
-    a cut there is a line boundary of str.splitlines, "\r\n" included."""
-    start = 0
-    while start < len(text):
-        stop = text.find("\n", start + RSMC_PIECE) + 1 or len(text)
-        yield text[start:stop]
-        start = stop
+def _pieces(source: TextIO | str) -> Iterator[str]:
+    """``source`` cut right after a newline: a str about every RSMC_PIECE
+    characters, a stream after the last newline of each read of RSMC_PIECE
+    characters, whose rest is carried into the next. A cut there is a line
+    boundary of str.splitlines, "\r\n" included."""
+    if isinstance(source, str):
+        start = 0
+        while start < len(source):
+            stop = source.find("\n", start + RSMC_PIECE) + 1 or len(source)
+            yield source[start:stop]
+            start = stop
+        return
+    held: list[str] = []   # the reads since the last newline, joined once
+    while chunk := source.read(RSMC_PIECE):
+        stop = chunk.rfind("\n") + 1
+        if stop:
+            yield "".join(held + [chunk[:stop]])
+            held = []
+        held.append(chunk[stop:])
+    if rest := "".join(held):
+        yield rest
 
 
 def _cells(lines: list[str]) -> np.ndarray:
@@ -172,19 +188,33 @@ def parse_rsmc(stream: TextIO | str) -> list[StormRecordSet]:
     Header lines begin with indicator 66666 and declare how many data lines
     follow. Of the fixed-width data lines only yymmddhh (columns 0-7), lat*10
     (15-17) and lon*10 (19-22) are read, and columns 0-22 must be ASCII; the
-    rest (grade, pressure, wind, radii, '#' mark) is not checked. Only one
-    piece of the text is held as line strings at a time: its headers are read
-    one by one, and columns 0-22 of its data lines are kept as bytes. The
-    fields of all storms' data lines are then read at once. The first fault in
-    file order raises ParseError with its line number.
+    rest (grade, pressure, wind, radii, '#' mark) is not checked. ``stream``
+    is a str or an open text file, which is read a piece at a time. Only one
+    piece is held as line strings at a time: its headers are read one by one,
+    columns 0-22 of its data lines are kept as bytes, and the fields of its
+    complete storms are read at once; a storm the piece cuts waits for the
+    next. The first fault in file order raises ParseError with its line
+    number: that path reads the whole text again, from where a stream stood
+    if it can seek; a stream that cannot is read whole first.
     """
-    text = stream if isinstance(stream, str) else stream.read()
+    if not isinstance(stream, str) and not stream.seekable():
+        stream = stream.read()
+    origin = None if isinstance(stream, str) else stream.tell()
     blocks: list[tuple[int, str, int, str]] = []  # (first data line index, id, count, name)
-    offsets = [0]                                 # rows of each block in ``cells``
-    cells = [np.empty((0, RSMC_WIDTH), np.uint8)]  # to join for a text of no storm
-    first = 0     # lines of the text before the piece
-    owed = 0      # data lines of the last storm in the pieces to come
-    for piece in _pieces(text):
+    offsets = [0]       # rows of each block among all data lines
+    columns = []        # times, lat and lon of the complete storms of each piece
+    carry = np.empty((0, RSMC_WIDTH), np.uint8)   # cells of the storm a piece cut
+    done = 0            # storms whose fields are read
+    first = 0           # lines of the text before the piece
+    owed = 0            # data lines of the last storm in the pieces to come
+
+    def fault(pending: ParseError | None = None) -> ParseError:
+        if origin is None:
+            return _first_fault(stream, blocks, pending)
+        stream.seek(origin)
+        return _first_fault(stream.read(), blocks, pending)
+
+    for piece in _pieces(stream):
         lines = _lines(piece)
         data, i = lines[:owed], owed
         while i < len(lines):
@@ -194,22 +224,25 @@ def parse_rsmc(stream: TextIO | str) -> list[StormRecordSet]:
             try:
                 storm_id, n_lines, name = _rsmc_header(lines[i], first + i + 1)
             except ParseError as exc:
-                raise _first_fault(text, blocks, exc) from None
+                raise fault(exc) from None
             blocks.append((first + i + 1, storm_id, n_lines, name))
             offsets.append(offsets[-1] + n_lines)
             data += lines[i + 1:i + 1 + n_lines]
             i += 1 + n_lines
         first, owed = first + len(lines), i - len(lines)
+        complete = len(blocks) - (owed > 0)
+        rows = offsets[complete] - offsets[done]
         try:
-            cells.append(_cells(data))
+            cells = np.concatenate([carry, _cells(data)])
+            columns.append(_columns(cells[:rows], [o - offsets[done]
+                                                   for o in offsets[done:complete]]))
         except ValueError:
-            raise _first_fault(text, blocks, None) from None
-    try:
-        if owed:
-            raise ValueError("the last storm is cut short")
-        columns = _columns(np.concatenate(cells), offsets[:-1])
-    except ValueError:
-        raise _first_fault(text, blocks, None) from None
+            raise fault() from None
+        carry, done = cells[rows:], complete
+        del lines, data   # before the next piece is split
+    if owed:   # the last storm is cut short
+        raise fault()
+    columns = [np.concatenate(column) for column in zip(*columns)]
     for column in columns:
         column.flags.writeable = False
     return [StormRecordSet(storm_id, name, *(column[a:b] for column in columns))

@@ -4,11 +4,13 @@ import hashlib
 import inspect
 import io
 import json
+import locale
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 
 from fofcast import DatasetMatrix, ExperimentConfig, train_test_split, write_csv
 from fofcast.errors import SchemaError
-from fofcast import cli, experiment
+from fofcast import cli, experiment, ingest
 from fofcast.cli import (_config, _load_dataset, _read_matrix_csv, _write_geojson,
                          _write_matrix_csv, build_parser, main)
 from fofcast.experiment import SplitRunner, forecasts_to_geojson
@@ -138,6 +140,57 @@ class TestIngest:
                      "--out", str(tmp_path / "o")])
         assert code == 2
         assert f"error: line {line_no}: " in capsys.readouterr().err
+
+    def test_rsmc_file_is_held_a_piece_at_a_time(self, tmp_path, monkeypatch):
+        """The traced peak of loading an RSMC file of ten pieces stays below
+        twice its length; holding the whole text as a str and as lines takes
+        more than four times it."""
+        j = np.arange(40)
+        text = "".join(make_rsmc_storm(f"{k:04d}", 15.0 + 0.1 * j, 140.0 - 0.2 * j)
+                       for k in range(200))
+        path = tmp_path / "bst.txt"
+        path.write_text(text)
+        monkeypatch.setattr(ingest, "RSMC_PIECE", len(text) // 10)
+        with path.open() as fh:
+            assert len(list(ingest._pieces(fh))) >= 8
+        expected = ingest.parse_rsmc(text)
+        tracemalloc.start()
+        try:
+            storms = cli._load_storms(path, "rsmc")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [s.storm_id for s in storms] == [s.storm_id for s in expected]
+        assert all(np.array_equal(a.lons, b.lons) for a, b in zip(storms, expected))
+        assert peak < 2 * len(text)
+
+    @pytest.mark.skipif(locale.getpreferredencoding(False).lower().replace("-", "") != "utf8",
+                        reason="files are opened in the locale's encoding, here not UTF-8")
+    @pytest.mark.parametrize("command", ["ingest", "length-study"])
+    @pytest.mark.parametrize("fmt", ["rsmc", "csv"])
+    def test_undecodable_byte_names_its_line(self, tmp_path, capsys, monkeypatch,
+                                             command, fmt):
+        j = np.arange(10)
+        if fmt == "rsmc":   # CRLF and LF line ends; the byte is read 300 reads in
+            text = "".join(make_rsmc_storm(f"{k:04d}", 15.0 + 0.2 * j, 140.0 - 0.3 * j)
+                           .replace("\n", "\r\n" if k % 2 else "\n") for k in range(30))
+            monkeypatch.setattr(ingest, "RSMC_PIECE", 32)
+        else:               # csv.writer ends its rows with CRLF
+            buf = io.StringIO()
+            write_csv([make_storm(f"C{k:03d}", 15.0 + 0.2 * j, 140.0 - 0.3 * j)
+                       for k in range(30)], buf)
+            text = buf.getvalue()
+        lines = text.encode().splitlines(keepends=True)
+        body = lines[249].rstrip(b"\r\n")   # the byte ends line 250
+        lines[249] = body + b"\xff" + lines[249][len(body):]
+        path = tmp_path / "bst.txt"
+        path.write_bytes(b"".join(lines))
+        code = main([command, "--format", fmt, "--input", str(path),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == ("error: line 250: 'utf-8' codec can't decode "
+                                           "byte 0xff: invalid start byte\n")
+        assert not (tmp_path / "o").exists()
 
     def test_irregular_cadence_is_counted(self, tmp_path, capsys):
         j = np.arange(40)

@@ -1,12 +1,13 @@
 import csv
 import io
+import os
 import warnings
 from datetime import datetime
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fofcast import (build_matrices, extract_tail, filter_min_length,
@@ -346,14 +347,14 @@ class TestColumnarRsmc:
             np.testing.assert_array_equal(storms[0].lons, [140.0, 139.5])
 
 
-def parse_outcome(text: str, piece: int | None = None):
+def parse_outcome(source, piece: int | None = None):
     """parse_rsmc's storms as ``outcome`` gives them, or its error's type,
-    message and line number, with ``text`` read in pieces of about ``piece``
-    characters (the default size if None)."""
+    message and line number, with ``source``, a str or an open file, read in
+    pieces of about ``piece`` characters (the default size if None)."""
     piece = ingest.RSMC_PIECE if piece is None else piece
     with mock.patch.object(ingest, "RSMC_PIECE", piece):
         try:
-            storms = parse_rsmc(text)
+            storms = parse_rsmc(source)
         except ParseError as exc:
             return ParseError, str(exc), exc.line_no
     return repr([(s.storm_id, s.name, record_rows(s)) for s in storms])
@@ -426,6 +427,116 @@ class TestRsmcPieces:
     @settings(max_examples=200, deadline=None)
     def test_signed_fields_in_pieces(self, text, piece):
         assert parse_outcome(text, piece) == parse_outcome(text)
+
+
+def stream_outcome(path, text: str, piece: int, newline: str | None = None):
+    """parse_outcome of ``text`` written to ``path`` and parsed from the file
+    opened as ``_load_storms`` opens it (``newline=""`` leaves line ends as
+    written), read ``piece`` characters at a time."""
+    path.write_text(text, encoding="utf-8", newline="")
+    with path.open(encoding="utf-8", newline=newline) as fh:
+        return parse_outcome(fh, piece)
+
+
+def pipe_outcome(text: str, piece: int):
+    """parse_outcome of ``text`` read through a pipe, a stream that cannot seek."""
+    r, w = os.pipe()
+    with open(w, "w", encoding="utf-8") as fh:   # within the pipe's buffer
+        fh.write(text)
+    with open(r, encoding="utf-8") as fh:
+        assert not fh.seekable()
+        return parse_outcome(fh, piece)
+
+
+def _storms_text(n_storms: int, n_records: int) -> str:
+    j = np.arange(n_records)
+    return "".join(make_rsmc_storm(f"{k:04d}", 15.0 + 0.2 * j, 140.0 - 0.3 * j)
+                   for k in range(n_storms))
+
+
+MIXED = mixed_rsmc_text()
+# the stream tests rewrite one file per example
+ONE_FILE = settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestRsmcStream:
+    """parse_rsmc on an open file reads it a piece at a time and gives the
+    outcome of the str path: storms, error message and line number alike."""
+
+    @given(st.integers(1, 2 * len(MIXED)))
+    @ONE_FILE
+    def test_mixed_text(self, tmp_path, piece):
+        assert stream_outcome(tmp_path / "bst.txt", MIXED, piece) == parse_outcome(MIXED)
+
+    @given(st.data(), st.integers(1, 200))
+    @ONE_FILE
+    def test_damaged_text(self, tmp_path, data, piece):
+        text = data.draw(mutants(THREE_STORMS))
+        assert stream_outcome(tmp_path / "bst.txt", text, piece) == parse_outcome(text)
+
+    @given(signed_fields(THREE_STORMS), st.integers(1, 200))
+    @ONE_FILE
+    def test_signed_fields(self, tmp_path, text, piece):
+        assert stream_outcome(tmp_path / "bst.txt", text, piece) == parse_outcome(text)
+
+    def test_crlf_across_a_read_boundary(self, tmp_path):
+        text = _lines_joined(THREE_STORMS, ["\r\n", "\r\n", "\r", "\n"])
+        whole = parse_outcome(text)
+        assert "ParseError" not in whole
+        # the first read ends between "\r" and "\n"
+        cut = text.index("\r\n") + 1
+        (tmp_path / "bst.txt").write_text(text, encoding="utf-8", newline="")
+        with (tmp_path / "bst.txt").open(encoding="utf-8", newline="") as fh, \
+                mock.patch.object(ingest, "RSMC_PIECE", cut):
+            pieces = list(ingest._pieces(fh))
+        assert "".join(pieces) == text and pieces[0].endswith("\r\n")
+        for newline in (None, ""):   # as read_text() translates them, and as written
+            assert all(stream_outcome(tmp_path / "bst.txt", text, piece, newline) == whole
+                       for piece in range(1, len(text) + 2))
+        assert parse_outcome((tmp_path / "bst.txt").read_text()) == whole
+
+    def test_a_storm_across_three_pieces(self, tmp_path):
+        long = make_rsmc_storm("0502", 10.0 + 0.1 * np.arange(40), 150.0 - 0.2 * np.arange(40))
+        head = make_rsmc_storm("0501", [15.0, 15.5], [140.0, 139.5])
+        text = head + long + make_rsmc_storm("0503", [20.0, 21.0], [130.0, 131.0])
+        piece = 400
+        with io.StringIO(text) as fh, mock.patch.object(ingest, "RSMC_PIECE", piece):
+            ends = np.cumsum([len(p) for p in ingest._pieces(fh)])
+        # pieces that hold a character of storm 0502
+        spans = np.searchsorted(ends, [len(head), len(head) + len(long) - 1], "right")
+        assert spans[1] - spans[0] + 1 >= 3
+        assert "ParseError" not in parse_outcome(text)
+        assert stream_outcome(tmp_path / "bst.txt", text, piece) == parse_outcome(text)
+
+    @pytest.mark.parametrize("text", [THREE_STORMS, THREE_STORMS[:-1],
+                                      THREE_STORMS.splitlines()[0]],
+                             ids=["storms", "no-final-newline", "one-line-no-newline"])
+    def test_a_read_that_holds_no_newline(self, tmp_path, text):
+        # every read of 5 characters inside a line of 36 or more holds no newline
+        assert min(map(len, text.splitlines())) > 5
+        for piece in (1, 5, 35):
+            assert stream_outcome(tmp_path / "bst.txt", text, piece) == parse_outcome(text)
+
+    @pytest.mark.parametrize("line, edit", [(262, "05070100 002 5 xxx 1400"),
+                                            (265, "66666 0025   x")],
+                             ids=["data-fault", "header-fault"])
+    def test_a_fault_in_a_later_piece(self, tmp_path, line, edit):
+        lines = _storms_text(30, 10).splitlines()   # headers on lines 1, 12, 23, ...
+        lines[line - 1] = edit
+        text = "\n".join(lines) + "\n"
+        piece = 500
+        assert len("\n".join(lines[:line])) > 10 * piece
+        got = stream_outcome(tmp_path / "bst.txt", text, piece)
+        assert got == parse_outcome(text) == parse_outcome(text, piece)
+        assert got[0] is ParseError and got[2] == line
+
+    @pytest.mark.parametrize("text, line_no", [(THREE_STORMS, None),
+                                               (THREE_STORMS.replace("1332", "13x2"), 11)],
+                             ids=["storms", "data-fault-in-the-last-storm"])
+    def test_a_stream_that_cannot_seek(self, text, line_no):
+        got = pipe_outcome(text, 50)
+        assert got == parse_outcome(text)
+        assert got[2] == line_no if line_no else "ParseError" not in got
 
 
 class TestParseCsv:
