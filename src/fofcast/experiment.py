@@ -68,8 +68,8 @@ class ExperimentConfig:
                              f"{self.total_len - self.predictor_len} response points")
         for name, low in (("k_lat_max", 1), ("k_lon_max", 1), ("n_repetitions", 1),
                           ("min_cluster_size", 1), ("ridge", 0), ("seed", 0)):
-            if not getattr(self, name) >= low:     # refuses NaN as well
-                raise ValueError(f"{name} must be >= {low}")
+            if not low <= getattr(self, name) < np.inf:     # refuses NaN as well
+                raise ValueError(f"{name} must be >= {low} and finite")
 
 
 @dataclass

@@ -6,9 +6,10 @@ track: only each record's time, lat and lon are read. Checked at ingest:
 latitudes lie in [-90, 90]; longitudes in [0, 360), into which CSV
 longitudes in [-180, 0) are wrapped; times strictly increase per storm.
 The models assume 6-hourly steps, which ``fofcast ingest`` counts, not checks.
-An RSMC file is read from the open file a piece at a time, and the fields
-of each piece's complete storms are read at once, so the whole text is
-never held; a CSV text is read whole.
+An RSMC file is read once from the open file, a piece at a time, faults
+included: the fields of the storms each piece completes are read at once,
+the lines of a storm it cuts are held for the next, and a fault is named
+from the lines in hand; a CSV text is read whole.
 """
 
 from __future__ import annotations
@@ -156,12 +157,14 @@ def _columns(cells: np.ndarray, offsets: list[int]) -> tuple[np.ndarray, ...]:
     return times, lat, lon
 
 
-def _first_fault(text: str, blocks: list[tuple], pending: ParseError | None) -> ParseError:
-    """parse_rsmc's error path: the first fault in file order, storm by storm,
-    then line by line; ``pending`` is a fault that follows all ``blocks``."""
-    lines = _lines(text)
+def _first_fault(lines: list[str], blocks: list[tuple], first: int,
+                 pending: ParseError | None) -> ParseError:
+    """parse_rsmc's error path: the first fault in file order among ``blocks``,
+    storm by storm, then line by line. ``lines`` are the text's lines after
+    its first ``first``, and hold those of ``blocks``; ``pending`` is a fault
+    that follows all ``blocks``."""
     for start, storm_id, n_lines, _ in blocks:
-        block = lines[start:start + n_lines]
+        block = lines[start - first:start - first + n_lines]
         try:
             if len(block) == n_lines:
                 _columns(_cells(block), [0])
@@ -189,34 +192,21 @@ def parse_rsmc(stream: TextIO | str) -> list[StormRecordSet]:
     follow. Of the fixed-width data lines only yymmddhh (columns 0-7), lat*10
     (15-17) and lon*10 (19-22) are read, and columns 0-22 must be ASCII; the
     rest (grade, pressure, wind, radii, '#' mark) is not checked. ``stream``
-    is a str or an open text file, which is read a piece at a time. Only one
-    piece is held as line strings at a time: its headers are read one by one,
-    columns 0-22 of its data lines are kept as bytes, and the fields of its
-    complete storms are read at once; a storm the piece cuts waits for the
-    next. The first fault in file order raises ParseError with its line
-    number: that path reads the whole text again, from where a stream stood
-    if it can seek; a stream that cannot is read whole first.
+    is a str or an open text file, which is read once, a piece at a time.
+    Only the lines of one piece, after those of the storm the last piece
+    cut, are held as strings at a time: their headers are read one by one
+    and the fields of the storms they complete at once. The first fault in
+    file order raises ParseError with its line number, named from the lines
+    in hand, since the storms before them have been read.
     """
-    if not isinstance(stream, str) and not stream.seekable():
-        stream = stream.read()
-    origin = None if isinstance(stream, str) else stream.tell()
     blocks: list[tuple[int, str, int, str]] = []  # (first data line index, id, count, name)
     offsets = [0]       # rows of each block among all data lines
-    columns = []        # times, lat and lon of the complete storms of each piece
-    carry = np.empty((0, RSMC_WIDTH), np.uint8)   # cells of the storm a piece cut
-    done = 0            # storms whose fields are read
-    first = 0           # lines of the text before the piece
-    owed = 0            # data lines of the last storm in the pieces to come
-
-    def fault(pending: ParseError | None = None) -> ParseError:
-        if origin is None:
-            return _first_fault(stream, blocks, pending)
-        stream.seek(origin)
-        return _first_fault(stream.read(), blocks, pending)
-
+    columns = []        # times, lat and lon of the storms each piece completes
+    lines: list[str] = []   # in hand: the storm the last piece cut, header first
+    first = 0           # lines of the text before those in hand
     for piece in _pieces(stream):
-        lines = _lines(piece)
-        data, i = lines[:owed], owed
+        lines += _lines(piece)
+        done, data, i = len(blocks), [], 0
         while i < len(lines):
             if not lines[i].strip():
                 i += 1
@@ -224,24 +214,23 @@ def parse_rsmc(stream: TextIO | str) -> list[StormRecordSet]:
             try:
                 storm_id, n_lines, name = _rsmc_header(lines[i], first + i + 1)
             except ParseError as exc:
-                raise fault(exc) from None
+                raise _first_fault(lines, blocks[done:], first, exc) from None
+            if i + 1 + n_lines > len(lines):   # the storm ends in a later piece
+                break
             blocks.append((first + i + 1, storm_id, n_lines, name))
             offsets.append(offsets[-1] + n_lines)
             data += lines[i + 1:i + 1 + n_lines]
             i += 1 + n_lines
-        first, owed = first + len(lines), i - len(lines)
-        complete = len(blocks) - (owed > 0)
-        rows = offsets[complete] - offsets[done]
         try:
-            cells = np.concatenate([carry, _cells(data)])
-            columns.append(_columns(cells[:rows], [o - offsets[done]
-                                                   for o in offsets[done:complete]]))
+            columns.append(_columns(_cells(data), [o - offsets[done]
+                                                   for o in offsets[done:-1]]))
         except ValueError:
-            raise fault() from None
-        carry, done = cells[rows:], complete
-        del lines, data   # before the next piece is split
-    if owed:   # the last storm is cut short
-        raise fault()
+            raise _first_fault(lines, blocks[done:], first, None) from None
+        del lines[:i], data   # before the next piece is split
+        first += i
+    if lines:   # the last storm is cut short
+        block = (first + 1, *_rsmc_header(lines[0], first + 1))
+        raise _first_fault(lines, [block], first, None)
     columns = [np.concatenate(column) for column in zip(*columns)]
     for column in columns:
         column.flags.writeable = False

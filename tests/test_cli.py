@@ -488,6 +488,7 @@ def test_fit_rejects_grid_flags(ingested, tmp_path, capsys):
     (["--k-s", "9"], "K_s=9 exceeds the 8 response points"),
     (["--ridge", "nan"], "ridge must be >= 0"),
     (["--seed", "-1"], "seed must be >= 0"),
+    (["--ridge", "inf"], "ridge must be >= 0"),
 ])
 def test_unfittable_settings_are_input_errors(ingested, tmp_path, capsys, command,
                                               flags, message):

@@ -96,7 +96,7 @@ class TestBestCell:
 
 
 @pytest.mark.parametrize("field, value", [("min_cluster_size", 0), ("ridge", -1e-8),
-                                          ("ridge", float("nan")),
+                                          ("ridge", float("nan")), ("ridge", float("inf")),
                                           ("K_t", 25), ("K_s", 9)])
 def test_config_rejects(field, value):
     with pytest.raises(ValueError, match=field):

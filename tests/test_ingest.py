@@ -1,6 +1,7 @@
 import csv
 import io
 import os
+import tracemalloc
 import warnings
 from datetime import datetime
 from unittest import mock
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from fofcast import (build_matrices, extract_tail, filter_min_length,
                      parse_csv, parse_rsmc, train_test_split, write_csv)
-from fofcast import ingest
+from fofcast import cli, ingest
 from fofcast.errors import LengthError, ParseError, SchemaError, ShapeError, ValidationError
 from fofcast.ingest import RSMC_WIDTH, TIME_FORMAT
 
@@ -537,6 +538,79 @@ class TestRsmcStream:
         got = pipe_outcome(text, 50)
         assert got == parse_outcome(text)
         assert got[2] == line_no if line_no else "ParseError" not in got
+
+
+class OnceReader(io.StringIO):
+    """A text file that counts the characters read from it and cannot seek."""
+
+    def __init__(self, text: str):
+        super().__init__(text)
+        self.chars = 0
+
+    def read(self, size=-1):
+        chunk = super().read(size)
+        self.chars += len(chunk)
+        return chunk
+
+    def seek(self, *args):
+        raise AssertionError("seek")
+
+
+def _last_storm_fault() -> tuple[str, int]:
+    """200 storms of 40 records, the lat field of the last storm's 20th data
+    line set to 'xxx', and that line's number."""
+    lines = _storms_text(200, 40).splitlines()
+    line = len(lines) - 20
+    lines[line - 1] = lines[line - 1][:15] + "xxx" + lines[line - 1][18:]
+    return "\n".join(lines) + "\n", line
+
+
+class TestRsmcReadOnce:
+    """parse_rsmc reads its input once, faults included, and names the first
+    fault from the lines in hand."""
+
+    def test_a_fault_in_the_last_storm(self):
+        text, line = _last_storm_fault()
+        piece = len(text) // 10
+        whole = parse_outcome(text)
+        assert whole[0] is ParseError and whole[2] == line and "xxx" in whole[1]
+        with mock.patch.object(ingest, "RSMC_PIECE", piece):
+            assert len(list(ingest._pieces(io.StringIO(text)))) >= 8
+        reader = OnceReader(text)
+        assert parse_outcome(reader, piece) == whole
+        assert reader.chars == len(text)
+
+    def test_the_fault_path_holds_a_piece(self, tmp_path, monkeypatch):
+        """The traced peak of loading the faulty file of ten pieces stays below
+        twice its length."""
+        text, line = _last_storm_fault()
+        path = tmp_path / "bst.txt"
+        path.write_text(text)
+        monkeypatch.setattr(ingest, "RSMC_PIECE", len(text) // 10)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError) as exc:
+                cli._load_storms(path, "rsmc")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.line_no == line
+        assert peak < 2 * len(text)
+
+    @pytest.mark.parametrize("storm", [20, 29], ids=["a-later-storm", "the-last-storm"])
+    def test_a_header_that_declares_more_lines_than_the_file_holds(self, storm):
+        lines = _storms_text(30, 10).splitlines()   # headers on lines 1, 12, 23, ...
+        lines[11 * storm] = rsmc_header(f"{storm:04d}", 999)
+        text = "\n".join(lines) + "\n"
+        piece = 500
+        assert len("\n".join(lines[:11 * storm])) > 10 * piece
+        whole = parse_outcome(text)
+        line = 11 * storm + 1
+        assert whole == (ParseError, f"line {line}: storm {storm:04d}: header declares "
+                                     f"999 data lines, found 10", line)
+        reader = OnceReader(text)
+        assert parse_outcome(reader, piece) == parse_outcome(text, piece) == whole
+        assert reader.chars == len(text)
 
 
 class TestParseCsv:
