@@ -7,24 +7,24 @@ Exit codes: 0 success, 2 input/validation error, 3 numerical error,
 from __future__ import annotations
 
 import argparse
+import codecs
 import csv
 import inspect
-import io
 import json
 import sys
 import time
 from collections import Counter
 from dataclasses import fields
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
-from . import __version__
-from .errors import (FofcastError, ParseError, SchemaError, ShapeError, SingularityError,
+from . import __version__, ingest
+from .errors import (FofcastError, NumericalError, ParseError, SchemaError, ShapeError,
                      StormLookupError, ValidationError)
-from .experiment import (ExperimentConfig, SplitRunner, forecasts_to_geojson,
-                         length_study, make_bases, repeated_simulation,
-                         split_workers)
+from .experiment import (ExperimentConfig, SplitRunner, float_reprs, forecasts_to_geojson,
+                         length_study, make_bases, repeated_simulation, split_workers)
 from .ingest import (DatasetMatrix, build_matrices, extract_tail,
                      filter_min_length, parse_csv, parse_rsmc, time_grid,
                      train_test_split)
@@ -48,19 +48,33 @@ def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace,
         json.dumps(manifest, indent=2))
 
 
+# the line boundaries of each input format: those of str.splitlines for RSMC;
+# "\n", "\r\n" and "\r" for CSV, as the csv module reads them
+LINE_ENDS = {"rsmc": "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029", "csv": "\n\r"}
+
+
 def _undecodable(path: Path, fmt: str, encoding: str) -> ParseError:
     """The first byte of ``path`` that ``encoding`` cannot decode, on its line
-    as ``fmt`` counts lines: str.splitlines for RSMC, "\n", "\r\n" and "\r"
-    for CSV."""
-    data = path.read_bytes()
-    try:
-        data.decode(encoding)
-        return ParseError(f"{path}: changed while it was read")
-    except UnicodeDecodeError as exc:
-        head = data[:exc.start].decode(encoding) + "x"   # a line for the byte
-        lines = head.splitlines() if fmt == "rsmc" else io.StringIO(head, newline="")
-        return ParseError(f"'{encoding}' codec can't decode byte 0x{data[exc.start]:02x}: "
-                          f"{exc.reason}", len(list(lines)))
+    as ``fmt`` counts lines; the file is read again a piece at a time."""
+    decoder = codecs.getincrementaldecoder(encoding)()
+    line_no, last = 1, ""   # the line reached, the last character decoded
+    with path.open("rb") as fh:
+        while True:
+            piece = fh.read(ingest.RSMC_PIECE)
+            try:
+                text, fault = decoder.decode(piece, final=not piece), None
+            except UnicodeDecodeError as exc:   # its positions count in exc.object
+                text = exc.object[:exc.start].decode(encoding)
+                fault = (f"'{encoding}' codec can't decode byte "
+                         f"0x{exc.object[exc.start]:02x}: {exc.reason}")
+            # a "\r\n" is one line end, also when a piece ends between the two
+            line_no += (sum(map(text.count, LINE_ENDS[fmt])) - text.count("\r\n")
+                        - (last == "\r" and text[:1] == "\n"))
+            last = text[-1:] or last
+            if fault is not None:
+                return ParseError(fault, line_no)
+            if not piece:
+                return ParseError(f"{path}: changed while it was read")
 
 
 def _load_storms(path: Path, fmt: str):
@@ -71,7 +85,9 @@ def _load_storms(path: Path, fmt: str):
         with path.open() as fh:
             return parse_rsmc(fh)
     except UnicodeDecodeError as exc:   # its position counts from a read, not the file
-        raise _undecodable(path, fmt, exc.encoding) from None
+        encoding = exc.encoding
+    # named after the except block, which would keep the parse's frames alive
+    raise _undecodable(path, fmt, encoding) from None
 
 
 def _write_matrix_csv(path: Path, matrix: DatasetMatrix) -> None:
@@ -79,7 +95,7 @@ def _write_matrix_csv(path: Path, matrix: DatasetMatrix) -> None:
     reprs per window point, ended as csv.writer ends its rows (CRLF)."""
     with path.open("w", newline="") as fh:
         csv.writer(fh).writerow(matrix.storm_ids)
-        fh.writelines(",".join(map(repr, row.tolist())) + "\r\n" for row in matrix.values)
+        fh.writelines(",".join(row) + "\r\n" for row in float_reprs(matrix.values).tolist())
 
 
 def _repeated(ids) -> str:
@@ -87,9 +103,27 @@ def _repeated(ids) -> str:
     return ", ".join(sid for sid, n in Counter(ids).items() if n > 1)
 
 
+def _rows(fh, total_len: int, n_ids: int) -> Iterator[str]:
+    """The first ``total_len`` rows of a matrix CSV's body, as str.splitlines cuts
+    it, each checked for its value count; then ValueError unless the body
+    held ``total_len`` rows."""
+    n_rows = 0
+    for row in (row for line in fh for row in line.splitlines()):
+        n_rows += 1
+        if n_rows <= total_len:
+            if (n_values := row.count(",") + 1) != n_ids:
+                raise ValueError(f"row {n_rows} holds {n_values} values "
+                                 f"for {n_ids} storm ids")
+            if not row:   # np.loadtxt would skip it
+                raise ValueError(f"row {n_rows} is blank")
+            yield row
+    if n_rows != total_len:
+        raise ValueError(f"{n_rows} rows of values for a window of {total_len}")
+
+
 def _read_matrix_csv(path: Path, total_len: int) -> DatasetMatrix:
-    """The matrix under the storm-id header of ``path``, read a row at a time,
-    or a SchemaError naming it."""
+    """The matrix under the storm-id header of ``path``, read a row at a time
+    by NumPy's parser, or a SchemaError naming it."""
     try:
         with path.open() as fh:
             header = next(csv.reader(fh), None)
@@ -98,19 +132,8 @@ def _read_matrix_csv(path: Path, total_len: int) -> DatasetMatrix:
             ids = tuple(header)
             if repeated := _repeated(ids):
                 raise ValueError(f"storm ids repeated in the header: {repeated}")
-            values = np.empty((total_len, len(ids)))
-            n_rows = 0
-            # the body's rows as str.splitlines cuts it
-            for row in (row for line in fh for row in line.splitlines()):
-                if n_rows < total_len:
-                    cells = row.split(",")
-                    if len(cells) != len(ids):
-                        raise ValueError(f"row {n_rows + 1} holds {len(cells)} values "
-                                         f"for {len(ids)} storm ids")
-                    values[n_rows] = list(map(float, cells))
-                n_rows += 1
-        if n_rows != total_len:
-            raise ValueError(f"{n_rows} rows of values for a window of {total_len}")
+            values = np.loadtxt(_rows(fh, total_len, len(ids)), delimiter=",",
+                                comments=None, ndmin=2)
         if not np.isfinite(values).all():
             raise ValueError("a value is not finite")
         return DatasetMatrix(values=values, storm_ids=ids)
@@ -254,10 +277,11 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _write_geojson(path: Path, storm_ids, *arrays, include_truth: bool) -> float:
-    """Write the bytes of ``json.dumps(forecasts_to_geojson(storm_ids, *arrays,
-    include_truth=include_truth))``, building the features of near GEOJSON_CHUNK
-    storms at a time; the seconds spent building them. A chunk of two or more
-    storms scores each storm bit for bit as the whole batch does; one alone may not."""
+    """Write the GeoJSON FeatureCollection of ``forecasts_to_geojson(storm_ids,
+    *arrays, include_truth=include_truth)``, as json.dumps writes it, building
+    the features of near GEOJSON_CHUNK storms at a time; the seconds spent
+    building them. A chunk of two or more storms scores each storm bit for
+    bit as the whole batch does; one alone may not."""
     built, start = 0.0, 0
     n_chunks = max(1, -(-len(storm_ids) // GEOJSON_CHUNK))
     with path.open("w") as fh:
@@ -265,10 +289,10 @@ def _write_geojson(path: Path, storm_ids, *arrays, include_truth: bool) -> float
         for chunk in zip(*(np.array_split(a, n_chunks, axis=1) for a in arrays)):
             stop = start + chunk[0].shape[1]
             t0 = time.perf_counter()
-            geojson = forecasts_to_geojson(storm_ids[start:stop], *chunk,
-                                           include_truth=include_truth)
+            features = forecasts_to_geojson(storm_ids[start:stop], *chunk,
+                                            include_truth=include_truth)
             built += time.perf_counter() - t0
-            fh.write((", " if start else "") + json.dumps(geojson["features"])[1:-1])
+            fh.write((", " if start else "") + features)
             start = stop
         fh.write("]}")
     return built
@@ -296,8 +320,12 @@ def _write_forecasts(args: argparse.Namespace, command: str, select,
     lat_obs, lon_obs = lat.values[:, cols], lon.values[:, cols]
     P = meta["predictor_len"]
     # the segments indexed as SplitRunner indexes them, so export scores grid's bits
-    lat_hat, lon_hat = predict_trajectory(*bases, *models, lat.values[:P, cols],
-                                          lon.values[:P, cols], time_grid(meta["total_len"]))
+    with np.errstate(over="ignore", invalid="ignore"):   # an overflow is refused below
+        lat_hat, lon_hat = predict_trajectory(*bases, *models, lat.values[:P, cols],
+                                              lon.values[:P, cols], time_grid(meta["total_len"]))
+    if not (np.isfinite(lat_hat).all() and np.isfinite(lon_hat).all()):
+        raise NumericalError(f"{args.models / 'model.json'}: the models forecast a "
+                             f"position that is not finite")
     t_forecast = time.perf_counter()
     args.out.parent.mkdir(parents=True, exist_ok=True)
     built = _write_geojson(args.out, ids, lat_obs, lon_obs, lat_hat, lon_hat,
@@ -471,7 +499,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SingularityError as exc:
+    except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except StormLookupError as exc:

@@ -35,7 +35,11 @@ class DomainError(FofcastError):
     """Evaluation point lies outside a basis domain."""
 
 
-class SingularityError(FofcastError):
+class NumericalError(FofcastError):
+    """A computation gave no usable result (exit 3)."""
+
+
+class SingularityError(NumericalError):
     """A least-squares system is rank deficient; suggests a remedy."""
 
 

@@ -348,40 +348,61 @@ def length_study(storms: Sequence[StormRecordSet], config: ExperimentConfig,
             for (t, L), report in zip(layout, _reports(cases))]
 
 
+def float_reprs(a: np.ndarray) -> np.ndarray:
+    """``repr`` of each float of ``a``, as a str array of ``a``'s shape: repr runs
+    once per distinct value, told apart by its bits, so -0.0 stays apart from 0.0."""
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    bits, inverse = np.unique(a.reshape(-1).view(np.int64), return_inverse=True)
+    return np.array([repr(v) for v in bits.view(np.float64).tolist()],
+                    dtype=object)[inverse].reshape(a.shape)
+
+
 def forecasts_to_geojson(storm_ids: Sequence[str], lat: np.ndarray, lon: np.ndarray,
                          lat_hat: np.ndarray, lon_hat: np.ndarray,
-                         include_truth: bool = True) -> dict:
-    """One LineString per trajectory segment: observed X, observed Y, predicted Y.
+                         include_truth: bool = True) -> str:
+    """One LineString feature per trajectory segment: observed X, observed Y,
+    predicted Y; the features' text, comma-separated, as json.dumps writes them.
 
     ``lat`` and ``lon`` hold the storms' observed L x n windows, and
-    ``lat_hat`` and ``lon_hat`` the q x n forecasts of their last q points.
-    GeoJSON positions are [lon, lat] with longitudes in [-180, 180]
-    (RFC 7946). The mean error property of the predicted segment, when the
-    observed response is included, is scored before the wrap.
+    ``lat_hat`` and ``lon_hat`` the q x n forecasts of their last q points,
+    all finite (ValueError otherwise). GeoJSON positions are [lon, lat] with
+    longitudes in [-180, 180] (RFC 7946), written as the shortest decimal
+    strings that read back bit for bit (``repr``). The mean error property of
+    the predicted segment, when the observed response is included, is scored
+    before the wrap.
     """
     q, n = lat_hat.shape
     P = lat.shape[0] - q
     if (lat.shape != lon.shape or lon_hat.shape != (q, n) or lat.shape[1:] != (n,)
             or len(storm_ids) != n):
         raise ShapeError("observed windows, forecasts and storm ids do not match")
-    errors = [{}] * n
+    if not all(np.isfinite(a).all() for a in (lat, lon, lat_hat, lon_hat)):
+        raise ValueError("a position is not finite, which JSON cannot write")
+    extras = [""] * n
     if include_truth:
-        errors = [{"avg_dist_km": e} for e in
-                  track_errors(lat_hat, lon_hat, lat[P:], lon[P:]).tolist()]
+        extras = [', "avg_dist_km": ' + e for e in
+                  float_reprs(track_errors(lat_hat, lon_hat, lat[P:], lon[P:])).tolist()]
 
-    def positions(seg_lon, seg_lat) -> list:
-        """The n [lon, lat] position lists of a segment's columns."""
+    def positions(seg_lon, seg_lat) -> list[str]:
+        """The n "[[lon, lat], ...]" position lists of a segment's columns."""
         # whole turns only outside [-180, 180], so in-range positions stay as they are
         turns = np.where(np.abs(seg_lon) > 180.0, np.floor((seg_lon + 180.0) / 360.0), 0.0)
-        return np.stack([seg_lon - 360.0 * turns, seg_lat], axis=-1).transpose(1, 0, 2).tolist()
+        m = len(seg_lon)
+        tokens = np.empty((n, m, 4), dtype=object)
+        tokens[:, :, 0] = float_reprs(seg_lon - 360.0 * turns).T
+        tokens[:, :, 1] = ", "
+        tokens[:, :, 2] = float_reprs(seg_lat).T
+        tokens[:, :, 3] = "], ["
+        tokens[:, -1:, 3] = "]]"
+        return ["[[" + "".join(row) if m else "[]" for row in tokens.reshape(n, 4 * m).tolist()]
 
-    segments = [("observed_predictor", positions(lon[:P], lat[:P]), [{}] * n)]
+    segments = [("observed_predictor", positions(lon[:P], lat[:P]), [""] * n)]
     if include_truth:
-        segments.append(("observed_response", positions(lon[P:], lat[P:]), [{}] * n))
-    segments.append(("predicted_response", positions(lon_hat, lat_hat), errors))
-    features = [
-        {"type": "Feature",
-         "geometry": {"type": "LineString", "coordinates": coordinates[j]},
-         "properties": {"storm_id": sid, "segment": segment, **extra[j]}}
-        for j, sid in enumerate(storm_ids) for segment, coordinates, extra in segments]
-    return {"type": "FeatureCollection", "features": features}
+        segments.append(("observed_response", positions(lon[P:], lat[P:]), [""] * n))
+    segments.append(("predicted_response", positions(lon_hat, lat_hat), extras))
+    ids = [json.dumps(sid) for sid in storm_ids]
+    return ", ".join(
+        f'{{"type": "Feature", "geometry": {{"type": "LineString", "coordinates": '
+        f'{coordinates[j]}}}, "properties": {{"storm_id": {ids[j]}, "segment": '
+        f'"{segment}"{extra[j]}}}}}'
+        for j in range(n) for segment, coordinates, extra in segments)

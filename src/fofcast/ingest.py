@@ -30,6 +30,20 @@ TIME_FORMAT = "%Y-%m-%d %H:%M:%S"
 RSMC_WIDTH = 23
 # characters of RSMC text read, and held as line strings, at a time
 RSMC_PIECE = 1 << 18
+# the (start, stop) columns of the fields read from an RSMC data line: yy, mm,
+# dd and hh of its date, lat*10 and lon*10
+RSMC_FIELDS = ((0, 2), (2, 4), (4, 6), (6, 8), (15, 18), (19, 23))
+RSMC_DIGITS = np.concatenate([np.arange(start, stop) for start, stop in RSMC_FIELDS])
+# each field's place values among RSMC_DIGITS, one row per field: a field of
+# digits is their dot product with them
+RSMC_PLACES = np.array([np.where((RSMC_DIGITS >= start) & (RSMC_DIGITS < stop),
+                                 10.0 ** (stop - 1 - RSMC_DIGITS), 0.0)
+                        for start, stop in RSMC_FIELDS])
+# days since 1970 of the first of each month from 1951-01 to 2051-01: a year
+# yy of two digits is 19yy from 51 and 20yy below, so the archive's 1951-2023
+# and a signed field's -9 to -1 (1991-1999) lie in it
+MONTH_STARTS = np.arange("1951-01", "2051-02", dtype="datetime64[M]").astype(
+    "datetime64[D]").astype(np.int64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,34 +138,32 @@ def _columns(cells: np.ndarray, offsets: list[int]) -> tuple[np.ndarray, ...]:
     """times, lat and lon of the RSMC data line ``cells`` of storms that start
     at ``offsets``, or ValueError; each field of all lines is read at once as
     Python's int() would read it."""
-    n = len(cells)
+    digits = cells[:, RSMC_DIGITS] - np.uint8(ord("0"))   # a non-digit wraps to >= 10
+    values = (RSMC_PLACES @ digits.T.astype(np.float64)).astype(np.int64)
+    # signs, blanks and NUL padding: NumPy converts these fields as int() would
+    other = np.flatnonzero(digits.max(axis=1) >= 10)
+    odd = (digits[other] >= 10) @ (RSMC_PLACES > 0).T   # the fields of each such row
 
-    def number(start, stop):
-        digits = cells[:, start:stop] - np.uint8(ord("0"))   # a non-digit wraps to >= 10
-        values = np.zeros(n, np.int64)
-        for c in range(stop - start):
-            values *= 10
-            values += digits[:, c]
-        # signs, blanks and NUL padding: NumPy converts these rows as int() would
-        other = np.flatnonzero((digits >= 10).any(axis=1))
-        field = np.ascontiguousarray(cells[other, start:stop])
-        values[other] = field.view(f"S{stop - start}").ravel().astype(np.int64)
-        return values
+    def number(f):
+        if (rows := other[odd[:, f]]).size:
+            start, stop = RSMC_FIELDS[f]
+            field = np.ascontiguousarray(cells[rows, start:stop])
+            values[f, rows] = field.view(f"S{stop - start}").ravel().astype(np.int64)
+        return values[f]
 
-    yy, month, day, hour = (number(a, a + 2) for a in (0, 2, 4, 6))
-    # the archive spans 1951-2023
-    months = ((yy + np.where(yy >= 51, 1900, 2000) - 1970) * 12
-              + np.clip(month, 1, 12) - 1).astype("datetime64[M]")
-    days = months.astype("datetime64[D]") + (day - 1)   # in another month if no such day
-    if np.any((month < 1) | (month > 12) | (days.astype("datetime64[M]") != months)
-              | (hour < 0) | (hour > 23)):
+    yy, month, day, hour = map(number, range(4))
+    known = np.clip(month, 1, 12)
+    index = (yy + np.where(yy >= 51, -51, 49)) * 12 + known - 1   # months since 1951-01
+    days = MONTH_STARTS[index] + (day - 1)
+    if np.any((known != month) | (day < 1) | (days >= MONTH_STARTS[index + 1])
+              | (hour.astype(np.uint64) > 23)):
         raise ValueError("no such date")
-    times = days.astype(np.int64) * 86400 + hour * 3600
-    opens = np.zeros(n + 1, bool)
+    times = days * 86400 + hour * 3600
+    opens = np.zeros(len(cells) + 1, bool)
     opens[offsets] = True
     if np.any(~opens[1:-1] & (np.diff(times) <= 0)):
         raise ValueError("times not strictly increasing")
-    lat, lon = number(15, 18) / 10.0, number(19, 23) / 10.0
+    lat, lon = number(4) / 10.0, number(5) / 10.0
     if not np.all((np.abs(lat) <= 90.0) & (lon >= 0.0) & (lon < 360.0)):
         raise ValueError("latitude outside [-90, 90] or longitude outside [0, 360)")
     return times, lat, lon

@@ -139,3 +139,41 @@ def two_regime_matrices(n: int = 100, L: int = 32, seed: int = 7
         lon_cols.append(lon)
     return (DatasetMatrix(values=np.array(lat_cols).T, storm_ids=ids),
             DatasetMatrix(values=np.array(lon_cols).T, storm_ids=ids))
+
+
+def geojson_document(storm_ids, lat, lon, lat_hat, lon_hat, include_truth=True) -> dict:
+    """The FeatureCollection of ``forecasts_to_geojson``'s features as dicts and
+    lists, for json.dumps to write: the reference its text is checked against."""
+    from fofcast.experiment import track_errors
+
+    n = len(storm_ids)
+    P = lat.shape[0] - lat_hat.shape[0]
+    errors = [{}] * n
+    if include_truth:
+        errors = [{"avg_dist_km": e} for e in
+                  track_errors(lat_hat, lon_hat, lat[P:], lon[P:]).tolist()]
+
+    def positions(seg_lon, seg_lat) -> list:
+        turns = np.where(np.abs(seg_lon) > 180.0, np.floor((seg_lon + 180.0) / 360.0), 0.0)
+        return np.stack([seg_lon - 360.0 * turns, seg_lat], axis=-1).transpose(1, 0, 2).tolist()
+
+    segments = [("observed_predictor", positions(lon[:P], lat[:P]), [{}] * n)]
+    if include_truth:
+        segments.append(("observed_response", positions(lon[P:], lat[P:]), [{}] * n))
+    segments.append(("predicted_response", positions(lon_hat, lat_hat), errors))
+    features = [
+        {"type": "Feature",
+         "geometry": {"type": "LineString", "coordinates": coordinates[j]},
+         "properties": {"storm_id": sid, "segment": segment, **extra[j]}}
+        for j, sid in enumerate(storm_ids) for segment, coordinates, extra in segments]
+    return {"type": "FeatureCollection", "features": features}
+
+
+def assert_same_text(got: str, expected: str) -> None:
+    """got == expected; else fail naming the first offset where they differ and
+    the text around it, which stays quick for documents of a megabyte on one line."""
+    if got != expected:
+        at = len(os.path.commonprefix([got, expected]))
+        pytest.fail(f"texts of {len(got)} and {len(expected)} characters differ from "
+                    f"offset {at}: {got[max(0, at - 40):at + 40]!r} against "
+                    f"{expected[max(0, at - 40):at + 40]!r}", pytrace=False)

@@ -19,14 +19,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fofcast import DatasetMatrix, ExperimentConfig, train_test_split, write_csv
-from fofcast.errors import SchemaError
+from fofcast.errors import ParseError, SchemaError
 from fofcast import cli, experiment, ingest
 from fofcast.cli import (_config, _load_dataset, _read_matrix_csv, _write_geojson,
                          _write_matrix_csv, build_parser, main)
-from fofcast.experiment import SplitRunner, forecasts_to_geojson
+from fofcast.experiment import SplitRunner
 
-from conftest import (make_rsmc_storm, make_storm, rsmc_data_line, rsmc_header,
-                      synthetic_tracks)
+from conftest import (assert_same_text, geojson_document, make_rsmc_storm, make_storm,
+                      rsmc_data_line, rsmc_header, synthetic_tracks)
 
 from datetime import datetime
 
@@ -191,6 +191,47 @@ class TestIngest:
         assert capsys.readouterr().err == ("error: line 250: 'utf-8' codec can't decode "
                                            "byte 0xff: invalid start byte\n")
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("fmt", ["rsmc", "csv"])
+    def test_undecodable_line_is_counted_across_pieces(self, tmp_path, monkeypatch, fmt):
+        """The byte's line, counted a piece at a time, is the one the whole text
+        before it ends on, wherever the pieces cut a line end or a character."""
+        text = "a\r\nb\rc\nd\x85e\u2028f\r\n\r\ng\x0bh\x1ci\u00e9\r\n"
+        path = tmp_path / "bst.txt"
+        for at in range(len(text) + 1):
+            data = text[:at].encode() + b"\xff" + text[at:].encode()
+            path.write_bytes(data)
+            head = text[:at] + "x"   # a line for the byte
+            lines = head.splitlines() if fmt == "rsmc" else list(io.StringIO(head, newline=""))
+            for piece in (1, 2, 3, 5, 1 << 18):
+                monkeypatch.setattr(ingest, "RSMC_PIECE", piece)
+                error = cli._undecodable(path, fmt, "utf-8")
+                assert str(error) == (f"line {len(lines)}: 'utf-8' codec can't decode "
+                                      "byte 0xff: invalid start byte"), (at, piece)
+
+    @pytest.mark.skipif(locale.getpreferredencoding(False).lower().replace("-", "") != "utf8",
+                        reason="files are opened in the locale's encoding, here not UTF-8")
+    def test_undecodable_byte_is_found_a_piece_at_a_time(self, tmp_path, monkeypatch):
+        """A byte near the end of an RSMC file of ten pieces is named on its line
+        with a traced peak below twice the text; reading the file's bytes
+        whole to find it took more than six times the text."""
+        j = np.arange(40)
+        text = "".join(make_rsmc_storm(f"{k:04d}", 15.0 + 0.1 * j, 140.0 - 0.2 * j)
+                       for k in range(200))
+        at = len(text) - 100
+        path = tmp_path / "bst.txt"
+        path.write_bytes(text[:at].encode() + b"\xff" + text[at:].encode())
+        monkeypatch.setattr(ingest, "RSMC_PIECE", len(text) // 10)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError) as info:
+                cli._load_storms(path, "rsmc")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == (f"line {text[:at].count(chr(10)) + 1}: 'utf-8' codec "
+                                   "can't decode byte 0xff: invalid start byte")
+        assert peak < 2 * len(text)
 
     def test_irregular_cadence_is_counted(self, tmp_path, capsys):
         j = np.arange(40)
@@ -590,6 +631,25 @@ class TestInputFiles:
         assert "model.json" in err and message in err
         assert not (tmp_path / "fc.geojson").exists()
 
+    @pytest.mark.parametrize("command", ["predict", "export"])
+    def test_non_finite_forecast_is_refused(self, ingested, fitted, tmp_path, capsys,
+                                            command):
+        """Finite coefficients whose forecasts overflow end in exit 3 and one
+        message, before any GeoJSON is written (json.dumps wrote NaN, which is
+        not JSON)."""
+        models = shutil.copytree(fitted, tmp_path / "models")
+        model = json.loads((models / "model.json").read_text())
+        model["lat"]["coefficients"] = [[1e308] * len(row)
+                                        for row in model["lat"]["coefficients"]]
+        (models / "model.json").write_text(json.dumps(model))
+        out = tmp_path / "fc" / "fc.geojson"
+        code = main([command, "--data", str(ingested), "--models", str(models),
+                     "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == (f"error: {models / 'model.json'}: the models "
+                                           "forecast a position that is not finite\n")
+        assert not out.parent.exists()
+
     def test_model_directory_of_an_earlier_version(self, ingested, fitted, tmp_path,
                                                    capsys):
         # earlier versions wrote the split and each coordinate's model apart
@@ -735,6 +795,52 @@ class TestInputFiles:
         assert path.read_bytes() == buf.getvalue().encode()
         assert path.read_bytes().startswith(b'"05,01","05""02",05 03\r\n-0.0,5e-324,')
 
+    @settings(max_examples=50, deadline=None)
+    @given(values=st.integers(1, 4).flatmap(lambda n: st.lists(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                 | st.sampled_from([-0.0, 5e-324, -5e-324, 1e-05, 1e16,
+                                    1.7976931348623157e308]),
+                 min_size=n, max_size=n), min_size=1, max_size=4)))
+    def test_matrix_csv_is_csv_writer_of_reprs(self, tmp_path_factory, values):
+        """The bytes are csv.writer's rows of reprs, and they read back bit for bit."""
+        values = np.array(values)
+        ids = tuple(f"S{j}" for j in range(values.shape[1]))
+        path = tmp_path_factory.mktemp("csv") / "m.csv"
+        _write_matrix_csv(path, DatasetMatrix(values=values, storm_ids=ids))
+        buf = io.StringIO()
+        csv.writer(buf).writerows([ids, *([repr(v) for v in row] for row in values.tolist())])
+        assert path.read_bytes() == buf.getvalue().encode()
+        assert _read_matrix_csv(path, len(values)).values.tobytes() == values.tobytes()
+
+    # a cell as float() read it before and as NumPy's parser reads it now
+    @pytest.mark.parametrize("cell, read", [
+        ("1.5", 1.5), (" -0 ", -0.0), ("\t+1e5", 1e5), (".5", 0.5), ("5.", 5.0),
+        ("1E-400", 0.0), ("\xa01", 1.0), ("1\u2000", 1.0),
+        ("1_0", "could not convert"),      # float() read 10.0
+        ("\u0661\u0662", "could not convert"),   # Arabic-Indic 12: float() read 12.0
+        ("\x1f1", 1.0),                    # float() refused a unit separator
+        ("0x10", "could not convert"), ("1d5", "could not convert"),
+        ('"1"', "could not convert"), ("1 2", "could not convert"),
+        (" ", "could not convert"), ("", "could not convert"),
+        ("1e999", "not finite"), ("-Infinity", "not finite"), ("NaN", "not finite"),
+    ])
+    def test_matrix_csv_cells(self, tmp_path, cell, read):
+        path = tmp_path / "m.csv"
+        path.write_text(f"A,B\n0.5,1.5\n{cell},2.5\n")
+        if isinstance(read, float):
+            values = _read_matrix_csv(path, 2).values
+            assert values.tobytes() == np.array([[0.5, 1.5], [read, 2.5]]).tobytes()
+        else:
+            with pytest.raises(SchemaError, match=read):
+                _read_matrix_csv(path, 2)
+
+    def test_blank_matrix_csv_row_is_refused(self, tmp_path):
+        """A blank row of a one-storm matrix is refused, not skipped."""
+        path = tmp_path / "m.csv"
+        path.write_text("A\r\n0.5\r\n\r\n1.5\r\n")
+        with pytest.raises(SchemaError, match=f"{path}: row 2 is blank"):
+            _read_matrix_csv(path, 3)
+
     @pytest.mark.parametrize("damage, message", [
         (lambda rows: rows[:-1] + [rows[-1].rsplit(",", 1)[0]], "row 2 holds 2 values for 3"),
         (lambda rows: rows[:-1] + [rows[-1] + ",1.0"], "row 2 holds 4 values for 3"),
@@ -779,7 +885,7 @@ class TestInputFiles:
 def test_geojson_written_in_chunks_is_the_whole_document(tmp_path, monkeypatch, n,
                                                          include_truth):
     """The chunks, near-equal and at most GEOJSON_CHUNK storms each, write the
-    bytes of json.dumps of the whole batch's document."""
+    bytes of json.dumps of the whole batch's reference document."""
     rng = np.random.default_rng(n)
     lat, lon = rng.uniform(-60, 60, (32, n)), rng.uniform(-20, 380, (32, n))
     lat_hat, lon_hat = lat[24:] + rng.normal(0, 1, (8, n)), lon[24:] + rng.normal(0, 1, (8, n))
@@ -787,13 +893,43 @@ def test_geojson_written_in_chunks_is_the_whole_document(tmp_path, monkeypatch, 
     sizes = []
     monkeypatch.setattr(cli, "forecasts_to_geojson",
                         lambda storm_ids, *a, **kw: sizes.append(len(storm_ids))
-                        or forecasts_to_geojson(storm_ids, *a, **kw))
+                        or experiment.forecasts_to_geojson(storm_ids, *a, **kw))
     path = tmp_path / "fc.geojson"
     _write_geojson(path, ids, lat, lon, lat_hat, lon_hat, include_truth=include_truth)
-    whole = forecasts_to_geojson(ids, lat, lon, lat_hat, lon_hat, include_truth=include_truth)
-    assert path.read_text() == json.dumps(whole)
+    assert_same_text(path.read_text(), json.dumps(geojson_document(
+        ids, lat, lon, lat_hat, lon_hat, include_truth=include_truth)))
     assert sizes == {0: [0], 1: [1], 2: [2], 256: [256], 257: [129, 128],
                      513: [171, 171, 171]}[n]
+
+
+# floats whose reprs JSON writers get wrong most often, and longitudes either
+# side of the wrap at +-180 and of a whole turn beyond it
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e-05, 1e16, 1.7976931348623157e308,
+               -1.7976931348623157e308, 0.1 + 0.2]
+EDGE_FLOATS += [s * x for s in (1, -1) for x in
+                (180.0, np.nextafter(180.0, 0.0), np.nextafter(180.0, 1e3), 540.0,
+                 np.nextafter(540.0, 1e3), 900.0)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_geojson_bytes_are_json_dumps_of_the_reference(tmp_path_factory, data):
+    """Whatever the floats and storm ids, the bytes written are those json.dumps
+    writes for the reference document."""
+    n, L = data.draw(st.integers(0, 4)), data.draw(st.integers(1, 5))
+    q = data.draw(st.integers(1, L))
+    cells = st.sampled_from(EDGE_FLOATS) | st.floats(-1e3, 1e3) | st.floats(
+        allow_nan=False, allow_infinity=False)
+    arrays = [np.array(data.draw(st.lists(cells, min_size=rows * n, max_size=rows * n)),
+                       dtype=float).reshape(rows, n) for rows in (L, L, q, q)]
+    ids = data.draw(st.lists(st.text(st.sampled_from('"\\,\x00\x1f\x7f\u00e9\u2028\U0001f300')
+                                     | st.characters(), max_size=5),
+                             min_size=n, max_size=n))
+    include_truth = data.draw(st.booleans())
+    path = tmp_path_factory.mktemp("geojson") / "fc.geojson"
+    _write_geojson(path, ids, *arrays, include_truth=include_truth)
+    assert_same_text(path.read_bytes().decode("ascii"), json.dumps(geojson_document(
+        ids, *arrays, include_truth=include_truth)))
 
 
 # byte strings that JSON, CSV and RSMC readers each treat specially

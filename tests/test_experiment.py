@@ -1,4 +1,5 @@
 import concurrent.futures
+import json
 import os
 import subprocess
 import sys
@@ -471,8 +472,7 @@ class TestGeoJSON:
         lat = np.tile(15.0 + 15.0 * grid, (1, 2))
         lon = np.array([170.0, 120.0]) + 30.0 * grid     # storms "E" and "W"
         lat_hat, lon_hat = lat[24:] + 0.3, lon[24:] + 0.5
-        doc = forecasts_to_geojson(["E", "W"], lat, lon, lat_hat, lon_hat)
-        features = doc["features"]
+        features = json.loads(f'[{forecasts_to_geojson(["E", "W"], lat, lon, lat_hat, lon_hat)}]')
         assert len(features) == 6
         for f in features:
             lons = np.array(f["geometry"]["coordinates"])[:, 0]
